@@ -1,0 +1,121 @@
+"""Behaviour lock: SHA-256 digests of canonical simulation outputs.
+
+Each scenario hashes the run's aggregate row and every event row. The
+digests were recorded from the code before the trace lookups were indexed
+and the participation filter's neighbourhood was shared per instant; a
+speed-up or refactor must reproduce them bit for bit. A change that alters
+them on purpose must say why in CHANGES.md.
+"""
+
+import hashlib
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from cmstream.engine import SimConfig, run_simulation
+from cmstream.experiments import (
+    heterogeneous_scenario,
+    phased_capacity,
+    standard_profile,
+    two_user_scenario,
+)
+from cmstream.traceio import CapacityTrace, EncounterTrace
+
+TRACE_SEED = 7
+GROUP_VIDEO_S = 40.0
+
+
+def sim_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(json.dumps(result.aggregate_row(), sort_keys=True).encode())
+    for event in result.events:
+        h.update(b"\n")
+        h.update(json.dumps(event.as_row(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _scenario(build):
+    cfg, gen = build()
+    return run_simulation(cfg, *gen(TRACE_SEED))
+
+
+def group_capacity(rng, ids):
+    """Every third user has a strong link, the rest a weak one."""
+    return CapacityTrace({
+        uid: phased_capacity([(1600.0, 4.0, 2.0) if i % 3 == 0
+                              else (1600.0, 0.18, 0.09)], 5.0, rng)
+        for i, uid in enumerate(ids)})
+
+
+def toggling_encounters(rng, ids, horizon_ms=960_000):
+    """Pairwise in-range (mean 30 s) / out-of-range (mean 60 s) spells with
+    whole-millisecond toggle times, starting in range with probability 1/3."""
+    toggles = {}
+    for a, b in itertools.combinations(ids, 2):
+        state = int(rng.random() < 1 / 3)
+        events = [(0.0, state)]
+        t_ms = 0
+        while True:
+            t_ms += max(1, round(float(rng.exponential(
+                30.0 if state else 60.0)) * 1000))
+            if t_ms >= horizon_ms:
+                break
+            state ^= 1
+            events.append((t_ms / 1000, state))
+        toggles[(a, b)] = tuple(events)
+    return EncounterTrace(toggles)
+
+
+def group_run(n, K, encounters):
+    rng = np.random.default_rng(TRACE_SEED)
+    ids = [f"u{i:02d}" for i in range(n)]
+    capacity = group_capacity(rng, ids)
+    enc = toggling_encounters(rng, ids) if encounters else EncounterTrace()
+    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids), K=K,
+                    mechanism="momd", participation_enabled=True,
+                    video_length_s=GROUP_VIDEO_S)
+    return run_simulation(cfg, capacity, enc)
+
+
+SCENARIOS = {}
+for _mean_b in (0.15, 0.3, 0.45, 1.5, 3.0):
+    for _modified in (False, True):
+        SCENARIOS[f"two_user_b{_mean_b:g}_{'on' if _modified else 'off'}"] = (
+            lambda m=_mean_b, f=_modified:
+            _scenario(lambda: two_user_scenario(m, modified=f)))
+for _k in (1, 2, 4):
+    SCENARIOS[f"het_momd_k{_k}"] = (
+        lambda k=_k: _scenario(lambda: heterogeneous_scenario("momd", K=k)))
+for _mech in ("noncooperative", "somd", "vickrey_1d"):
+    SCENARIOS[f"het_{_mech}"] = (
+        lambda m=_mech: _scenario(lambda: heterogeneous_scenario(m)))
+SCENARIOS["mesh20_momd_k4_on"] = lambda: group_run(20, 4, encounters=False)
+SCENARIOS["mobile12_momd_k1_on"] = lambda: group_run(12, 1, encounters=True)
+
+GOLDEN = {
+    "het_momd_k1": "c8375decfdbcd5e063bf8916f14a3cac91f5d3d4c082e7090893ec98eb7a7e46",
+    "het_momd_k2": "ede514a4387139554c6a7251d109beaa8f8254d9efb85c2462fdc600807b4545",
+    "het_momd_k4": "a8ae9350ef40e6890702f6fdcf8804efc720b4326b9ba55b46b5bad50bdc1652",
+    "het_noncooperative": "eaa8712b83de15151add5bd8619438ebbc85d872697a7ec8fe34621b7626e772",
+    "het_somd": "78f92603bc96c054547823cbdedcd5f307a0c5fa5d46570ee41b48a728116700",
+    "het_vickrey_1d": "48281f390339594660487638523ffb4f46dd9077783f0b295988f1c69487044c",
+    "mesh20_momd_k4_on": "e9200ca63b854b73833ece07522cc5ecf79afe85b5d760242ccb0f7098e92a9d",
+    "mobile12_momd_k1_on": "29b8e784d6766fac86c432d6a041f9346e04cefe35aa6dbf3af41dfdb867513c",
+    "two_user_b0.15_off": "9cdc55f010756cf32faac22cc919cd37ea67c7b375e677e1488d8d9ab815cb5b",
+    "two_user_b0.15_on": "b15b4797247ef6839443c97e1e5c76d1b0f116cfd7ffa419dd2b3085d9ab1adb",
+    "two_user_b0.3_off": "c248e75cc3575b6771efbfdcabb01fb475688cf63c1fc60d5db48bfe66d57188",
+    "two_user_b0.3_on": "af013770db63c693227535704c4af3bc320ed0ef246dc9dfda3705134654bee3",
+    "two_user_b0.45_off": "ab62582eff485886de607bc30eeaf7ff7d73bb5935c54f17edd85f5e70a47c9f",
+    "two_user_b0.45_on": "642b85a94299727e81e124539059e37a96278fadb731e8b8a6a37b2de2b1da96",
+    "two_user_b1.5_off": "57518e463b02512e83366af482dc1d4d59bd3d84c985293fe8138179f4f9f8e8",
+    "two_user_b1.5_on": "57518e463b02512e83366af482dc1d4d59bd3d84c985293fe8138179f4f9f8e8",
+    "two_user_b3_off": "73df5c6938b165fecc28dc2fb5d3108dde54b1467b7c3eb5e7f11d499a6887b0",
+    "two_user_b3_on": "73df5c6938b165fecc28dc2fb5d3108dde54b1467b7c3eb5e7f11d499a6887b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_digest(name):
+    assert sim_digest(SCENARIOS[name]()) == GOLDEN[name]

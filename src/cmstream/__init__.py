@@ -57,6 +57,7 @@ from .engine import (
     SimConfig,
     SimEvent,
     SimResult,
+    SimulationHorizonError,
     download_duration,
     run_comparison,
     run_simulation,

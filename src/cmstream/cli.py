@@ -46,11 +46,9 @@ EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_SIZE_GUARD = 4
 
-VERBOSE = os.environ.get("CMSTREAM_VERBOSE", "") not in ("", "0")
-
 
 def _note(msg: str) -> None:
-    if VERBOSE:
+    if os.environ.get("CMSTREAM_VERBOSE", "") not in ("", "0"):
         print(msg, file=sys.stderr)
 
 

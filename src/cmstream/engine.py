@@ -46,6 +46,10 @@ MECHANISMS = ("somd", "momd", "vickrey_1d", "noncooperative")
 CAPACITY_WINDOW = 3  # completed downloads feeding the capacity estimate
 
 
+class SimulationHorizonError(TraceUnderrunError):
+    """The run went past its horizon guard without every video finishing."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     users: Tuple[UserProfile, ...]
@@ -233,6 +237,8 @@ class _Simulation:
             self.users[profile.user_id] = _UserSim(
                 profile, total, capacity.capacity_at(profile.user_id, 0.0))
         self.horizon_guard = cfg.video_length_s * 100 + 1000.0
+        self._shares_t: Optional[float] = None
+        self._shares: Dict[str, List[float]] = {}
 
     # -- event plumbing ----------------------------------------------------
 
@@ -290,17 +296,29 @@ class _Simulation:
 
     # -- auctions ----------------------------------------------------------
 
-    def _neighbor_shares(self, uid: str, t: float) -> List[float]:
-        """Capacity each encountered user would allot to uid under an even
-        split across his own neighborhood."""
-        ids = list(self.users)
-        shares = []
-        for i in ids:
-            if not self.encounters.connected(uid, i, t):
-                continue
-            n_i = sum(1 for j in ids if self.encounters.connected(i, j, t))
-            shares.append(self.capacity.capacity_at(i, t) / n_i)
-        return shares
+    def _neighbor_shares(self, t: float) -> Dict[str, List[float]]:
+        """For every user, the capacity each user he encounters would allot
+        him under an even split across that user's own neighborhood, in
+        user order.
+
+        Traces are pure functions of time, so the result for the last t asked
+        is kept: idle retries and auctions often share an instant.
+        """
+        if t != self._shares_t:
+            ids = list(self.users)
+            # encounters are symmetric: test each pair once, keep user order
+            nbrs: Dict[str, List[str]] = {i: [] for i in ids}
+            for k, i in enumerate(ids):
+                nbrs[i].append(i)
+                for j in ids[k + 1:]:
+                    if self.encounters.connected(i, j, t):
+                        nbrs[i].append(j)
+                        nbrs[j].append(i)
+            share = {i: self.capacity.capacity_at(i, t) / len(nbrs[i])
+                     for i in ids}
+            self._shares = {i: [share[j] for j in nbrs[i]] for i in ids}
+            self._shares_t = t
+        return self._shares
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
         cfg = self.cfg
@@ -321,7 +339,7 @@ class _Simulation:
                     and cfg.mechanism != "noncooperative"
                     and not should_participate(
                         u.profile, u.state(), h_n,
-                        self._neighbor_shares(uid, t),
+                        self._neighbor_shares(t)[uid],
                         cfg.participation)):
                 continue
             out.append(uid)
@@ -329,7 +347,7 @@ class _Simulation:
 
     def _ready(self, t: float, auctioneer: str) -> None:
         if t > self.horizon_guard:
-            raise RuntimeError(
+            raise SimulationHorizonError(
                 f"simulation horizon exceeded at t={t:.1f}; likely a trace "
                 f"underrun or permanently refused auctions")
         cfg = self.cfg

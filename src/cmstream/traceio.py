@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -37,17 +39,22 @@ class CapacityTrace:
 
     def __post_init__(self):
         clean = {}
+        inf = math.inf
         for user, points in self.breakpoints.items():
             points = tuple((float(t), float(h)) for t, h in points)
             if not points or points[0][0] != 0.0:
                 raise TraceParseError(
                     f"user {user}: capacity trace must start at time 0")
             times = [t for t, _ in points]
-            if any(b <= a for a, b in zip(times, times[1:])):
+            # a < b is false when either is NaN, so a chain that strictly
+            # increases from 0 to a finite last time is finite throughout
+            if not (all(a < b for a, b in zip(times, times[1:]))
+                    and times[-1] < inf):
+                raise TraceParseError(f"user {user}: breakpoint times must "
+                                      f"be finite and strictly increase")
+            if not all(0 <= h < inf for _, h in points):
                 raise TraceParseError(
-                    f"user {user}: breakpoint times must strictly increase")
-            if any(h < 0 for _, h in points):
-                raise TraceParseError(f"user {user}: negative capacity")
+                    f"user {user}: negative or non-finite capacity")
             clean[user] = points
         object.__setattr__(self, "breakpoints", clean)
 
@@ -57,13 +64,7 @@ class CapacityTrace:
 
     def capacity_at(self, user: str, t: float) -> float:
         points = self._points(user)
-        h = points[0][1]
-        for bt, bh in points:
-            if bt <= t:
-                h = bh
-            else:
-                break
-        return h
+        return points[_segment(points, t)][1]
 
     def finish_time(self, user: str, start: float, volume_mbits: float) -> float:
         """Earliest time by which the user's link moves volume_mbits from start."""
@@ -71,21 +72,17 @@ class CapacityTrace:
             return start
         points = self._points(user)
         remaining = volume_mbits
-        t = start
-        for i, (bt, bh) in enumerate(points):
-            seg_start = max(t, bt)
-            seg_end = points[i + 1][0] if i + 1 < len(points) else None
-            if seg_end is not None and seg_end <= t:
-                continue
-            h = bh
-            if seg_end is None:
+        for i in range(_segment(points, start), len(points)):
+            bt, h = points[i]
+            seg_start = max(start, bt)
+            if i + 1 == len(points):
                 if h <= 0:
                     raise TraceUnderrunError(
                         f"unreachable completion: user {user} has zero capacity "
                         f"from t={seg_start}")
                 return seg_start + remaining / h
             if h > 0:
-                capacity_here = h * (seg_end - seg_start)
+                capacity_here = h * (points[i + 1][0] - seg_start)
                 if capacity_here >= remaining:
                     return seg_start + remaining / h
                 remaining -= capacity_here
@@ -116,8 +113,12 @@ class EncounterTrace:
             key = tuple(sorted(pair))
             events = tuple((float(t), int(v)) for t, v in events)
             times = [t for t, _ in events]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise TraceParseError(f"pair {key}: toggle times must increase")
+            # as for capacity breakpoints: finite ends and a strictly
+            # increasing chain leave no NaN or infinity inside
+            if times and not (-math.inf < times[0] and times[-1] < math.inf
+                              and all(a < b for a, b in zip(times, times[1:]))):
+                raise TraceParseError(
+                    f"pair {key}: toggle times must be finite and increase")
             for (_, a), (_, b) in zip(events, events[1:]):
                 if a == b:
                     raise TraceParseError(f"pair {key}: toggles must alternate")
@@ -129,16 +130,18 @@ class EncounterTrace:
     def connected(self, a: str, b: str, t: float) -> bool:
         if a == b:
             return True
-        events = self.toggles.get(tuple(sorted((a, b))))
+        events = self.toggles.get((a, b) if a < b else (b, a))
         if events is None:
             return self.default_connected
-        state = 0
-        for et, ev in events:
-            if et <= t:
-                state = ev
-            else:
-                break
-        return bool(state)
+        # (t, 2) sorts after every toggle at t, whose value is 0 or 1
+        i = bisect_right(events, (t, 2))
+        return bool(i and events[i - 1][1])
+
+
+def _segment(points: Tuple[Tuple[float, float], ...], t: float) -> int:
+    """Index of the breakpoint in force at t: the last one at or before t,
+    or the first when t precedes them all."""
+    return max(bisect_right(points, (t, math.inf)) - 1, 0)
 
 
 def parse_capacity_trace(text: str) -> CapacityTrace:
@@ -150,6 +153,8 @@ def parse_capacity_trace(text: str) -> CapacityTrace:
             h = float(row[2])
         except ValueError:
             raise TraceParseError(f"line {lineno}: malformed number")
+        if not math.isfinite(t) or math.isnan(h) or h == math.inf:
+            raise TraceParseError(f"line {lineno}: non-finite number")
         user = row[1]
         if h < 0:
             raise TraceParseError(f"line {lineno}: negative capacity")
@@ -182,6 +187,8 @@ def parse_encounter_trace(text: str, default_connected: bool = True,
             v = int(row[3])
         except ValueError:
             raise TraceParseError(f"line {lineno}: malformed number")
+        if not math.isfinite(t):
+            raise TraceParseError(f"line {lineno}: non-finite number")
         pair = tuple(sorted((row[1], row[2])))
         toggles.setdefault(pair, []).append((t, v))
     return EncounterTrace({p: tuple(e) for p, e in toggles.items()},

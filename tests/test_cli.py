@@ -192,3 +192,79 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "brute-force rows:" in out
     assert "reduced-solver rows:" in out
+
+
+def _trace_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("capacity", ["nan", "inf"])
+def test_simulate_non_finite_capacity(tmp_path, config_path, capsys,
+                                      capacity):
+    d = tmp_path / "traces"
+    d.mkdir()
+    (d / "capacity.csv").write_text(
+        f"time_s,user_id,capacity_mbps\n0,A,3.0\n0,B,{capacity}\n")
+    code = main(["simulate", "--config", str(config_path),
+                 "--traces", str(d), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    err = _trace_error(capsys)
+    assert err["error"] == "trace"
+    assert "line 3: non-finite" in err["message"]
+
+
+def test_simulate_non_finite_toggle_time(tmp_path, config_path, capsys):
+    d = tmp_path / "traces"
+    d.mkdir()
+    (d / "capacity.csv").write_text(
+        "time_s,user_id,capacity_mbps\n0,A,3.0\n0,B,3.0\n")
+    (d / "encounter.csv").write_text(
+        "time_s,user_a,user_b,connected\n0,A,B,1\nnan,A,B,0\n")
+    code = main(["simulate", "--config", str(config_path),
+                 "--traces", str(d), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    assert _trace_error(capsys)["error"] == "trace"
+
+
+# A 10-s video over a 0.0005 Mbps link: the first segment needs 4000 s,
+# past the run's 2000-s horizon guard.
+STALLED = dict(SIM_CONFIG, video_length_s=10.0,
+               trace_stats={"A": {"mean": 0.0005, "std": 0.0},
+                            "B": {"mean": 0.0005, "std": 0.0}})
+
+
+def test_simulate_horizon_exceeded(tmp_path, capsys):
+    cfg = tmp_path / "stalled.yaml"
+    cfg.write_text(yaml.safe_dump(STALLED))
+    d = tmp_path / "traces"
+    d.mkdir()
+    (d / "capacity.csv").write_text(
+        "time_s,user_id,capacity_mbps\n0,A,0.0005\n0,B,0.0005\n")
+    code = main(["simulate", "--config", str(cfg),
+                 "--traces", str(d), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    assert "horizon exceeded" in _trace_error(capsys)["message"]
+
+
+def test_compare_horizon_exceeded(tmp_path, capsys):
+    cfg = tmp_path / "stalled.yaml"
+    cfg.write_text(yaml.safe_dump(STALLED))
+    code = main(["compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "cmp"), "--replications", "1"])
+    assert code == EXIT_TRACE
+    assert "horizon exceeded" in _trace_error(capsys)["message"]
+
+
+def test_verbose_is_read_at_call_time(monkeypatch, tmp_path, config_path,
+                                      traces_dir, capsys):
+    args = ["simulate", "--config", str(config_path),
+            "--traces", str(traces_dir), "--out", str(tmp_path / "o")]
+    monkeypatch.delenv("CMSTREAM_VERBOSE", raising=False)
+    assert main(args) == EXIT_OK
+    assert "simulating" not in capsys.readouterr().err
+    monkeypatch.setenv("CMSTREAM_VERBOSE", "1")
+    assert main(args) == EXIT_OK
+    assert "simulating momd K=1" in capsys.readouterr().err

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+import cmstream
 from cmstream.engine import (
     PriceBid,
     SimConfig,
+    SimulationHorizonError,
     download_duration,
     run_comparison,
     run_simulation,
@@ -207,3 +209,13 @@ def test_buffer_never_exceeds_cap():
         s["started"] = True
         s["stalling"] = False
         assert -1e-9 <= s["buffer"] <= max_buf + 1e-9
+
+
+def test_horizon_guard_raises_typed_error():
+    # the first segment needs 4000 s, past the 2000-s horizon guard
+    cfg = SimConfig(users=(standard_profile("A"),), video_length_s=10.0)
+    trace = CapacityTrace({"A": ((0.0, 0.0005),)})
+    with pytest.raises(SimulationHorizonError, match="horizon exceeded"):
+        run_simulation(cfg, trace)
+    assert issubclass(SimulationHorizonError, TraceUnderrunError)
+    assert cmstream.SimulationHorizonError is SimulationHorizonError

@@ -57,6 +57,29 @@ def test_parse_capacity_errors():
         parse_capacity_trace("time_s,user_id,capacity_mbps\n0,A,fast\n")
 
 
+@pytest.mark.parametrize("point", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                   (float("-inf"), 1.0),
+                                   (5.0, float("nan")), (5.0, float("inf"))])
+def test_capacity_trace_rejects_non_finite(point):
+    with pytest.raises(TraceParseError, match="finite"):
+        CapacityTrace({"A": ((0.0, 1.0), point)})
+    t, h = point
+    with pytest.raises(TraceParseError, match="line 3: non-finite"):
+        parse_capacity_trace(
+            f"time_s,user_id,capacity_mbps\n0,A,1\n{t},A,{h}\n")
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_encounter_trace_rejects_non_finite(t):
+    with pytest.raises(TraceParseError, match="finite"):
+        EncounterTrace({("A", "B"): ((0.0, 1), (t, 0))})
+    with pytest.raises(TraceParseError, match="finite"):
+        EncounterTrace({("A", "B"): ((t, 1),)})
+    with pytest.raises(TraceParseError, match="line 3: non-finite"):
+        parse_encounter_trace(
+            f"time_s,user_a,user_b,connected\n0,A,B,1\n{t},A,B,0\n")
+
+
 def test_capacity_roundtrip():
     trace = CapacityTrace({"A": ((0.0, 3.0), (100.0, 1.5)),
                            "B": ((0.0, 0.25),)})

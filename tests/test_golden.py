@@ -2,14 +2,17 @@
 
 Each scenario hashes the run's aggregate row and every event row. The
 digests were recorded from the code before the trace lookups were indexed
-and the participation filter's neighbourhood was shared per instant; a
-speed-up or refactor must reproduce them bit for bit. A change that alters
+and the participation filter's neighbourhood was shared per instant, and
+the baseline-policy ones before the four mechanisms shared one bid,
+resolution and booking path; a speed-up or refactor must reproduce them
+bit for bit. A change that alters
 them on purpose must say why in CHANGES.md.
 """
 
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from cmstream.experiments import (
     standard_profile,
     two_user_scenario,
 )
+from cmstream.strategy import AdaptationPolicy
 from cmstream.traceio import CapacityTrace, EncounterTrace
 
 TRACE_SEED = 7
@@ -36,8 +40,9 @@ def sim_digest(result) -> str:
     return h.hexdigest()
 
 
-def _scenario(build):
+def _scenario(build, policy="optimal"):
     cfg, gen = build()
+    cfg = replace(cfg, adaptation=AdaptationPolicy(policy))
     return run_simulation(cfg, *gen(TRACE_SEED))
 
 
@@ -91,22 +96,45 @@ for _k in (1, 2, 4):
 for _mech in ("noncooperative", "somd", "vickrey_1d"):
     SCENARIOS[f"het_{_mech}"] = (
         lambda m=_mech: _scenario(lambda: heterogeneous_scenario(m)))
+# baseline bitrate policies in place of the optimal bids
+for _policy in ("buffer_based", "hybrid"):
+    for _k in (1, 4):
+        SCENARIOS[f"het_momd_k{_k}_{_policy}"] = (
+            lambda k=_k, p=_policy:
+            _scenario(lambda: heterogeneous_scenario("momd", K=k), p))
+    for _mech in ("noncooperative", "somd", "vickrey_1d"):
+        SCENARIOS[f"het_{_mech}_{_policy}"] = (
+            lambda m=_mech, p=_policy:
+            _scenario(lambda: heterogeneous_scenario(m), p))
+SCENARIOS["two_user_b0.3_on_hybrid"] = lambda: _scenario(
+    lambda: two_user_scenario(0.3, modified=True), "hybrid")
 SCENARIOS["mesh20_momd_k4_on"] = lambda: group_run(20, 4, encounters=False)
 SCENARIOS["mobile12_momd_k1_on"] = lambda: group_run(12, 1, encounters=True)
 
 GOLDEN = {
     "het_momd_k1": "c8375decfdbcd5e063bf8916f14a3cac91f5d3d4c082e7090893ec98eb7a7e46",
+    "het_momd_k1_buffer_based": "b05ebb880092e5e83aa093865f9dd6b7ff3800aefb6df38d4e777226306e05f4",
+    "het_momd_k1_hybrid": "13c4f8eb1dcecfd2cd76b521d1ddca164e018ec9a8591acaf3a8fb7b383ef562",
     "het_momd_k2": "ede514a4387139554c6a7251d109beaa8f8254d9efb85c2462fdc600807b4545",
     "het_momd_k4": "a8ae9350ef40e6890702f6fdcf8804efc720b4326b9ba55b46b5bad50bdc1652",
+    "het_momd_k4_buffer_based": "94c223bdac7fbe6a0c6fd620370fbe274453c9a6b1d94639be0344a9579712ba",
+    "het_momd_k4_hybrid": "879d9157317b7f664998a8c6bd1d774d0e7dbc1fe761878a938252224f4c62de",
     "het_noncooperative": "eaa8712b83de15151add5bd8619438ebbc85d872697a7ec8fe34621b7626e772",
+    "het_noncooperative_buffer_based": "57ba3c9be60636389457f33a6afbd01f0f433050532a855109e419571a7efca1",
+    "het_noncooperative_hybrid": "57ba3c9be60636389457f33a6afbd01f0f433050532a855109e419571a7efca1",
     "het_somd": "78f92603bc96c054547823cbdedcd5f307a0c5fa5d46570ee41b48a728116700",
+    "het_somd_buffer_based": "e5005a588bb107e1220769af1abc1b7ac28227afc778d32df6a400e9d333128b",
+    "het_somd_hybrid": "0da065ff4d083062222da341ab305f2d7513c206b6d44c6ff0cec8365354174a",
     "het_vickrey_1d": "48281f390339594660487638523ffb4f46dd9077783f0b295988f1c69487044c",
+    "het_vickrey_1d_buffer_based": "56a24cbfd67158e2a9095953f41b43d15ab1e21edbdcea586c768164fb97c765",
+    "het_vickrey_1d_hybrid": "17ef687d96ba9546cfa3cd23ded17d19b43d9cfbb3c15a513d7043a7ef5da377",
     "mesh20_momd_k4_on": "e9200ca63b854b73833ece07522cc5ecf79afe85b5d760242ccb0f7098e92a9d",
     "mobile12_momd_k1_on": "29b8e784d6766fac86c432d6a041f9346e04cefe35aa6dbf3af41dfdb867513c",
     "two_user_b0.15_off": "9cdc55f010756cf32faac22cc919cd37ea67c7b375e677e1488d8d9ab815cb5b",
     "two_user_b0.15_on": "b15b4797247ef6839443c97e1e5c76d1b0f116cfd7ffa419dd2b3085d9ab1adb",
     "two_user_b0.3_off": "c248e75cc3575b6771efbfdcabb01fb475688cf63c1fc60d5db48bfe66d57188",
     "two_user_b0.3_on": "af013770db63c693227535704c4af3bc320ed0ef246dc9dfda3705134654bee3",
+    "two_user_b0.3_on_hybrid": "80f204a528a20eba9ec34bd63746bf94f014acf340ae783810a520f5da14df9b",
     "two_user_b0.45_off": "ab62582eff485886de607bc30eeaf7ff7d73bb5935c54f17edd85f5e70a47c9f",
     "two_user_b0.45_on": "642b85a94299727e81e124539059e37a96278fadb731e8b8a6a37b2de2b1da96",
     "two_user_b1.5_off": "57518e463b02512e83366af482dc1d4d59bd3d84c985293fe8138179f4f9f8e8",

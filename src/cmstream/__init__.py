@@ -46,6 +46,7 @@ from .strategy import (
     AdaptationPolicy,
     ParticipationConfig,
     baseline_bitrate,
+    baseline_momd_bid,
     brute_force_bitrate_rows,
     build_momd_bid,
     optimal_bitrate_matrix,
@@ -53,7 +54,6 @@ from .strategy import (
     truthful_price_vector,
 )
 from .engine import (
-    PriceBid,
     SimConfig,
     SimEvent,
     SimResult,
@@ -61,7 +61,6 @@ from .engine import (
     download_duration,
     run_comparison,
     run_simulation,
-    single_dimensional_vickrey_baseline,
 )
 from .traceio import (
     CapacityTrace,

@@ -19,7 +19,7 @@ import yaml
 
 from . import config as cfgmod
 from .config import ConfigError
-from .engine import SimConfig, run_comparison, run_simulation
+from .engine import MECHANISMS, SimConfig, run_comparison, run_simulation
 from .model import UserState
 from .momd import (
     InstanceTooLargeError,
@@ -67,7 +67,10 @@ def _load_config(path: str) -> SimConfig:
 
 def _load_yaml(path: str) -> dict:
     with open(path) as f:
-        data = yaml.safe_load(f)
+        try:
+            data = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
     return data
@@ -100,15 +103,11 @@ def cmd_simulate(args) -> int:
             cfg = replace(cfg, K=args.K)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
         capacity, encounters = _read_traces(args.traces)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_TRACE, "trace", str(exc))
-    except TraceParseError as exc:
+    except (FileNotFoundError, TraceParseError) as exc:
         return _fail(EXIT_TRACE, "trace", str(exc))
     try:
         _note(f"simulating {cfg.mechanism} K={cfg.K}")
@@ -137,9 +136,7 @@ def cmd_compare(args) -> int:
         if not stats:
             return _fail(EXIT_CONFIG, "config",
                          "compare needs a trace_stats section")
-    except FileNotFoundError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
     horizon = float(trace_opts.get("horizon_s",
@@ -157,9 +154,7 @@ def cmd_compare(args) -> int:
             for oh in overheads:
                 label = f"mechanism={mech},K={k},overhead={oh:g}"
                 cells.append((label, replace(
-                    cfg, mechanism=mech,
-                    K=1 if mech in ("somd", "vickrey_1d", "noncooperative")
-                    else k,
+                    cfg, mechanism=mech, K=k,
                     overhead_energy_per_auction=oh)))
 
     def gen(seed: int):
@@ -191,9 +186,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg = _load_config(args.config)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     failures = 0
     for downloader in cfg.users:
@@ -232,9 +225,7 @@ def _instance_bidders(data: dict):
 def cmd_oracle(args) -> int:
     try:
         data = _load_yaml(args.instance)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
         if args.kind == "momd" and "marginal_scores" in data:
@@ -297,9 +288,7 @@ def cmd_gen_traces(args) -> int:
         horizon = float(trace_opts.get("horizon_s", 1600.0))
         step = float(trace_opts.get("step_s", 5.0))
         seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    except FileNotFoundError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     trace = generate_synthetic_traces(stats, horizon, step, seed)
     out_dir = Path(args.out)
@@ -320,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulation against traces")
     p.add_argument("--config", required=True)
     p.add_argument("--traces", required=True)
-    p.add_argument("--mechanism", choices=("somd", "momd", "vickrey_1d",
-                                           "noncooperative"))
+    p.add_argument("--mechanism", choices=MECHANISMS)
     p.add_argument("--K", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)

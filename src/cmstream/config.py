@@ -73,7 +73,7 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
         adaptation = data.get("adaptation") or {}
         if isinstance(adaptation, str):
             adaptation = {"kind": adaptation}
-        _reject_unknown(adaptation, {"kind", "thresholds"}, "adaptation")
+        _reject_unknown(adaptation, {"kind"}, "adaptation")
         participation = dict(data.get("participation") or {})
         _reject_unknown(participation, {"enabled", "alpha_buf", "alpha_link"},
                         "participation")
@@ -83,8 +83,7 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
             K=int(data.get("K", 1)),
             mechanism=str(data.get("mechanism", "momd")),
             adaptation=AdaptationPolicy(
-                kind=str(adaptation.get("kind", "optimal")),
-                thresholds=dict(adaptation.get("thresholds") or {})),
+                kind=str(adaptation.get("kind", "optimal"))),
             participation=ParticipationConfig(
                 alpha_buf=float(participation.get("alpha_buf", 1.0)),
                 alpha_link=float(participation.get("alpha_link", 0.5))),
@@ -126,8 +125,7 @@ def sim_config_to_dict(cfg: SimConfig) -> Dict:
         ],
         "K": cfg.K,
         "mechanism": cfg.mechanism,
-        "adaptation": {"kind": cfg.adaptation.kind,
-                       "thresholds": dict(cfg.adaptation.thresholds)},
+        "adaptation": {"kind": cfg.adaptation.kind},
         "participation": {"enabled": cfg.participation_enabled,
                           "alpha_buf": cfg.participation.alpha_buf,
                           "alpha_link": cfg.participation.alpha_link},

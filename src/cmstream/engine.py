@@ -5,6 +5,19 @@ the link is free; bids, allocations and payments come from the auction
 modules, downloads run against the capacity trace, and buffers drain in real
 time. A single run is strictly sequential and reproducible: identical
 (config, traces, seed) give an identical event log.
+
+Every mechanism runs one path: build the bids, resolve them, then book and
+log the outcome. Bids are priced at true utility (floored at 0 in momd), at
+the bitrates of the ``optimal`` adaptation policy or of ``baseline_bitrate``:
+
+    mechanism       bid                       resolver               score
+    momd            headroom-capped matrix    resolve_vickrey_score  efficient
+    somd            one bitrate               resolve_second_score   efficient
+    vickrey_1d      one bitrate               resolve_second_score   zero
+    noncooperative  one bitrate, auctioneer   resolve_second_score   efficient
+
+A lone single-bitrate bid wins and pays s(bitrate), or nothing when it is
+the auctioneer's own; momd charges a lone bidder s of his row.
 """
 
 from __future__ import annotations
@@ -13,24 +26,22 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .model import UserProfile, UserState, utility_total
-from .momd import resolve_vickrey_score
+from .momd import MomdBid, resolve_vickrey_score
 from .somd import (
-    InsufficientBiddersError,
     ScoreFunction,
     SomdBid,
-    SomdOutcome,
     optimal_somd_bid,
     resolve_second_score,
-    score,
 )
 from .strategy import (
     AdaptationPolicy,
     ParticipationConfig,
     baseline_bitrate,
+    baseline_momd_bid,
     build_momd_bid,
     should_participate,
 )
@@ -74,6 +85,14 @@ class SimConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mechanism in ("somd", "vickrey_1d") and self.K != 1:
             raise ValueError(f"{self.mechanism} requires K=1")
+        for name in ("video_length_s", "overhead_energy_per_auction",
+                     "overhead_time_per_auction_s", "d2d_delay_s",
+                     "idle_retry_s"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.idle_retry_s == 0:
+            raise ValueError("idle_retry_s must be > 0")
         ids = [u.user_id for u in self.users]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate user ids")
@@ -159,25 +178,6 @@ def download_duration(trace: CapacityTrace, user: str, start_s: float,
     return trace.finish_time(user, start_s, bitrate * beta_s) - start_s
 
 
-@dataclass(frozen=True)
-class PriceBid:
-    bidder_id: str
-    price: float
-    bitrate: float
-
-
-def single_dimensional_vickrey_baseline(bids: Sequence[PriceBid]) -> SomdOutcome:
-    """Plain Vickrey on prices: highest price wins the single segment at his
-    policy-fixed bitrate and pays the second price."""
-    if len(bids) < 2:
-        raise InsufficientBiddersError("insufficient bidders: need at least 2")
-    ranked = sorted(bids, key=lambda b: (-b.price, b.bidder_id))
-    second = max(b.price for b in ranked[1:])
-    return SomdOutcome(winner_id=ranked[0].bidder_id,
-                       winning_bitrate=ranked[0].bitrate,
-                       payment=second)
-
-
 class _UserSim:
     """Mutable per-user simulation state."""
 
@@ -215,8 +215,7 @@ class _UserSim:
 
     def state(self) -> UserState:
         return UserState(buffer_s=self.buffer_s,
-                         prev_bitrate=self.prev_bitrate,
-                         capacity_history=tuple(self.capacity_window))
+                         prev_bitrate=self.prev_bitrate)
 
 
 class _Simulation:
@@ -370,10 +369,6 @@ class _Simulation:
         sf = ScoreFunction.efficient(eff_profile)
 
         allocation = self._resolve(t, auctioneer, bidders, sf, h_est)
-        if not allocation:
-            if any(u.remaining_to_assign > 0 for u in self.users.values()):
-                self._push(t + cfg.idle_retry_s, "ready", (auctioneer,))
-            return
 
         # Sequential downloads on the auctioneer's link, then the next auction.
         cursor = t_res
@@ -404,131 +399,76 @@ class _Simulation:
         pairs and books utilities and payments."""
         cfg = self.cfg
         auc = self.users[auctioneer]
-        t_res = t + cfg.overhead_time_per_auction_s
-        caps = {}
-        for uid in bidders:
-            u = self.users[uid]
-            beta = u.profile.ladder.segment_length_s
-            caps[uid] = min(u.remaining_to_assign,
-                            u.headroom_segments(beta, u.profile.ladder.max_buffer_s))
-
-        if cfg.mechanism == "noncooperative":
-            uid = bidders[0]
-            u = self.users[uid]
-            bitrate = self._policy_bitrate(u, sf, h_est)
-            u.utility += utility_total(u.profile, u.state(), (bitrate,))
-            self._log(t, "auction_start", auctioneer=auctioneer,
-                      mechanism="noncooperative")
-            self._log(t_res, "auction_resolved", auctioneer=auctioneer,
-                      winners={uid: 1})
-            return [(uid, bitrate)]
-
+        cooperative = cfg.mechanism != "noncooperative"
+        if cooperative:
+            self.auction_count += 1
+            auc.auctions_initiated += 1
         self._log(t, "auction_start", auctioneer=auctioneer,
-                  mechanism=cfg.mechanism, bidders=sorted(bidders))
-        self.auction_count += 1
-        auc.auctions_initiated += 1
+                  mechanism=cfg.mechanism,
+                  **({"bidders": sorted(bidders)} if cooperative else {}))
+        bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
 
         if cfg.mechanism == "momd":
-            bids = [build_momd_bid(self.users[uid].profile,
-                                   self.users[uid].state(), sf, cfg.K,
-                                   max_segments=caps[uid])
-                    if cfg.adaptation.kind == "optimal"
-                    else self._policy_momd_bid(self.users[uid], sf, h_est,
-                                               caps[uid])
-                    for uid in bidders]
             k_eff = min(cfg.K, sum(b.max_segments for b in bids))
             outcome = resolve_vickrey_score(bids, sf, k_eff)
             self.assumption1_violations += len(outcome.assumption_violations)
-            allocation: List[Tuple[str, float]] = []
-            rates_iter = {uid: iter(outcome.winning_bitrates[uid])
-                          for uid in outcome.winning_bitrates}
-            for uid in outcome.per_segment_winners:
-                allocation.append((uid, next(rates_iter[uid])))
-            for uid, kappa in outcome.revised_allocation.items():
-                if kappa == 0:
-                    continue
-                u = self.users[uid]
-                payment = outcome.payments[uid]
-                u.utility += utility_total(u.profile, u.state(),
-                                           outcome.winning_bitrates[uid])
-                u.payments_made += payment
-                auc.payments_received += payment
-            self._log(t_res, "auction_resolved", auctioneer=auctioneer,
-                      winners={u: k for u, k in
-                               outcome.revised_allocation.items() if k},
-                      payments={u: p for u, p in outcome.payments.items()
-                                if outcome.revised_allocation[u]})
-            return allocation
-
-        if cfg.mechanism == "somd":
-            bids = []
-            for uid in bidders:
-                u = self.users[uid]
-                if cfg.adaptation.kind == "optimal":
-                    bids.append(optimal_somd_bid(u.profile, u.state(), sf))
-                else:
-                    r = self._policy_bitrate(u, sf, h_est)
-                    bids.append(SomdBid(uid, r,
-                                        utility_total(u.profile, u.state(), (r,))))
+            rates_iter = {uid: iter(rates)
+                          for uid, rates in outcome.winning_bitrates.items()}
+            order = [(uid, next(rates_iter[uid]))
+                     for uid in outcome.per_segment_winners]
+            won = {uid: (outcome.winning_bitrates[uid], outcome.payments[uid])
+                   for uid, kappa in outcome.revised_allocation.items()
+                   if kappa}
+        else:
+            if cfg.mechanism == "vickrey_1d":
+                sf = ScoreFunction.zero()
             if len(bids) == 1:
-                winner_id, bitrate = bids[0].bidder_id, bids[0].bitrate
-                payment = (0.0 if winner_id == auctioneer
+                winner, bitrate = bids[0].bidder_id, bids[0].bitrate
+                payment = (0.0 if winner == auctioneer
                            else sf(bitrate))  # second score is implicitly 0
             else:
                 outcome = resolve_second_score(bids, sf)
-                winner_id, bitrate = outcome.winner_id, outcome.winning_bitrate
+                winner, bitrate = outcome.winner_id, outcome.winning_bitrate
                 payment = outcome.payment
-            win = self.users[winner_id]
-            win.utility += utility_total(win.profile, win.state(), (bitrate,))
-            win.payments_made += payment
-            auc.payments_received += payment
-            self._log(t_res, "auction_resolved", auctioneer=auctioneer,
-                      winners={winner_id: 1}, payments={winner_id: payment})
-            return [(winner_id, bitrate)]
+            order = [(winner, bitrate)]
+            won = {winner: ((bitrate,), payment)}
 
-        # vickrey_1d: price-only bids at the policy-fixed bitrate
-        pbids = []
-        for uid in bidders:
+        # bidder order: the float sum into payments_received depends on it
+        for uid, (rates, payment) in won.items():
             u = self.users[uid]
-            r = self._policy_bitrate(u, sf, h_est)
-            pbids.append(PriceBid(uid, utility_total(u.profile, u.state(), (r,)), r))
-        if len(pbids) == 1:
-            winner_id, bitrate, payment = pbids[0].bidder_id, pbids[0].bitrate, 0.0
-        else:
-            outcome = single_dimensional_vickrey_baseline(pbids)
-            winner_id, bitrate, payment = (outcome.winner_id,
-                                           outcome.winning_bitrate,
-                                           outcome.payment)
-        win = self.users[winner_id]
-        win.utility += utility_total(win.profile, win.state(), (bitrate,))
-        win.payments_made += payment
-        auc.payments_received += payment
-        self._log(t_res, "auction_resolved", auctioneer=auctioneer,
-                  winners={winner_id: 1}, payments={winner_id: payment})
-        return [(winner_id, bitrate)]
+            u.utility += utility_total(u.profile, u.state(), rates)
+            u.payments_made += payment
+            auc.payments_received += payment
+        resolved = {"winners": {uid: len(rates)
+                                for uid, (rates, _) in won.items()}}
+        if cooperative:
+            resolved["payments"] = {uid: p for uid, (_, p) in won.items()}
+        self._log(t + cfg.overhead_time_per_auction_s, "auction_resolved",
+                  auctioneer=auctioneer, **resolved)
+        return order
 
-    def _policy_bitrate(self, u: _UserSim, sf: ScoreFunction,
-                        h_est: float) -> float:
-        if self.cfg.adaptation.kind == "optimal":
-            return optimal_somd_bid(u.profile, u.state(), sf).bitrate
-        return baseline_bitrate(self.cfg.adaptation, u.state(), h_est,
-                                u.profile.ladder)
-
-    def _policy_momd_bid(self, u: _UserSim, sf: ScoreFunction, h_est: float,
-                         cap: int):
-        from .momd import MomdBid
-        from .strategy import truthful_price_vector
-
-        r = baseline_bitrate(self.cfg.adaptation, u.state(), h_est,
-                             u.profile.ladder)
-        K = self.cfg.K
-        cap = max(0, min(cap, K))
-        rows = tuple((r,) * k + (0.0,) * (K - k) if k <= cap
-                     else (0.0,) * K
-                     for k in range(1, K + 1))
-        prices = truthful_price_vector(u.profile, u.state(), rows)
-        return MomdBid(u.profile.user_id, rows,
-                       tuple(max(0.0, p) for p in prices))
+    def _bid(self, u: _UserSim, sf: ScoreFunction,
+             h_est: float) -> Union[MomdBid, SomdBid]:
+        """u's bid: a segment-capped bitrate matrix for momd, one bitrate for
+        the single-segment mechanisms; the adaptation policy picks the rates
+        and a baseline policy bids at the auctioneer's capacity estimate."""
+        cfg = self.cfg
+        state = u.state()
+        if cfg.mechanism == "momd":
+            ladder = u.profile.ladder
+            cap = min(u.remaining_to_assign,
+                      u.headroom_segments(ladder.segment_length_s,
+                                          ladder.max_buffer_s))
+            if cfg.adaptation.kind == "optimal":
+                return build_momd_bid(u.profile, state, sf, cfg.K,
+                                      max_segments=cap)
+            return baseline_momd_bid(cfg.adaptation, u.profile, state, h_est,
+                                     cfg.K, max_segments=cap)
+        if cfg.adaptation.kind == "optimal":
+            return optimal_somd_bid(u.profile, state, sf)
+        r = baseline_bitrate(cfg.adaptation, state, h_est, u.profile.ladder)
+        return SomdBid(u.profile.user_id, r,
+                       utility_total(u.profile, state, (r,)))
 
     # -- main loop ---------------------------------------------------------
 

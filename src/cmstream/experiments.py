@@ -8,14 +8,13 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import ComparisonTable, SimConfig, run_comparison, run_simulation
+from .engine import ComparisonTable, SimConfig, run_comparison
 from .model import BitrateLadder, UserProfile
-from .strategy import AdaptationPolicy, ParticipationConfig
+from .strategy import ParticipationConfig
 from .traceio import CapacityTrace, EncounterTrace
 
 STANDARD_LADDER = BitrateLadder(rates=(0.2, 0.4, 0.7, 1.3, 2.3),

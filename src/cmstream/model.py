@@ -7,7 +7,7 @@ Bitrates are in Mbps, times in playback seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 
@@ -23,14 +23,13 @@ class BitrateLadder:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.rates) < 1:
             raise ValueError("ladder needs at least one rate")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("ladder rates must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in self.rates):
+            raise ValueError("ladder rates must be finite and positive")
         if any(b >= a for a, b in zip(self.rates[1:], self.rates)):
             raise ValueError("ladder rates must be strictly increasing")
-        if self.segment_length_s <= 0:
-            raise ValueError("segment_length_s must be positive")
-        if self.max_buffer_s < self.segment_length_s:
-            raise ValueError("max_buffer_s must hold at least one segment")
+        # NaN fails every comparison, so this also rejects it
+        if not 0 < self.segment_length_s <= self.max_buffer_s < math.inf:
+            raise ValueError("need 0 < segment_length_s <= max_buffer_s < inf")
 
     @property
     def top_rate(self) -> float:
@@ -70,9 +69,6 @@ class UserProfile:
         if not 0.0 < self.buffer_gain_decay < 1.0:
             raise ValueError("buffer_gain_decay must be in (0, 1)")
 
-    def with_cost_per_mbit(self, cost_per_mbit: float) -> "UserProfile":
-        return replace(self, cost_per_mbit=cost_per_mbit)
-
 
 @dataclass(frozen=True)
 class UserState:
@@ -80,7 +76,6 @@ class UserState:
 
     buffer_s: float = 0.0
     prev_bitrate: float = 0.0
-    capacity_history: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.buffer_s < 0:

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple
 
 from .model import (
     BitrateLadder,
     UserProfile,
     UserState,
+    degradation_loss,
     degradation_single,
     quality_gain_single,
     utility_total,
@@ -31,8 +32,10 @@ class ParticipationConfig:
     alpha_link: float = 0.5
 
     def __post_init__(self):
-        if self.alpha_buf < 0 or self.alpha_link < 0:
-            raise ValueError("participation coefficients must be >= 0")
+        if not all(math.isfinite(a) and a >= 0
+                   for a in (self.alpha_buf, self.alpha_link)):
+            raise ValueError(
+                "participation coefficients must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class AdaptationPolicy:
     """Baseline bitrate-adaptation rule used by non-auction comparisons."""
 
     kind: str  # optimal | buffer_based | bandwidth_based | hybrid
-    thresholds: Dict[str, float] = field(default_factory=dict)
 
     KINDS = ("optimal", "buffer_based", "bandwidth_based", "hybrid")
 
@@ -79,15 +81,20 @@ def optimal_bitrate_matrix(profile: UserProfile, state: UserState,
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    return _capped_rows(
+        K, max_segments,
+        lambda kappa: optimal_row_rate(profile, state, cost_of_rate, kappa))
+
+
+def _capped_rows(K: int, max_segments: int | None,
+                 rate_of_row: Callable[[int], float],
+                 ) -> Tuple[Tuple[float, ...], ...]:
+    """K x K lower-triangular matrix whose row kappa repeats
+    rate_of_row(kappa); rows past max_segments are all zero."""
     cap = K if max_segments is None else max(0, min(max_segments, K))
-    rows = []
-    for kappa in range(1, K + 1):
-        if kappa <= cap:
-            r = optimal_row_rate(profile, state, cost_of_rate, kappa)
-            rows.append((r,) * kappa + (0.0,) * (K - kappa))
-        else:
-            rows.append((0.0,) * K)
-    return tuple(rows)
+    return tuple((rate_of_row(kappa),) * kappa + (0.0,) * (K - kappa)
+                 if kappa <= cap else (0.0,) * K
+                 for kappa in range(1, K + 1))
 
 
 def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
@@ -105,20 +112,11 @@ def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
         for vec in itertools.product(profile.ladder.rates, repeat=kappa):
             obj = (sum(quality_gain_single(profile, r) - cost_of_rate(r)
                        for r in vec)
-                   - _sequence_loss(profile, state.prev_bitrate, vec))
+                   - degradation_loss(profile, state.prev_bitrate, vec))
             if best_obj is None or obj > best_obj:
                 best_vec, best_obj = vec, obj
         rows.append(best_vec)
     return tuple(rows)
-
-
-def _sequence_loss(profile: UserProfile, prev: float,
-                   vec: Sequence[float]) -> float:
-    loss = 0.0
-    for r in vec:
-        loss += degradation_single(profile, prev, r)
-        prev = r
-    return loss
 
 
 def truthful_price_vector(profile: UserProfile, state: UserState,
@@ -134,13 +132,25 @@ def truthful_price_vector(profile: UserProfile, state: UserState,
 
 def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
                    K: int, max_segments: int | None = None) -> MomdBid:
-    """Optimal bitrate matrix plus truthful prices, packaged as a bid.
-
-    Prices are floored at zero: a row whose true utility is negative is never
-    worth winning, and bids carry non-negative willingness-to-pay.
-    """
+    """Optimal bitrate matrix plus truthful prices, packaged as a bid."""
     matrix = optimal_bitrate_matrix(profile, state, sf, K,
                                     max_segments=max_segments)
+    return _priced_bid(profile, state, matrix)
+
+
+def baseline_momd_bid(policy: AdaptationPolicy, profile: UserProfile,
+                      state: UserState, est_capacity: float, K: int,
+                      max_segments: int | None = None) -> MomdBid:
+    """The policy's bitrate on every row, at truthful prices, as a bid."""
+    rate = baseline_bitrate(policy, state, est_capacity, profile.ladder)
+    return _priced_bid(profile, state,
+                       _capped_rows(K, max_segments, lambda kappa: rate))
+
+
+def _priced_bid(profile: UserProfile, state: UserState,
+                matrix: Tuple[Tuple[float, ...], ...]) -> MomdBid:
+    """Prices are floored at zero: a row whose true utility is negative is
+    never worth winning, and bids carry non-negative willingness-to-pay."""
     prices = truthful_price_vector(profile, state, matrix)
     return MomdBid(
         bidder_id=profile.user_id,

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -337,24 +337,3 @@ def _round(value):
         return float(f"{value:.6g}")
     return value
 
-
-def load_sim_config(path: Path):
-    """Parse a YAML simulation config into a SimConfig (see engine module)."""
-    from . import config as _config
-
-    return _config.sim_config_from_dict(_load_yaml(path))
-
-
-def _load_yaml(path: Path):
-    import yaml
-
-    try:
-        with open(path) as f:
-            data = yaml.safe_load(f)
-    except FileNotFoundError:
-        raise
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a mapping")
-    return data

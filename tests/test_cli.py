@@ -90,6 +90,34 @@ def test_simulate_bad_config(tmp_path, traces_dir):
     assert code == EXIT_CONFIG
 
 
+def test_verify_invalid_yaml(tmp_path, capsys):
+    bad = tmp_path / "broken.yaml"
+    bad.write_text("users: [{user_id: A}\nK: 1\n")
+    assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG
+    line = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert line["error"] == "config"
+    assert "invalid YAML" in line["message"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("idle_retry_s", float("nan")),
+    ("overhead_energy_per_auction", float("nan")),
+    ("d2d_delay_s", float("inf")),
+    ("video_length_s", float("nan")),
+])
+def test_simulate_non_finite_config(tmp_path, traces_dir, capsys, key, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump({**SIM_CONFIG, key: value}))
+    code = main(["simulate", "--config", str(bad),
+                 "--traces", str(traces_dir), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = json.loads(err.splitlines()[-1])
+    assert line["error"] == "config"
+    assert key in line["message"]
+
+
 def test_simulate_missing_traces(tmp_path, config_path):
     code = main(["simulate", "--config", str(config_path),
                  "--traces", str(tmp_path / "nowhere"),

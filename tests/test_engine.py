@@ -6,16 +6,13 @@ import pytest
 
 import cmstream
 from cmstream.engine import (
-    PriceBid,
     SimConfig,
     SimulationHorizonError,
     download_duration,
     run_comparison,
     run_simulation,
-    single_dimensional_vickrey_baseline,
 )
 from cmstream.experiments import standard_profile, two_user_scenario
-from cmstream.somd import InsufficientBiddersError
 from cmstream.traceio import CapacityTrace, EncounterTrace, TraceUnderrunError
 
 from conftest import make_profile
@@ -43,18 +40,14 @@ def test_config_validation():
         SimConfig(users=(user, make_profile("A")))
     with pytest.raises(ValueError):
         SimConfig(users=(user,), video_length_s=95.0)
-
-
-def test_vickrey_baseline():
-    out = single_dimensional_vickrey_baseline(
-        [PriceBid("a", 5.0, 1.0), PriceBid("b", 3.0, 0.5)])
-    assert out.winner_id == "a"
-    assert out.payment == pytest.approx(3.0)
-    tie = single_dimensional_vickrey_baseline(
-        [PriceBid("b", 5.0, 1.0), PriceBid("a", 5.0, 0.5)])
-    assert tie.winner_id == "a"
-    with pytest.raises(InsufficientBiddersError):
-        single_dimensional_vickrey_baseline([PriceBid("a", 5.0, 1.0)])
+    for name, bad in (("video_length_s", math.nan),
+                      ("overhead_energy_per_auction", math.nan),
+                      ("overhead_time_per_auction_s", -1.0),
+                      ("d2d_delay_s", math.inf),
+                      ("idle_retry_s", math.nan),
+                      ("idle_retry_s", 0.0)):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(users=(user,), **{name: bad})
 
 
 def test_single_user_noncooperative():

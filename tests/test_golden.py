@@ -5,8 +5,8 @@ digests were recorded from the code before the trace lookups were indexed
 and the participation filter's neighbourhood was shared per instant, and
 the baseline-policy ones before the four mechanisms shared one bid,
 resolution and booking path; a speed-up or refactor must reproduce them
-bit for bit. A change that alters
-them on purpose must say why in CHANGES.md.
+bit for bit. A change that alters them on purpose must say why in
+CHANGES.md.
 """
 
 import hashlib

@@ -40,6 +40,15 @@ def test_ladder_validation():
                       max_buffer_s=40.0)
     with pytest.raises(ValueError):
         BitrateLadder(rates=(0.2,), segment_length_s=10.0, max_buffer_s=5.0)
+    nan, inf = float("nan"), float("inf")
+    for rates, beta, buffer in (((0.2, nan), 10.0, 40.0),
+                                ((0.2, inf), 10.0, 40.0),
+                                ((0.2,), nan, 40.0),
+                                ((0.2,), 10.0, nan),
+                                ((0.2,), 10.0, inf)):
+        with pytest.raises(ValueError):
+            BitrateLadder(rates=rates, segment_length_s=beta,
+                          max_buffer_s=buffer)
 
 
 def test_profile_validation():

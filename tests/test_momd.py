@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmstream.momd import (
     InstanceTooLargeError,
@@ -19,10 +21,18 @@ from cmstream.momd import (
     row_scores,
     validate_assumption1,
 )
-from cmstream.model import UserState
-from cmstream.somd import ScoreFunction
+from cmstream.model import UserState, utility_total
+from cmstream.somd import ScoreFunction, SomdBid, resolve_second_score
+from cmstream.strategy import build_momd_bid
 
-from conftest import make_profile, random_profile, random_state
+from conftest import (
+    LADDER,
+    assumption1_momd_instance,
+    make_profile,
+    random_momd_instance,
+    random_profile,
+    random_state,
+)
 
 
 def unit_bid(bidder_id, prices):
@@ -232,3 +242,65 @@ def test_truthfulness_smoke_suite():
                 dev = MomdBid(truthful.bidder_id, truthful.bitrate_matrix,
                               tuple(prices))
                 assert base >= payoff(dev) - 1e-9
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def truthful_auctions(draw):
+    """Truthful bids with random segment caps, resolved over as many
+    segments as they offer up to K, as the engine does."""
+    rng = random.Random(draw(seeds))
+    downloader, bidders, K = random_momd_instance(rng)
+    sf = ScoreFunction.efficient(downloader)
+    bids = [build_momd_bid(p, s, sf, K, max_segments=rng.randint(1, K))
+            for p, s in bidders]
+    return bids, sf, min(K, sum(b.max_segments for b in bids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(truthful_auctions())
+def test_vickrey_score_allocates_exactly_k(auction):
+    bids, sf, K = auction
+    out = resolve_vickrey_score(bids, sf, K)
+    assert sum(out.revised_allocation.values()) == K
+    assert len(out.per_segment_winners) == K
+    for bid in bids:
+        kappa = out.revised_allocation[bid.bidder_id]
+        assert out.winning_bitrates[bid.bidder_id] == (
+            bid.row(kappa) if kappa else ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_vickrey_score_payment_bounds_under_assumption1(seed):
+    """Payments cover the winning row's score penalty and never exceed the
+    winner's true utility of it. Both need Assumption 1: a negative
+    marginal score among the others makes the score damage negative."""
+    _, bidders, K, sf, bids = assumption1_momd_instance(random.Random(seed))
+    out = resolve_vickrey_score(bids, sf, K)
+    for (profile, state), bid in zip(bidders, bids):
+        row = out.winning_bitrates[bid.bidder_id]
+        payment = out.payments[bid.bidder_id]
+        assert payment >= sf.of_vector(row) - 1e-9
+        if row:
+            assert utility_total(profile, state, row) - payment >= -1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(LADDER.rates),
+                          st.floats(0.0, 50.0)), min_size=2, max_size=5),
+       st.floats(0.0, 0.4), st.data())
+def test_vickrey_score_at_k1_is_second_score(offers, cost, data):
+    sf = ScoreFunction.efficient(make_profile("dl", cost_per_mbit=cost))
+    order = data.draw(st.permutations(range(len(offers))))
+    ids = [f"u{k}" for k in order]
+    momd_out = resolve_vickrey_score(
+        [MomdBid(i, ((r,),), (p,)) for i, (r, p) in zip(ids, offers)], sf, 1)
+    somd_out = resolve_second_score(
+        [SomdBid(i, r, p) for i, (r, p) in zip(ids, offers)], sf)
+    (winner,) = momd_out.per_segment_winners
+    assert winner == somd_out.winner_id
+    assert momd_out.winning_bitrates[winner] == (somd_out.winning_bitrate,)
+    assert momd_out.payments[winner] == somd_out.payment

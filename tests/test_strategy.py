@@ -10,6 +10,7 @@ from cmstream.strategy import (
     AdaptationPolicy,
     ParticipationConfig,
     baseline_bitrate,
+    baseline_momd_bid,
     brute_force_bitrate_rows,
     build_momd_bid,
     optimal_bitrate_matrix,
@@ -183,6 +184,25 @@ def test_participation_rejects_negative_capacity():
     p = make_profile()
     with pytest.raises(ValueError):
         should_participate(p, UserState(), -1.0, (), ParticipationConfig())
+
+
+def test_participation_config_validation():
+    for alphas in ((-1.0, 0.5), (float("nan"), 0.5), (1.0, float("inf"))):
+        with pytest.raises(ValueError):
+            ParticipationConfig(*alphas)
+
+
+def test_baseline_momd_bid_rows_and_prices():
+    p = make_profile(degradation_slope=5.0)
+    state = UserState(buffer_s=20.0, prev_bitrate=2.3)
+    policy = AdaptationPolicy("buffer_based")
+    rate = baseline_bitrate(policy, state, 1.0, p.ladder)
+    bid = baseline_momd_bid(policy, p, state, 1.0, 3, max_segments=2)
+    assert bid.bitrate_matrix == ((rate, 0.0, 0.0), (rate, rate, 0.0),
+                                  (0.0, 0.0, 0.0))
+    prices = truthful_price_vector(p, state, bid.bitrate_matrix)
+    assert bid.price_vector == tuple(max(0.0, x) for x in prices)
+    assert prices[0] < 0 < prices[1]  # one segment cannot pay for the drop
 
 
 def test_adaptation_policy_validation():

@@ -7,16 +7,22 @@ the baseline-policy ones before the four mechanisms shared one bid,
 resolution and booking path; a speed-up or refactor must reproduce them
 bit for bit. A change that alters them on purpose must say why in
 CHANGES.md.
+
+The command-line digests hash the files that ``gen-traces``, ``simulate``
+and ``compare`` write from the shipped configs; they were recorded before
+config loading moved into one module.
 """
 
 import hashlib
 import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cmstream.cli import EXIT_OK, main
 from cmstream.engine import SimConfig, run_simulation
 from cmstream.experiments import (
     heterogeneous_scenario,
@@ -147,3 +153,43 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digest(name):
     assert sim_digest(SCENARIOS[name]()) == GOLDEN[name]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """Run gen-traces, simulate and compare on the shipped configs; paths
+    are relative to the output root so the snapshots do not depend on it."""
+    root = tmp_path_factory.mktemp("cli")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in (
+            ["gen-traces", "--config", str(CONFIGS / "two_user.yaml"),
+             "--out", "traces", "--seed", "11"],
+            ["simulate", "--config", str(CONFIGS / "two_user.yaml"),
+             "--traces", "traces", "--out", "run", "--events"],
+            ["compare", "--config", str(CONFIGS / "three_user.yaml"),
+             "--out", "cmp", "--replications", "2", "--k-values", "1,2"],
+        ):
+            assert main(argv) == EXIT_OK
+    return root
+
+
+CLI_GOLDEN = {
+    "traces/capacity.csv": "83f5ce456a5ae7f6439536a6293de891e536f542054cc09be20edaebaf53af53",
+    "traces/encounter.csv": "5fd762ece7f4746aa6048ba35a26a583d87ef005c4f27650586c2ca82aae189f",
+    "run/metrics.csv": "6b5e6e2e0057be7a0e4c49f1613b3902a58442efcabb55e5581c685db25b72ba",
+    "run/summary.csv": "c7d94cc426c114a028a154fad189545ffbfc25d61d2f8a7f6f77401946ff8f3a",
+    "run/events.csv": "da9f4e664650f5bce38fa234c2ae46c247cc47075c2b94cdd9a8109097f3a4b4",
+    "run/config_snapshot.yaml": "2d0fd48677bcc4ec91e529d18648d952bdd9f3dc4a560e572902a4de6d3fff39",
+    "cmp/comparison.csv": "79583cb6a0a4b11eb604eee223e60a3844bbe62e10b85b12f9edc42caed933ca",
+    "cmp/config_snapshot.yaml": "8c2a5257d4e1ce5ad4519b858cded94425c71a7157375d2ba8e74f7cebbd8cc8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_output_digest(cli_outputs, name):
+    data = (cli_outputs / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CLI_GOLDEN[name]

@@ -13,13 +13,16 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-import yaml
-
-from . import config as cfgmod
-from .config import ConfigError
-from .engine import MECHANISMS, SimConfig, run_comparison, run_simulation
+from .config import (
+    ConfigError,
+    load_config,
+    read_yaml,
+    user_from_dict,
+    write_snapshot,
+)
+from .engine import MECHANISMS, run_comparison, run_simulation
 from .model import UserState
 from .momd import (
     InstanceTooLargeError,
@@ -57,32 +60,6 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _load_config(path: str) -> SimConfig:
-    data = _load_yaml(path)
-    # emitted snapshots carry bookkeeping keys on top of the plain config
-    for key in ("traces_dir", "compare"):
-        data.pop(key, None)
-    return cfgmod.sim_config_from_dict(data)
-
-
-def _load_yaml(path: str) -> dict:
-    with open(path) as f:
-        try:
-            data = yaml.safe_load(f)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    return data
-
-
-def _write_snapshot(out_dir: Path, cfg: SimConfig, extra: Dict) -> None:
-    snapshot = cfgmod.sim_config_to_dict(cfg)
-    snapshot.update(extra)
-    (out_dir / "config_snapshot.yaml").write_text(
-        yaml.safe_dump(snapshot, sort_keys=True))
-
-
 def _read_traces(traces_dir: str):
     d = Path(traces_dir)
     capacity = parse_capacity_trace((d / "capacity.csv").read_text())
@@ -96,7 +73,7 @@ def _read_traces(traces_dir: str):
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg, _ = load_config(args.config)
         if args.mechanism:
             cfg = replace(cfg, mechanism=args.mechanism)
         if args.K is not None:
@@ -117,7 +94,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_results(result, args.format, out_dir, include_events=args.events)
-    _write_snapshot(out_dir, cfg, {"traces_dir": str(args.traces)})
+    write_snapshot(out_dir, cfg, traces_dir=str(args.traces))
     print(f"social_welfare={result.social_welfare:.6g} "
           f"rebuffer_ratio={result.rebuffer_ratio:.6g} "
           f"degradation_ratio={result.degradation_ratio:.6g} "
@@ -127,38 +104,30 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        raw = _load_yaml(args.config)
-        cfg = cfgmod.sim_config_from_dict(
-            {k: v for k, v in raw.items() if k in
-             cfgmod._TOP_KEYS - {"trace_stats", "trace"}})
-        stats = cfgmod.trace_stats_from_dict(raw.get("trace_stats") or {})
-        trace_opts = raw.get("trace") or {}
-        if not stats:
-            return _fail(EXIT_CONFIG, "config",
-                         "compare needs a trace_stats section")
+        cfg, spec = load_config(args.config)
+        if spec is None:
+            raise ConfigError("compare needs a trace_stats section")
+        if args.replications < 1:
+            raise ConfigError("--replications must be >= 1")
+        mechanisms = args.mechanisms.split(",")
+        ks = [int(x) for x in args.k_values.split(",")]
+        overheads = [float(x) for x in args.overheads.split(",")]
+        cells = []
+        for mech in mechanisms:
+            for k in ks:
+                if mech in ("somd", "vickrey_1d") and k != 1:
+                    continue
+                for oh in overheads:
+                    label = f"mechanism={mech},K={k},overhead={oh:g}"
+                    cells.append((label, replace(
+                        cfg, mechanism=mech, K=k,
+                        overhead_energy_per_auction=oh)))
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    horizon = float(trace_opts.get("horizon_s",
-                                   cfg.video_length_s * 12 + 400.0))
-    step = float(trace_opts.get("step_s", 5.0))
-    mechanisms = args.mechanisms.split(",")
-    ks = [int(x) for x in args.k_values.split(",")]
-    overheads = [float(x) for x in args.overheads.split(",")]
-
-    cells = []
-    for mech in mechanisms:
-        for k in ks:
-            if mech in ("somd", "vickrey_1d") and k != 1:
-                continue
-            for oh in overheads:
-                label = f"mechanism={mech},K={k},overhead={oh:g}"
-                cells.append((label, replace(
-                    cfg, mechanism=mech, K=k,
-                    overhead_energy_per_auction=oh)))
-
     def gen(seed: int):
-        return (generate_synthetic_traces(stats, horizon, step, seed),
+        return (generate_synthetic_traces(spec.stats, spec.horizon_s,
+                                          spec.step_s, seed),
                 EncounterTrace())
 
     try:
@@ -169,14 +138,9 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_results(table, args.format, out_dir)
-    _write_snapshot(out_dir, cfg, {
-        "trace_stats": {u: {"mean": m, "std": s}
-                        for u, (m, s) in stats.items()},
-        "trace": {"horizon_s": horizon, "step_s": step},
-        "compare": {"mechanisms": mechanisms, "k_values": ks,
-                    "overheads": overheads,
-                    "replications": args.replications},
-    })
+    write_snapshot(out_dir, cfg, spec, compare={
+        "mechanisms": mechanisms, "k_values": ks, "overheads": overheads,
+        "replications": args.replications})
     for row in table.rows:
         print(f"{row['cell']}: social_welfare={row['social_welfare']:.6g} "
               f"rebuffer_ratio={row['rebuffer_ratio']:.6g}")
@@ -185,7 +149,7 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg, _ = load_config(args.config)
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     failures = 0
@@ -214,7 +178,7 @@ def cmd_verify(args) -> int:
 def _instance_bidders(data: dict):
     bidders = []
     for entry in data.get("bidders", []):
-        profile = cfgmod.user_from_dict(entry["profile"])
+        profile = user_from_dict(entry["profile"])
         st = entry.get("state") or {}
         state = UserState(buffer_s=float(st.get("buffer_s", 0.0)),
                           prev_bitrate=float(st.get("prev_bitrate", 0.0)))
@@ -224,7 +188,7 @@ def _instance_bidders(data: dict):
 
 def cmd_oracle(args) -> int:
     try:
-        data = _load_yaml(args.instance)
+        data = read_yaml(args.instance)
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
@@ -241,7 +205,7 @@ def cmd_oracle(args) -> int:
                           f"{outcome.payments[uid]:.6g}")
             return EXIT_OK
 
-        downloader = cfgmod.user_from_dict(data["downloader"])
+        downloader = user_from_dict(data["downloader"])
         bidders = _instance_bidders(data)
         if args.kind == "somd":
             uid, rate, welf = brute_force_somd_optimum(bidders, downloader)
@@ -279,18 +243,15 @@ def cmd_oracle(args) -> int:
 
 def cmd_gen_traces(args) -> int:
     try:
-        raw = _load_yaml(args.config)
-        stats = cfgmod.trace_stats_from_dict(raw.get("trace_stats") or {})
-        if not stats:
-            return _fail(EXIT_CONFIG, "config",
-                         "gen-traces needs a trace_stats section")
-        trace_opts = raw.get("trace") or {}
-        horizon = float(trace_opts.get("horizon_s", 1600.0))
-        step = float(trace_opts.get("step_s", 5.0))
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+        cfg, spec = load_config(args.config)
+        if spec is None:
+            raise ConfigError("gen-traces needs a trace_stats section")
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    trace = generate_synthetic_traces(stats, horizon, step, seed)
+    trace = generate_synthetic_traces(spec.stats, spec.horizon_s, spec.step_s,
+                                      cfg.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "capacity.csv").write_text(emit_capacity_trace(trace))

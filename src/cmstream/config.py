@@ -1,35 +1,63 @@
-"""SimConfig <-> dict conversion backing the YAML config files.
+"""Reading, checking and writing the YAML config files.
 
-Every SimConfig field is covered; unknown keys are rejected so typos fail
-fast. ``trace_stats``/``trace`` sections parameterize synthetic trace
-generation for the gen-traces and compare commands.
+Every subcommand that takes ``--config`` loads it with :func:`load_config`.
+The accepted keys and their defaults are the fields of the dataclasses
+they build (``SimConfig``, ``UserProfile``, ``BitrateLadder``,
+``AdaptationPolicy``, ``ParticipationConfig``); unknown keys are rejected
+at every level so typos fail fast. ``trace_stats``/``trace`` sections
+parameterize synthetic trace generation for the gen-traces and compare
+commands and are checked whenever a config loads.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
+
+import yaml
 
 from .engine import SimConfig
 from .model import BitrateLadder, UserProfile
 from .strategy import AdaptationPolicy, ParticipationConfig
 
-DEFAULT_LADDER_RATES = (0.2, 0.4, 0.7, 1.3, 2.3)
-
-_TOP_KEYS = {
-    "users", "K", "mechanism", "adaptation", "participation",
-    "video_length_s", "overhead_energy_per_auction",
-    "overhead_time_per_auction_s", "d2d_delay_s", "seed", "idle_retry_s",
-    "trace_stats", "trace",
-}
-
-_USER_KEYS = {
-    "user_id", "ladder", "theta", "cost_per_mbit", "buffer_gain_scale",
-    "buffer_gain_decay", "degradation_slope", "link_cost_per_s", "helper",
-}
+_SCALARS = {"bool": bool, "float": float, "int": int, "str": str}
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class TraceSpec:
+    """Synthetic capacity traces: per-user (mean, std) in Mbps, one draw
+    every ``step_s`` seconds up to ``horizon_s``."""
+
+    stats: Dict[str, Tuple[float, float]]
+    horizon_s: float
+    step_s: float
+
+
+def read_yaml(path) -> dict:
+    """The mapping at the top of a YAML file; anything else is a
+    ConfigError."""
+    with open(path) as f:
+        try:
+            data = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    return data
+
+
+def _mapping(data, where: str) -> Mapping:
+    if data is None:
+        return {}
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{where}: expected a mapping")
+    return data
 
 
 def _reject_unknown(data: Mapping, allowed, where: str) -> None:
@@ -38,110 +66,119 @@ def _reject_unknown(data: Mapping, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def ladder_from_dict(data: Optional[Mapping]) -> BitrateLadder:
-    data = dict(data or {})
-    _reject_unknown(data, {"rates", "segment_length_s", "max_buffer_s"},
-                    "ladder")
-    return BitrateLadder(
-        rates=tuple(data.get("rates", DEFAULT_LADDER_RATES)),
-        segment_length_s=float(data.get("segment_length_s", 10.0)),
-        max_buffer_s=float(data.get("max_buffer_s", 40.0)),
-    )
+def _build(cls, data, where: str, **built):
+    """``cls`` from a mapping keyed by its field names. Scalars are coerced
+    to the field's type, absent keys keep the field's default, and ``built``
+    holds the fields the caller has converted itself."""
+    data = _mapping(data, where)
+    _reject_unknown(data, [f.name for f in fields(cls)], where)
+    kwargs = dict(built)
+    for f in fields(cls):
+        if f.name in data and f.name not in built:
+            try:
+                kwargs[f.name] = _SCALARS.get(f.type, lambda v: v)(
+                    data[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}.{f.name}: {exc}") from exc
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _positive(value, where: str, zero_ok: bool = False) -> float:
+    """``value`` as a finite float > 0, or >= 0 when ``zero_ok``."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (0 < v < math.inf or zero_ok and v == 0):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ConfigError(f"{where} must be finite and {bound}, got {value!r}")
+    return v
 
 
 def user_from_dict(data: Mapping) -> UserProfile:
-    _reject_unknown(data, _USER_KEYS, "user")
-    if "user_id" not in data:
-        raise ConfigError("user: missing user_id")
-    return UserProfile(
-        user_id=str(data["user_id"]),
-        ladder=ladder_from_dict(data.get("ladder")),
-        theta=float(data.get("theta", 1.0)),
-        cost_per_mbit=float(data.get("cost_per_mbit", 0.01)),
-        buffer_gain_scale=float(data.get("buffer_gain_scale", 6.0)),
-        buffer_gain_decay=float(data.get("buffer_gain_decay", 0.7)),
-        degradation_slope=float(data.get("degradation_slope", 1.0)),
-        link_cost_per_s=float(data.get("link_cost_per_s", 0.0)),
-        helper=bool(data.get("helper", True)),
-    )
+    data = _mapping(data, "user")
+    return _build(UserProfile, data, "user",
+                  ladder=_build(BitrateLadder, data.get("ladder"), "ladder"))
 
 
 def sim_config_from_dict(data: Mapping) -> SimConfig:
-    _reject_unknown(data, _TOP_KEYS, "config")
-    try:
-        users = tuple(user_from_dict(u) for u in data.get("users", []))
-        adaptation = data.get("adaptation") or {}
-        if isinstance(adaptation, str):
-            adaptation = {"kind": adaptation}
-        _reject_unknown(adaptation, {"kind"}, "adaptation")
-        participation = dict(data.get("participation") or {})
-        _reject_unknown(participation, {"enabled", "alpha_buf", "alpha_link"},
-                        "participation")
-        enabled = bool(participation.pop("enabled", False))
-        return SimConfig(
-            users=users,
-            K=int(data.get("K", 1)),
-            mechanism=str(data.get("mechanism", "momd")),
-            adaptation=AdaptationPolicy(
-                kind=str(adaptation.get("kind", "optimal"))),
-            participation=ParticipationConfig(
-                alpha_buf=float(participation.get("alpha_buf", 1.0)),
-                alpha_link=float(participation.get("alpha_link", 0.5))),
-            participation_enabled=enabled,
-            video_length_s=float(data.get("video_length_s", 100.0)),
-            overhead_energy_per_auction=float(
-                data.get("overhead_energy_per_auction", 0.0)),
-            overhead_time_per_auction_s=float(
-                data.get("overhead_time_per_auction_s", 0.0)),
-            d2d_delay_s=float(data.get("d2d_delay_s", 0.0)),
-            seed=int(data.get("seed", 0)),
-            idle_retry_s=float(data.get("idle_retry_s", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    data = _mapping(data, "config")
+    # the field is written as participation.enabled
+    if "participation_enabled" in data:
+        raise ConfigError("config: unknown keys ['participation_enabled']")
+    users = data.get("users", ())
+    if not isinstance(users, (list, tuple)):
+        raise ConfigError("config: users must be a list")
+    adaptation = data.get("adaptation")
+    if isinstance(adaptation, str):
+        adaptation = {"kind": adaptation}
+    participation = dict(_mapping(data.get("participation"), "participation"))
+    enabled = bool(participation.pop("enabled", False))
+    return _build(
+        SimConfig, data, "config",
+        users=tuple(user_from_dict(u) for u in users),
+        adaptation=_build(AdaptationPolicy, adaptation, "adaptation"),
+        participation=_build(ParticipationConfig, participation,
+                             "participation"),
+        participation_enabled=enabled)
 
 
 def sim_config_to_dict(cfg: SimConfig) -> Dict:
-    return {
-        "users": [
-            {
-                "user_id": u.user_id,
-                "ladder": {
-                    "rates": list(u.ladder.rates),
-                    "segment_length_s": u.ladder.segment_length_s,
-                    "max_buffer_s": u.ladder.max_buffer_s,
-                },
-                "theta": u.theta,
-                "cost_per_mbit": u.cost_per_mbit,
-                "buffer_gain_scale": u.buffer_gain_scale,
-                "buffer_gain_decay": u.buffer_gain_decay,
-                "degradation_slope": u.degradation_slope,
-                "link_cost_per_s": u.link_cost_per_s,
-                "helper": u.helper,
-            }
-            for u in cfg.users
-        ],
-        "K": cfg.K,
-        "mechanism": cfg.mechanism,
-        "adaptation": {"kind": cfg.adaptation.kind},
-        "participation": {"enabled": cfg.participation_enabled,
-                          "alpha_buf": cfg.participation.alpha_buf,
-                          "alpha_link": cfg.participation.alpha_link},
-        "video_length_s": cfg.video_length_s,
-        "overhead_energy_per_auction": cfg.overhead_energy_per_auction,
-        "overhead_time_per_auction_s": cfg.overhead_time_per_auction_s,
-        "d2d_delay_s": cfg.d2d_delay_s,
-        "seed": cfg.seed,
-        "idle_retry_s": cfg.idle_retry_s,
-    }
+    out = asdict(cfg)
+    out["participation"]["enabled"] = out.pop("participation_enabled")
+    return out
 
 
 def trace_stats_from_dict(data: Mapping) -> Dict[str, Tuple[float, float]]:
-    """Per-user (mean, std) capacity statistics for synthetic traces."""
+    """Per-user (mean, std) capacity statistics for synthetic traces; each
+    mean must be finite and > 0, each std finite and >= 0."""
     out = {}
-    for user, entry in (data or {}).items():
-        _reject_unknown(entry, {"mean", "std"}, f"trace_stats.{user}")
-        out[str(user)] = (float(entry["mean"]), float(entry.get("std", 0.0)))
+    for user, entry in _mapping(data, "trace_stats").items():
+        where = f"trace_stats.{user}"
+        entry = _mapping(entry, where)
+        _reject_unknown(entry, {"mean", "std"}, where)
+        out[str(user)] = (
+            _positive(entry.get("mean"), f"{where}.mean"),
+            _positive(entry.get("std", 0.0), f"{where}.std", zero_ok=True))
     return out
+
+
+def load_config(path) -> Tuple[SimConfig, Optional[TraceSpec]]:
+    """The SimConfig in a config file (or a run's config_snapshot.yaml),
+    plus its synthetic-trace spec when it has a ``trace_stats`` section.
+
+    The ``trace`` section is checked even without one. Its horizon defaults
+    to ``video_length_s * 12 + 400`` and its step to 5 s.
+    """
+    data = read_yaml(path)
+    for key in ("traces_dir", "compare"):  # snapshot bookkeeping
+        data.pop(key, None)
+    stats = trace_stats_from_dict(data.pop("trace_stats", None))
+    trace = _mapping(data.pop("trace", None), "trace")
+    cfg = sim_config_from_dict(data)
+    _reject_unknown(trace, {"horizon_s", "step_s"}, "trace")
+    spec = TraceSpec(
+        stats,
+        _positive(trace.get("horizon_s", cfg.video_length_s * 12 + 400.0),
+                  "trace.horizon_s"),
+        _positive(trace.get("step_s", 5.0), "trace.step_s"))
+    return cfg, spec if stats else None
+
+
+def write_snapshot(out_dir: Path, cfg: SimConfig,
+                   spec: Optional[TraceSpec] = None, **extra) -> None:
+    """Write ``config_snapshot.yaml``: everything :func:`load_config` needs
+    to re-run ``cfg`` (and ``spec``), plus the bookkeeping keys in
+    ``extra`` (``traces_dir``, ``compare``), which loading ignores."""
+    snapshot = sim_config_to_dict(cfg)
+    if spec is not None:
+        snapshot["trace_stats"] = {u: {"mean": m, "std": s}
+                                   for u, (m, s) in spec.stats.items()}
+        snapshot["trace"] = {"horizon_s": spec.horizon_s,
+                             "step_s": spec.step_s}
+    snapshot.update(extra)
+    (out_dir / "config_snapshot.yaml").write_text(
+        yaml.safe_dump(snapshot, sort_keys=True))

@@ -26,7 +26,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .model import UserProfile, UserState, utility_total
@@ -66,7 +66,7 @@ class SimConfig:
     users: Tuple[UserProfile, ...]
     K: int = 1
     mechanism: str = "momd"
-    adaptation: AdaptationPolicy = AdaptationPolicy("optimal")
+    adaptation: AdaptationPolicy = AdaptationPolicy()
     participation: ParticipationConfig = ParticipationConfig()
     participation_enabled: bool = False
     video_length_s: float = 100.0
@@ -93,6 +93,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.idle_retry_s == 0:
             raise ValueError("idle_retry_s must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         ids = [u.user_id for u in self.users]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate user ids")
@@ -143,21 +145,7 @@ class SimResult:
     events: Tuple[SimEvent, ...]
 
     def per_user_rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for uid in self.per_user:
-            r = self.per_user[uid]
-            rows.append({
-                "user_id": uid,
-                "welfare": r.welfare,
-                "payments_made": r.payments_made,
-                "payments_received": r.payments_received,
-                "average_bitrate_mbps": r.average_bitrate_mbps,
-                "rebuffer_s": r.rebuffer_s,
-                "rebuffer_ratio": r.rebuffer_ratio,
-                "degradation_volume_mbps": r.degradation_volume_mbps,
-                "degradation_ratio": r.degradation_ratio,
-            })
-        return rows
+        return [asdict(r) for r in self.per_user.values()]
 
     def aggregate_row(self) -> Dict[str, object]:
         return {

@@ -13,28 +13,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .engine import ComparisonTable, SimConfig, run_comparison
-from .model import BitrateLadder, UserProfile
+from .model import UserProfile
 from .strategy import ParticipationConfig
 from .traceio import CapacityTrace, EncounterTrace
 
-STANDARD_LADDER = BitrateLadder(rates=(0.2, 0.4, 0.7, 1.3, 2.3),
-                                segment_length_s=10.0, max_buffer_s=40.0)
-
-
 def standard_profile(user_id: str, **overrides) -> UserProfile:
-    """Profile with the defaults used across the shipped experiments."""
-    params = dict(
-        user_id=user_id,
-        ladder=STANDARD_LADDER,
-        theta=1.0,
-        cost_per_mbit=0.01,
-        buffer_gain_scale=6.0,
-        buffer_gain_decay=0.7,
-        degradation_slope=1.0,
-        link_cost_per_s=0.45,
-    )
-    params.update(overrides)
-    return UserProfile(**params)
+    """The default profile with the link cost used across the shipped
+    experiments."""
+    return UserProfile(user_id, **{"link_cost_per_s": 0.45, **overrides})
 
 
 def phased_capacity(phases: Sequence[Tuple[float, float, float]],

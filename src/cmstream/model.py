@@ -15,9 +15,9 @@ from typing import Sequence, Tuple
 class BitrateLadder:
     """The finite set of available encodings plus segment/buffer geometry."""
 
-    rates: Tuple[float, ...]
-    segment_length_s: float
-    max_buffer_s: float
+    rates: Tuple[float, ...] = (0.2, 0.4, 0.7, 1.3, 2.3)
+    segment_length_s: float = 10.0
+    max_buffer_s: float = 40.0
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
@@ -51,12 +51,12 @@ class UserProfile:
     """
 
     user_id: str
-    ladder: BitrateLadder
-    theta: float
-    cost_per_mbit: float
-    buffer_gain_scale: float
-    buffer_gain_decay: float
-    degradation_slope: float
+    ladder: BitrateLadder = BitrateLadder()
+    theta: float = 1.0
+    cost_per_mbit: float = 0.01
+    buffer_gain_scale: float = 6.0
+    buffer_gain_decay: float = 0.7
+    degradation_slope: float = 1.0
     link_cost_per_s: float = 0.0
     helper: bool = True
 

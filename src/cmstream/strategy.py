@@ -42,7 +42,7 @@ class ParticipationConfig:
 class AdaptationPolicy:
     """Baseline bitrate-adaptation rule used by non-auction comparisons."""
 
-    kind: str  # optimal | buffer_based | bandwidth_based | hybrid
+    kind: str = "optimal"  # optimal | buffer_based | bandwidth_based | hybrid
 
     KINDS = ("optimal", "buffer_based", "bandwidth_based", "hybrid")
 

@@ -1,4 +1,4 @@
-"""Trace ingestion and synthesis, config parsing, metrics, and results emission.
+"""Trace ingestion and synthesis, metrics, and results emission.
 
 Canonical interchange formats (UTF-8, comma separated, LF endings):
 
@@ -227,8 +227,9 @@ def generate_synthetic_traces(
     points: Dict[str, Tuple[Tuple[float, float], ...]] = {}
     for user in stats:  # caller-provided order keeps the draw sequence stable
         mean, std = stats[user]
-        if mean <= 0 or std < 0:
-            raise ValueError(f"user {user}: need mean > 0 and std >= 0")
+        if not (0 < mean < math.inf and 0 <= std < math.inf):
+            raise ValueError(f"user {user}: need finite mean > 0 and "
+                             f"finite std >= 0")
         draws = np.clip(rng.normal(mean, std, size=steps), 0.0, None)
         points[user] = tuple((i * step_s, float(h)) for i, h in enumerate(draws))
     return CapacityTrace(points)

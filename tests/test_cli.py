@@ -1,6 +1,8 @@
 """End-to-end tests for the cmstream command line."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -48,6 +50,23 @@ def test_gen_traces_writes_files(traces_dir):
     assert (traces_dir / "encounter.csv").exists()
     header = (traces_dir / "capacity.csv").read_text().splitlines()[0]
     assert header == "time_s,user_id,capacity_mbps"
+
+
+def test_gen_traces_horizon_follows_video_length(tmp_path):
+    # no trace section: horizon video_length_s * 12 + 400 = 1000 s, step 5 s
+    path = tmp_path / "short.yaml"
+    path.write_text(yaml.safe_dump({**SIM_CONFIG, "trace": None}))
+    out = tmp_path / "t"
+    assert main(["gen-traces", "--config", str(path),
+                 "--out", str(out)]) == EXIT_OK
+    last = (out / "capacity.csv").read_text().splitlines()[-1]
+    assert last.startswith("995,")
+
+
+def test_gen_traces_negative_seed(tmp_path, config_path, capsys):
+    assert main(["gen-traces", "--config", str(config_path), "--out",
+                 str(tmp_path / "t"), "--seed", "-1"]) == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"
 
 
 def test_gen_traces_needs_stats(tmp_path):
@@ -148,6 +167,33 @@ def test_compare_grid(tmp_path, config_path, capsys):
     assert lines[0].startswith("cell,social_welfare")
     assert len(lines) == 3  # header + two cells
     assert "mechanism=momd" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--replications", "0"),
+    ("--k-values", "x"),
+    ("--mechanisms", "bogus"),
+])
+def test_compare_bad_grid(tmp_path, config_path, capsys, flag, value):
+    code = main(["compare", "--config", str(config_path),
+                 "--out", str(tmp_path / "cmp"), "--replications", "1",
+                 flag, value])
+    assert code == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"
+
+
+def test_compare_snapshot_reruns(tmp_path, config_path, traces_dir):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(config_path), "--out", str(out),
+                 "--replications", "1"]) == EXIT_OK
+    snapshot = str(out / "config_snapshot.yaml")
+    again = tmp_path / "cmp2"
+    assert main(["compare", "--config", snapshot, "--out", str(again),
+                 "--replications", "1"]) == EXIT_OK
+    for name in ("comparison.csv", "config_snapshot.yaml"):
+        assert (out / name).read_text() == (again / name).read_text()
+    assert main(["simulate", "--config", snapshot, "--traces",
+                 str(traces_dir), "--out", str(tmp_path / "run")]) == EXIT_OK
 
 
 def test_verify_reports_pairs(config_path, capsys):
@@ -296,3 +342,46 @@ def test_verbose_is_read_at_call_time(monkeypatch, tmp_path, config_path,
     monkeypatch.setenv("CMSTREAM_VERBOSE", "1")
     assert main(args) == EXIT_OK
     assert "simulating momd K=1" in capsys.readouterr().err
+
+
+TWO_USER = yaml.safe_load(
+    (Path(__file__).resolve().parent.parent / "configs" / "two_user.yaml")
+    .read_text())
+
+# (command, key path into configs/two_user.yaml, value written there)
+HOSTILE = [
+    ("gen-traces", ("trace_stats", "A", "mean"), float("nan")),
+    ("gen-traces", ("trace_stats", "A", "mean"), -1),
+    ("gen-traces", ("trace", "step_s"), 0),
+    ("gen-traces", ("trace", "step_s"), float("nan")),
+    ("gen-traces", ("trace", "horizon_s"), float("inf")),
+    ("gen-traces", ("trace",), [1, 2]),
+    ("compare", ("trace_stats", "A", "mean"), -1),
+    ("compare", ("trace", "step_s"), 0),
+    ("compare", ("mechansim",), "somd"),
+    ("gen-traces", ("mechansim",), "somd"),
+    ("compare", ("trace", "horizon"), 1600),
+    ("gen-traces", ("trace", "horizon"), 1600),
+    ("verify", ("trace", "horizon"), 1600),
+    ("compare", ("seed",), -1),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,value", HOSTILE,
+    ids=[f"{c}-{'.'.join(p)}={v}" for c, p, v in HOSTILE])
+def test_hostile_config(tmp_path, capsys, command, path, value):
+    data = copy.deepcopy(TWO_USER)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg = tmp_path / "hostile.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    argv = [command, "--config", str(cfg)]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "compare":
+        argv += ["--replications", "1"]
+    assert main(argv) == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"

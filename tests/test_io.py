@@ -148,6 +148,15 @@ def test_synthetic_traces_zero_std():
         generate_synthetic_traces({"A": (0.0, 1.0)}, 50.0, 10.0, seed=1)
 
 
+@pytest.mark.parametrize("mean,std", [
+    (float("nan"), 0.1), (float("inf"), 0.1),
+    (1.0, float("nan")), (1.0, float("inf")),
+])
+def test_synthetic_traces_reject_non_finite(mean, std):
+    with pytest.raises(ValueError, match="user A: need finite mean"):
+        generate_synthetic_traces({"A": (mean, std)}, 50.0, 10.0, seed=1)
+
+
 def test_degradation_ratio_values():
     assert degradation_ratio(()) == 0.0
     assert degradation_ratio((1.3, 1.3)) == 0.0
@@ -174,6 +183,10 @@ def test_user_config_roundtrip():
         user_from_dict({"user_id": "A", "greed": 2})
     with pytest.raises(ConfigError, match="user_id"):
         user_from_dict({"theta": 1.0})
+    # scalars are coerced to the field types
+    assert user_from_dict({"user_id": 7}).user_id == "7"
+    with pytest.raises(ConfigError, match="theta"):
+        user_from_dict({"user_id": "A", "theta": [1.0]})
 
 
 def test_sim_config_roundtrip():
@@ -190,6 +203,8 @@ def test_sim_config_roundtrip():
     assert cfg.participation.alpha_link == 0.4
     again = sim_config_from_dict(sim_config_to_dict(cfg))
     assert again == cfg
+    k = sim_config_from_dict({"users": [{"user_id": "A"}], "K": 1.0}).K
+    assert k == 1 and type(k) is int
 
 
 def test_sim_config_rejects_unknown():
@@ -198,6 +213,10 @@ def test_sim_config_rejects_unknown():
     with pytest.raises(ConfigError):
         sim_config_from_dict({"users": [{"user_id": "A"}],
                               "mechanism": "somd", "K": 3})
+    # the field is spelt participation.enabled in YAML
+    with pytest.raises(ConfigError, match="participation_enabled"):
+        sim_config_from_dict({"users": [{"user_id": "A"}],
+                              "participation_enabled": True})
 
 
 def test_trace_stats_parsing():
@@ -206,6 +225,8 @@ def test_trace_stats_parsing():
     assert stats == {"A": (3.0, 0.5), "B": (0.3, 0.0)}
     with pytest.raises(ConfigError, match="unknown keys"):
         trace_stats_from_dict({"A": {"mean": 1.0, "median": 2.0}})
+    with pytest.raises(ConfigError, match="trace_stats.A.mean"):
+        trace_stats_from_dict({"A": {"std": 2.0}})
 
 
 def test_emit_results_csv_and_jsonl(tmp_path):

@@ -22,6 +22,8 @@ from .engine import SimConfig
 from .model import BitrateLadder, UserProfile
 from .strategy import AdaptationPolicy, ParticipationConfig
 
+# coercions by field type; the dataclass modules use postponed annotations,
+# so each field.type is a string
 _SCALARS = {"bool": bool, "float": float, "int": int, "str": str}
 
 

@@ -17,6 +17,7 @@ from .model import UserProfile
 from .strategy import ParticipationConfig
 from .traceio import CapacityTrace, EncounterTrace
 
+
 def standard_profile(user_id: str, **overrides) -> UserProfile:
     """The default profile with the link cost used across the shipped
     experiments."""

@@ -112,16 +112,20 @@ def cmd_compare(args) -> int:
         mechanisms = args.mechanisms.split(",")
         ks = [int(x) for x in args.k_values.split(",")]
         overheads = [float(x) for x in args.overheads.split(",")]
-        cells = []
+        cells, skipped = [], []
         for mech in mechanisms:
             for k in ks:
                 if mech in ("somd", "vickrey_1d") and k != 1:
+                    skipped.append(f"{mech}/K={k}")
                     continue
                 for oh in overheads:
                     label = f"mechanism={mech},K={k},overhead={oh:g}"
                     cells.append((label, replace(
                         cfg, mechanism=mech, K=k,
                         overhead_energy_per_auction=oh)))
+        if not cells:
+            raise ConfigError(f"no cell to run: {', '.join(skipped)} skipped "
+                              f"(somd and vickrey_1d need K=1)")
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
@@ -186,17 +190,37 @@ def _instance_bidders(data: dict):
     return bidders
 
 
+def _oracle_inputs(data: dict, kind: str) -> dict:
+    """The typed fields of an oracle instance that ``kind`` reads. A
+    malformed instance raises KeyError, TypeError, AttributeError or
+    ValueError here, before any oracle runs."""
+    if kind == "momd" and "marginal_scores" in data:
+        return {"scores": {str(k): [float(x) for x in v]
+                           for k, v in data["marginal_scores"].items()},
+                "K": int(data["K"])}
+    inputs = {"downloader": user_from_dict(data["downloader"]),
+              "bidders": _instance_bidders(data),
+              "K": int(data.get("K", 1))}
+    if kind == "matrix" and not inputs["bidders"]:
+        raise ConfigError("the matrix oracle needs a bidder")
+    if kind in ("somd", "momd") and "mechanism_welfare" in data:
+        inputs["claimed"] = float(data["mechanism_welfare"])
+    return inputs
+
+
 def cmd_oracle(args) -> int:
     try:
         data = read_yaml(args.instance)
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
-        if args.kind == "momd" and "marginal_scores" in data:
-            outcome = resolve_from_marginal_scores(
-                {str(k): [float(x) for x in v]
-                 for k, v in data["marginal_scores"].items()},
-                int(data["K"]))
+        inputs = _oracle_inputs(data, args.kind)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return _fail(EXIT_CONFIG, "config", f"bad instance: {exc!r}")
+    K = inputs["K"]
+    try:
+        if "scores" in inputs:
+            outcome = resolve_from_marginal_scores(inputs["scores"], K)
             alloc = outcome.revised_allocation
             print(f"allocation: {json.dumps(alloc, sort_keys=True)}")
             for uid in sorted(alloc):
@@ -205,14 +229,12 @@ def cmd_oracle(args) -> int:
                           f"{outcome.payments[uid]:.6g}")
             return EXIT_OK
 
-        downloader = user_from_dict(data["downloader"])
-        bidders = _instance_bidders(data)
+        downloader, bidders = inputs["downloader"], inputs["bidders"]
         if args.kind == "somd":
             uid, rate, welf = brute_force_somd_optimum(bidders, downloader)
             print(f"optimum: bidder={uid} bitrate={rate:g} "
                   f"welfare={welf:.6g}")
         elif args.kind == "momd":
-            K = int(data.get("K", 1))
             alloc, vectors, welf = brute_force_momd_optimum(
                 bidders, downloader, K)
             print(f"optimum: allocation={list(alloc)} welfare={welf:.6g}")
@@ -220,24 +242,22 @@ def cmd_oracle(args) -> int:
                 if vec:
                     print(f"bitrates[{uid}] = {list(vec)}")
         else:  # matrix
-            profile, state = _instance_bidders(data)[0]
-            K = int(data.get("K", 1))
+            profile, state = bidders[0]
             sf = ScoreFunction.efficient(downloader)
             rows = brute_force_bitrate_rows(profile, state, sf, K)
             fast = optimal_bitrate_matrix(profile, state, sf, K)
             print(f"brute-force rows: {[list(r) for r in rows]}")
             print(f"reduced-solver rows: "
                   f"{[list(r[:k + 1]) for k, r in enumerate(fast)]}")
-            welf = None
-        if args.kind in ("somd", "momd") and "mechanism_welfare" in data:
-            claimed = float(data["mechanism_welfare"])
+        if "claimed" in inputs:
+            claimed = inputs["claimed"]
             verdict = "EQUAL" if abs(claimed - welf) <= 1e-9 else "DIFFERENT"
             print(f"mechanism welfare {claimed:.6g} vs oracle "
                   f"{welf:.6g}: {verdict}")
         return EXIT_OK
     except InstanceTooLargeError as exc:
         return _fail(EXIT_SIZE_GUARD, "size-guard", str(exc))
-    except (KeyError, ConfigError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", f"bad instance: {exc!r}")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -43,7 +44,7 @@ from .strategy import (
     baseline_bitrate,
     baseline_momd_bid,
     build_momd_bid,
-    should_participate,
+    participates,
 )
 from .traceio import (
     CapacityTrace,
@@ -223,9 +224,12 @@ class _Simulation:
             total = round(cfg.video_length_s / beta)
             self.users[profile.user_id] = _UserSim(
                 profile, total, capacity.capacity_at(profile.user_id, 0.0))
+        self.unassigned = sum(u.total_segments for u in self.users.values())
         self.horizon_guard = cfg.video_length_s * 100 + 1000.0
-        self._shares_t: Optional[float] = None
+        self._changes: Optional[List[float]] = None
+        self._epoch = (math.inf, -math.inf)  # [lo, hi) the shares hold for
         self._shares: Dict[str, List[float]] = {}
+        self._share_sums: Dict[str, float] = {}
 
     # -- event plumbing ----------------------------------------------------
 
@@ -286,12 +290,22 @@ class _Simulation:
     def _neighbor_shares(self, t: float) -> Dict[str, List[float]]:
         """For every user, the capacity each user he encounters would allot
         him under an even split across that user's own neighborhood, in
-        user order.
+        user order; ``_neighbor_share_sums`` gives each list's sum.
 
-        Traces are pure functions of time, so the result for the last t asked
-        is kept: idle retries and auctions often share an instant.
+        Capacities and encounters change only at the users' capacity
+        breakpoints and their pairs' encounter toggles, each in force from
+        its own time on. So the result built at t holds on the whole
+        interval [lo, hi) between the change times around t, and is rebuilt
+        only when a t outside it is asked.
         """
-        if t != self._shares_t:
+        lo, hi = self._epoch
+        if not lo <= t < hi:
+            if self._changes is None:
+                self._changes = self._change_times()
+            changes = self._changes
+            at = bisect_right(changes, t)
+            self._epoch = (changes[at - 1] if at else -math.inf,
+                           changes[at] if at < len(changes) else math.inf)
             ids = list(self.users)
             # encounters are symmetric: test each pair once, keep user order
             nbrs: Dict[str, List[str]] = {i: [] for i in ids}
@@ -303,13 +317,34 @@ class _Simulation:
                         nbrs[j].append(i)
             share = {i: self.capacity.capacity_at(i, t) / len(nbrs[i])
                      for i in ids}
+            # every capacity, the auctioneer's too, is some user's share
+            # times a positive count
+            if any(h < 0 for h in share.values()):
+                raise ValueError("capacities must be >= 0")
             self._shares = {i: [share[j] for j in nbrs[i]] for i in ids}
-            self._shares_t = t
+            self._share_sums = {i: sum(v) for i, v in self._shares.items()}
         return self._shares
+
+    def _neighbor_share_sums(self, t: float) -> Dict[str, float]:
+        self._neighbor_shares(t)
+        return self._share_sums
+
+    def _change_times(self) -> List[float]:
+        """Sorted times at which a capacity or an encounter among the
+        simulated users changes."""
+        users = self.users
+        times = {bt for uid in users
+                 for bt, _ in self.capacity.breakpoints[uid]}
+        times.update(tt for (a, b), events in self.encounters.toggles.items()
+                     if a in users and b in users for tt, _ in events)
+        return sorted(times)
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
         cfg = self.cfg
         h_n = self.capacity.capacity_at(auctioneer, t)
+        filtering = (cfg.participation_enabled
+                     and cfg.mechanism != "noncooperative")
+        sums = None
         out = []
         for uid, u in self.users.items():
             if cfg.mechanism == "noncooperative" and uid != auctioneer:
@@ -322,13 +357,12 @@ class _Simulation:
             beta = u.profile.ladder.segment_length_s
             if u.headroom_segments(beta, u.profile.ladder.max_buffer_s) <= 0:
                 continue
-            if (cfg.participation_enabled
-                    and cfg.mechanism != "noncooperative"
-                    and not should_participate(
-                        u.profile, u.state(), h_n,
-                        self._neighbor_shares(t)[uid],
-                        cfg.participation)):
-                continue
+            if filtering:
+                if sums is None:
+                    sums = self._neighbor_share_sums(t)
+                if not participates(beta, u.buffer_s, u.prev_bitrate, h_n,
+                                    sums[uid], cfg.participation):
+                    continue
             out.append(uid)
         return out
 
@@ -344,7 +378,7 @@ class _Simulation:
             return
         bidders = self._candidate_bidders(auctioneer, t)
         if not bidders:
-            if any(u.remaining_to_assign > 0 for u in self.users.values()):
+            if self.unassigned:
                 self._push(t + cfg.idle_retry_s, "ready", (auctioneer,))
             return
 
@@ -372,6 +406,7 @@ class _Simulation:
             auc.capacity_window.append(avg_capacity)
             seq_no = receiver.next_seq
             receiver.next_seq += 1
+            self.unassigned -= 1
             receiver.pending += 1
             delay = cfg.d2d_delay_s if uid != auctioneer else 0.0
             self._push(cursor + delay, "deliver",

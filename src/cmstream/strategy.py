@@ -172,16 +172,24 @@ def should_participate(profile: UserProfile, state: UserState,
     """
     if auctioneer_capacity < 0 or any(h < 0 for h in neighbor_capacity_shares):
         raise ValueError("capacities must be >= 0")
-    beta = profile.ladder.segment_length_s
-    if state.buffer_s == 0:
+    return participates(profile.ladder.segment_length_s, state.buffer_s,
+                        state.prev_bitrate, auctioneer_capacity,
+                        sum(neighbor_capacity_shares), cfg)
+
+
+def participates(beta: float, buffer_s: float, prev_bitrate: float,
+                 auctioneer_capacity: float, share_sum: float,
+                 cfg: ParticipationConfig) -> bool:
+    """The rule of should_participate on plain numbers: beta is the segment
+    length and share_sum the sum of the neighbour capacity shares. It checks
+    no capacity; callers make sure they are >= 0."""
+    if buffer_s == 0:
         buffer_hit = True
     else:
-        threshold = (cfg.alpha_buf * state.prev_bitrate * beta
-                     / state.buffer_s)
+        threshold = cfg.alpha_buf * prev_bitrate * beta / buffer_s
         buffer_hit = auctioneer_capacity < threshold
-    link_threshold = cfg.alpha_link * sum(neighbor_capacity_shares)
-    refrain = buffer_hit and auctioneer_capacity < link_threshold
-    return not refrain
+    link_hit = auctioneer_capacity < cfg.alpha_link * share_sum
+    return not (buffer_hit and link_hit)
 
 
 def baseline_bitrate(policy: AdaptationPolicy, state: UserState,

@@ -182,6 +182,20 @@ def test_compare_bad_grid(tmp_path, config_path, capsys, flag, value):
     assert _trace_error(capsys)["error"] == "config"
 
 
+def test_compare_no_cell_left(tmp_path, capsys):
+    config = (Path(__file__).resolve().parent.parent / "configs"
+              / "three_user.yaml")
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", str(config), "--out", str(out),
+                 "--replications", "1", "--mechanisms", "somd,vickrey_1d",
+                 "--k-values", "2,4"])
+    assert code == EXIT_CONFIG
+    message = _trace_error(capsys)["message"]
+    for pair in ("somd/K=2", "somd/K=4", "vickrey_1d/K=2", "vickrey_1d/K=4"):
+        assert pair in message
+    assert not out.exists()
+
+
 def test_compare_snapshot_reruns(tmp_path, config_path, traces_dir):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", str(config_path), "--out", str(out),
@@ -266,6 +280,19 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "brute-force rows:" in out
     assert "reduced-solver rows:" in out
+
+
+@pytest.mark.parametrize("kind,instance", [
+    ("momd", {"K": 2, "marginal_scores": [1, 2]}),
+    ("somd", {"downloader": {"user_id": "d"}, "bidders": [5]}),
+    ("matrix", {"K": 2, "downloader": {"user_id": "d"}, "bidders": []}),
+], ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder"])
+def test_oracle_malformed_instance(tmp_path, capsys, kind, instance):
+    inst = tmp_path / "bad.yaml"
+    inst.write_text(yaml.safe_dump(instance))
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", kind]) == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"
 
 
 def _trace_error(capsys):

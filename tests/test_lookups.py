@@ -1,7 +1,8 @@
-"""The bisecting trace lookups and the engine's per-instant neighbourhood
-against the linear scans they replace."""
+"""The bisecting trace lookups and the engine's epoch-held neighbourhood
+against the linear scans and per-instant builds they replace."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -201,3 +202,39 @@ def test_neighbor_shares_full_mesh():
     assert sim._neighbor_shares(0.0)["b"] == [1.0, 0.5, 0.0]
     assert sim._neighbor_shares(10.0)["a"] == [1.0, 0.5, 2.0]
     assert sim._neighbor_shares(0.0)["c"] == [1.0, 0.5, 0.0]
+
+
+@st.composite
+def traced_group(draw):
+    """A simulation over random capacity breakpoints and encounter toggles,
+    and its change times."""
+    ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    capacity = CapacityTrace({uid: draw(capacity_points()) for uid in ids})
+    toggles = {pair: draw(toggle_events())
+               for pair in itertools.combinations(ids, 2)
+               if draw(st.booleans())}
+    encounters = EncounterTrace(toggles, default_connected=draw(st.booleans()))
+    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids),
+                    participation_enabled=True)
+    changes = sorted({t for points in capacity.breakpoints.values()
+                      for t, _ in points}
+                     | {t for events in toggles.values() for t, _ in events})
+    return _Simulation(cfg, capacity, encounters), changes
+
+
+@settings(max_examples=150, deadline=None)
+@given(traced_group(), st.data())
+def test_epoch_held_neighborhood_matches_fresh_build(group, data):
+    sim, changes = group
+    edges = [e for c in changes for e in (c, math.nextafter(c, -math.inf))]
+    inside = data.draw(st.lists(st.floats(-10.0, changes[-1] + 20.0),
+                                max_size=6))
+    monotone = sorted(edges + inside)
+    revisits = data.draw(st.permutations(monotone))
+    for t in monotone + monotone[::-1] + revisits:
+        shares = sim._neighbor_shares(t)
+        sums = sim._neighbor_share_sums(t)
+        for uid in sim.users:
+            expected = ref_neighbor_shares(sim, uid, t)
+            assert shares[uid] == expected
+            assert sums[uid] == sum(expected)

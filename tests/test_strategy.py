@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmstream.model import UserState, quality_gain_single, utility_total
+from cmstream.model import (
+    BitrateLadder,
+    UserState,
+    quality_gain_single,
+    utility_total,
+)
 from cmstream.somd import ScoreFunction
 from cmstream.strategy import (
     AdaptationPolicy,
@@ -15,6 +22,7 @@ from cmstream.strategy import (
     build_momd_bid,
     optimal_bitrate_matrix,
     optimal_row_rate,
+    participates,
     should_participate,
     truthful_price_vector,
 )
@@ -184,6 +192,28 @@ def test_participation_rejects_negative_capacity():
     p = make_profile()
     with pytest.raises(ValueError):
         should_participate(p, UserState(), -1.0, (), ParticipationConfig())
+
+
+capacities = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_s=st.floats(0.5, 20.0),
+       buffer_s=st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
+       prev_bitrate=st.one_of(st.sampled_from((0.0,) + LADDER.rates),
+                              st.floats(0.0, 5.0)),
+       auctioneer=capacities,
+       shares=st.lists(capacities, max_size=8),
+       alphas=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+def test_participation_rule_matches_should_participate(
+        segment_s, buffer_s, prev_bitrate, auctioneer, shares, alphas):
+    p = make_profile(ladder=BitrateLadder(segment_length_s=segment_s,
+                                          max_buffer_s=4 * segment_s))
+    state = UserState(buffer_s=buffer_s, prev_bitrate=prev_bitrate)
+    cfg = ParticipationConfig(*alphas)
+    assert participates(segment_s, buffer_s, prev_bitrate, auctioneer,
+                        sum(shares), cfg) == should_participate(
+        p, state, auctioneer, shares, cfg)
 
 
 def test_participation_config_validation():

@@ -58,7 +58,6 @@ from .engine import (
     SimEvent,
     SimResult,
     SimulationHorizonError,
-    download_duration,
     run_comparison,
     run_simulation,
 )
@@ -74,7 +73,6 @@ from .traceio import (
     generate_synthetic_traces,
     parse_capacity_trace,
     parse_encounter_trace,
-    rebuffer_ratio,
 )
 
 __version__ = "0.1.0"

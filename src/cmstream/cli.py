@@ -22,7 +22,7 @@ from .config import (
     user_from_dict,
     write_snapshot,
 )
-from .engine import MECHANISMS, run_comparison, run_simulation
+from .engine import MECHANISMS, SINGLE_SEGMENT, run_comparison, run_simulation
 from .model import UserState
 from .momd import (
     InstanceTooLargeError,
@@ -115,7 +115,7 @@ def cmd_compare(args) -> int:
         cells, skipped = [], []
         for mech in mechanisms:
             for k in ks:
-                if mech in ("somd", "vickrey_1d") and k != 1:
+                if mech in SINGLE_SEGMENT and k != 1:
                     skipped.append(f"{mech}/K={k}")
                     continue
                 for oh in overheads:
@@ -125,7 +125,7 @@ def cmd_compare(args) -> int:
                         overhead_energy_per_auction=oh)))
         if not cells:
             raise ConfigError(f"no cell to run: {', '.join(skipped)} skipped "
-                              f"(somd and vickrey_1d need K=1)")
+                              f"({' and '.join(SINGLE_SEGMENT)} need K=1)")
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 

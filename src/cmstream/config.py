@@ -22,9 +22,23 @@ from .engine import SimConfig
 from .model import BitrateLadder, UserProfile
 from .strategy import AdaptationPolicy, ParticipationConfig
 
+
+def _int(value) -> int:
+    """An int from an int or an integral float; bools and the rest fail."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # coercions by field type; the dataclass modules use postponed annotations,
 # so each field.type is a string
-_SCALARS = {"bool": bool, "float": float, "int": int, "str": str}
+_SCALARS = {"bool": _bool, "float": float, "int": _int, "str": str}
 
 
 class ConfigError(ValueError):
@@ -68,6 +82,13 @@ def _reject_unknown(data: Mapping, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _coerce(type_name: str, value, where: str):
+    try:
+        return _SCALARS.get(type_name, lambda v: v)(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _build(cls, data, where: str, **built):
     """``cls`` from a mapping keyed by its field names. Scalars are coerced
     to the field's type, absent keys keep the field's default, and ``built``
@@ -77,11 +98,7 @@ def _build(cls, data, where: str, **built):
     kwargs = dict(built)
     for f in fields(cls):
         if f.name in data and f.name not in built:
-            try:
-                kwargs[f.name] = _SCALARS.get(f.type, lambda v: v)(
-                    data[f.name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}.{f.name}: {exc}") from exc
+            kwargs[f.name] = _coerce(f.type, data[f.name], f"{where}.{f.name}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -118,7 +135,8 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
     if isinstance(adaptation, str):
         adaptation = {"kind": adaptation}
     participation = dict(_mapping(data.get("participation"), "participation"))
-    enabled = bool(participation.pop("enabled", False))
+    enabled = _coerce("bool", participation.pop("enabled", False),
+                      "participation.enabled")
     return _build(
         SimConfig, data, "config",
         users=tuple(user_from_dict(u) for u in users),

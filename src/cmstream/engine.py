@@ -54,6 +54,7 @@ from .traceio import (
 )
 
 MECHANISMS = ("somd", "momd", "vickrey_1d", "noncooperative")
+SINGLE_SEGMENT = ("somd", "vickrey_1d")  # mechanisms that need K=1
 
 CAPACITY_WINDOW = 3  # completed downloads feeding the capacity estimate
 
@@ -84,7 +85,7 @@ class SimConfig:
             raise ValueError("K must be >= 1")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.mechanism in ("somd", "vickrey_1d") and self.K != 1:
+        if self.mechanism in SINGLE_SEGMENT and self.K != 1:
             raise ValueError(f"{self.mechanism} requires K=1")
         for name in ("video_length_s", "overhead_energy_per_auction",
                      "overhead_time_per_auction_s", "d2d_delay_s",
@@ -158,15 +159,6 @@ class SimResult:
         }
 
 
-def download_duration(trace: CapacityTrace, user: str, start_s: float,
-                      bitrate: float, beta_s: float) -> float:
-    """Seconds to move one segment (bitrate * beta megabits) over the user's
-    piecewise-constant link starting at start_s; zero for a zero bitrate."""
-    if bitrate == 0:
-        return 0.0
-    return trace.finish_time(user, start_s, bitrate * beta_s) - start_s
-
-
 class _UserSim:
     """Mutable per-user simulation state."""
 
@@ -227,9 +219,8 @@ class _Simulation:
         self.unassigned = sum(u.total_segments for u in self.users.values())
         self.horizon_guard = cfg.video_length_s * 100 + 1000.0
         self._changes: Optional[List[float]] = None
-        self._epoch = (math.inf, -math.inf)  # [lo, hi) the shares hold for
-        self._shares: Dict[str, List[float]] = {}
-        self._share_sums: Dict[str, float] = {}
+        self._epoch = (math.inf, -math.inf)  # [lo, hi) the sums hold for
+        self._sums: Dict[str, float] = {}
 
     # -- event plumbing ----------------------------------------------------
 
@@ -287,16 +278,16 @@ class _Simulation:
 
     # -- auctions ----------------------------------------------------------
 
-    def _neighbor_shares(self, t: float) -> Dict[str, List[float]]:
-        """For every user, the capacity each user he encounters would allot
-        him under an even split across that user's own neighborhood, in
-        user order; ``_neighbor_share_sums`` gives each list's sum.
+    def _share_sums(self, t: float) -> Dict[str, float]:
+        """For every user, the sum over the users he encounters, in user
+        order, of the capacity each would allot him under an even split
+        across that user's own neighborhood.
 
         Capacities and encounters change only at the users' capacity
         breakpoints and their pairs' encounter toggles, each in force from
-        its own time on. So the result built at t holds on the whole
-        interval [lo, hi) between the change times around t, and is rebuilt
-        only when a t outside it is asked.
+        its own time on. So the sums built at t hold on the whole interval
+        [lo, hi) between the change times around t, and are rebuilt only
+        when a t outside it is asked.
         """
         lo, hi = self._epoch
         if not lo <= t < hi:
@@ -321,13 +312,8 @@ class _Simulation:
             # times a positive count
             if any(h < 0 for h in share.values()):
                 raise ValueError("capacities must be >= 0")
-            self._shares = {i: [share[j] for j in nbrs[i]] for i in ids}
-            self._share_sums = {i: sum(v) for i, v in self._shares.items()}
-        return self._shares
-
-    def _neighbor_share_sums(self, t: float) -> Dict[str, float]:
-        self._neighbor_shares(t)
-        return self._share_sums
+            self._sums = {i: sum(share[j] for j in nbrs[i]) for i in ids}
+        return self._sums
 
     def _change_times(self) -> List[float]:
         """Sorted times at which a capacity or an encounter among the
@@ -341,7 +327,6 @@ class _Simulation:
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
         cfg = self.cfg
-        h_n = self.capacity.capacity_at(auctioneer, t)
         filtering = (cfg.participation_enabled
                      and cfg.mechanism != "noncooperative")
         sums = None
@@ -359,7 +344,8 @@ class _Simulation:
                 continue
             if filtering:
                 if sums is None:
-                    sums = self._neighbor_share_sums(t)
+                    sums = self._share_sums(t)
+                    h_n = self.capacity.capacity_at(auctioneer, t)
                 if not participates(beta, u.buffer_s, u.prev_bitrate, h_n,
                                     sums[uid], cfg.participation):
                     continue

@@ -175,5 +175,5 @@ def welfare(downloader: UserProfile, receiver: UserProfile, state: UserState,
         buffer_gain=b,
         degradation_loss=d,
         cost=c,
-        welfare=utility_total(receiver, state, rates) - c,
+        welfare=q + b - d - c,
     )

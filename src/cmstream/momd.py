@@ -71,10 +71,6 @@ class MomdBid:
             raise ValueError("prices must be >= 0")
 
     @property
-    def size(self) -> int:
-        return len(self.bitrate_matrix)
-
-    @property
     def max_segments(self) -> int:
         """Number of leading rows with actual bitrates (the bidder's cap)."""
         n = 0
@@ -169,7 +165,6 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
     for _, bidder_id, _ in top:
         counts[bidder_id] += 1
 
-    by_id = {bid.bidder_id: bid for bid in bids}
     bitrates: Dict[str, Tuple[float, ...]] = {}
     payments: Dict[str, float] = {}
     for bid in bids:
@@ -178,11 +173,11 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
             bitrates[bid.bidder_id] = ()
             payments[bid.bidder_id] = 0.0
             continue
-        row = by_id[bid.bidder_id].row(kappa)
-        others = sorted((s for s, b, _ in entries if b != bid.bidder_id),
-                        reverse=True)[:K]
+        row = bid.row(kappa)
+        # entries is sorted by score, highest first
+        others = [s for s, b, _ in entries if b != bid.bidder_id][:K]
         others += [0.0] * (K - len(others))  # absent competitors do no damage
-        damage = sum(others[K - kappa + i] for i in range(kappa))
+        damage = sum(others[K - kappa:])
         bitrates[bid.bidder_id] = row
         payments[bid.bidder_id] = sf.of_vector(row) + damage
 

@@ -35,7 +35,7 @@ class ScoreFunction:
         return 0.0 if rate == 0 else self.s_of_r(rate)
 
     def of_vector(self, rates: Sequence[float]) -> float:
-        return sum(self(r) for r in rates if r != 0)
+        return sum(self(r) for r in rates)
 
     @staticmethod
     def zero() -> "ScoreFunction":
@@ -83,17 +83,13 @@ def optimal_somd_bid(profile: UserProfile, state: UserState,
     The bitrate maximizes U(r) - s(r) over the ladder (ties to the lowest
     rate); the price is exactly the utility at that bitrate.
     """
-    best_rate = None
-    best_obj = None
+    best = None
     for r in profile.ladder.rates:
-        obj = utility_total(profile, state, (r,)) - sf(r)
-        if best_obj is None or obj > best_obj:
-            best_rate, best_obj = r, obj
-    return SomdBid(
-        bidder_id=profile.user_id,
-        bitrate=best_rate,
-        price=utility_total(profile, state, (best_rate,)),
-    )
+        u = utility_total(profile, state, (r,))
+        obj = u - sf(r)
+        if best is None or obj > best[0]:
+            best = (obj, r, u)
+    return SomdBid(bidder_id=profile.user_id, bitrate=best[1], price=best[2])
 
 
 def brute_force_somd_optimum(

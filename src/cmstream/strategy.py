@@ -18,7 +18,7 @@ from .model import (
     quality_gain_single,
     utility_total,
 )
-from .momd import MomdBid
+from .momd import MomdBid, _guard_instance
 from .somd import ScoreFunction
 
 CostOfRate = Callable[[float], float]
@@ -102,9 +102,11 @@ def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
                              ) -> Tuple[Tuple[float, ...], ...]:
     """Per-row optimum by full enumeration over every ladder vector.
 
-    Oracle for the structure of the fast solver; exponential in K, so keep
-    K small. Ties go to the lexicographically smallest vector.
+    Oracle for the structure of the fast solver; exponential in K, so it
+    refuses instances past the brute-force guard. Ties go to the
+    lexicographically smallest vector.
     """
+    _guard_instance(1, K, profile.ladder.num_rates)
     rows = []
     for kappa in range(1, K + 1):
         best_vec = None

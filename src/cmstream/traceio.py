@@ -244,10 +244,6 @@ def degradation_ratio(bitrates: Sequence[float]) -> float:
     return drops / total
 
 
-def rebuffer_ratio(stall_s: float, video_length_s: float) -> float:
-    return stall_s / video_length_s if video_length_s > 0 else 0.0
-
-
 # Stable column order for the per-user metrics table.
 METRIC_COLUMNS = (
     "user_id", "welfare", "payments_made", "payments_received",
@@ -287,20 +283,6 @@ def emit_results(result, fmt: str, out_dir: Path,
         return paths
     except OSError as exc:
         raise OSError(f"cannot write results under {out_dir}: {exc}") from exc
-
-
-def parse_metrics_csv(text: str) -> List[Dict[str, object]]:
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        parsed: Dict[str, object] = {}
-        for k, v in row.items():
-            try:
-                parsed[k] = float(v)
-            except ValueError:
-                parsed[k] = v
-        out.append(parsed)
-    return out
 
 
 def _ext(fmt: str) -> str:

@@ -265,6 +265,13 @@ def test_oracle_size_guard(tmp_path):
     }))
     assert main(["oracle", "--instance", str(inst),
                  "--kind", "momd"]) == EXIT_SIZE_GUARD
+    inst.write_text(yaml.safe_dump({
+        "K": 5,
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}],
+    }))
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "matrix"]) == EXIT_SIZE_GUARD
 
 
 def test_oracle_matrix_kind(tmp_path, capsys):

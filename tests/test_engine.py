@@ -8,7 +8,6 @@ import cmstream
 from cmstream.engine import (
     SimConfig,
     SimulationHorizonError,
-    download_duration,
     run_comparison,
     run_simulation,
 )
@@ -16,14 +15,6 @@ from cmstream.experiments import standard_profile, two_user_scenario
 from cmstream.traceio import CapacityTrace, EncounterTrace, TraceUnderrunError
 
 from conftest import make_profile
-
-
-def test_download_duration_values():
-    trace = CapacityTrace({"A": ((0.0, 4.6),)})
-    assert download_duration(trace, "A", 0.0, 2.3, 10.0) == pytest.approx(5.0)
-    assert download_duration(trace, "A", 0.0, 0.0, 10.0) == 0.0
-    piece = CapacityTrace({"A": ((0.0, 2.0), (5.0, 4.0))})
-    assert download_duration(piece, "A", 0.0, 2.3, 10.0) == pytest.approx(8.25)
 
 
 def test_config_validation():

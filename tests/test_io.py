@@ -1,6 +1,7 @@
 """Unit tests for trace parsing/emission, synthetic traces, metrics, and
 results emission."""
 
+import csv
 import json
 
 import pytest
@@ -24,8 +25,6 @@ from cmstream.traceio import (
     generate_synthetic_traces,
     parse_capacity_trace,
     parse_encounter_trace,
-    parse_metrics_csv,
-    rebuffer_ratio,
 )
 
 
@@ -165,12 +164,6 @@ def test_degradation_ratio_values():
     assert round(100 * got, 1) == 18.2
 
 
-def test_rebuffer_ratio_values():
-    assert rebuffer_ratio(0.0, 100.0) == 0.0
-    assert rebuffer_ratio(13.0, 100.0) == pytest.approx(0.13)
-    assert rebuffer_ratio(5.0, 0.0) == 0.0
-
-
 def test_user_config_roundtrip():
     data = {"user_id": "A", "theta": 1.5, "cost_per_mbit": 0.2,
             "ladder": {"rates": [0.5, 1.0], "segment_length_s": 5.0,
@@ -205,6 +198,18 @@ def test_sim_config_roundtrip():
     assert again == cfg
     k = sim_config_from_dict({"users": [{"user_id": "A"}], "K": 1.0}).K
     assert k == 1 and type(k) is int
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"K": 2.5}, "config.K"),
+    ({"seed": 3.7}, "config.seed"),
+    ({"K": True}, "config.K"),
+    ({"participation": {"enabled": "false"}}, "participation.enabled"),
+    ({"users": [{"user_id": "A", "helper": "false"}]}, "user.helper"),
+], ids=["K=2.5", "seed=3.7", "K=true", "enabled=str", "helper=str"])
+def test_sim_config_scalars_are_lossless(data, where):
+    with pytest.raises(ConfigError, match=where):
+        sim_config_from_dict({"users": [{"user_id": "A"}], **data})
 
 
 def test_sim_config_rejects_unknown():
@@ -246,9 +251,10 @@ def test_emit_results_csv_and_jsonl(tmp_path):
     paths = emit_results(result, "csv", tmp_path / "csv", include_events=True)
     names = {p.name for p in paths}
     assert names == {"metrics.csv", "summary.csv", "events.csv"}
-    rows = parse_metrics_csv((tmp_path / "csv" / "metrics.csv").read_text())
+    with open(tmp_path / "csv" / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
     assert rows[0]["user_id"] == "A"
-    assert rows[0]["rebuffer_s"] == 0.0
+    assert float(rows[0]["rebuffer_s"]) == 0.0
 
     paths = emit_results(result, "json-lines", tmp_path / "jsonl")
     names = {p.name for p in paths}

@@ -189,9 +189,9 @@ def test_neighbor_shares_match_per_bidder_definition(seed, n):
     instants += [-1.0, 0.0, 7.5, 10.0, 250.0]
     rng.shuffle(instants)
     for t in instants + instants[:3]:  # revisits cross the memo
-        shares = sim._neighbor_shares(t)
+        sums = sim._share_sums(t)
         for uid in sim.users:
-            assert shares[uid] == ref_neighbor_shares(sim, uid, t)
+            assert sums[uid] == sum(ref_neighbor_shares(sim, uid, t))
 
 
 def test_neighbor_shares_full_mesh():
@@ -199,9 +199,11 @@ def test_neighbor_shares_full_mesh():
                               "c": ((0.0, 0.0), (10.0, 6.0))})
     cfg = SimConfig(users=tuple(standard_profile(u) for u in "abc"))
     sim = _Simulation(cfg, capacity, EncounterTrace())
-    assert sim._neighbor_shares(0.0)["b"] == [1.0, 0.5, 0.0]
-    assert sim._neighbor_shares(10.0)["a"] == [1.0, 0.5, 2.0]
-    assert sim._neighbor_shares(0.0)["c"] == [1.0, 0.5, 0.0]
+    for t, uid, shares in ((0.0, "b", [1.0, 0.5, 0.0]),
+                           (10.0, "a", [1.0, 0.5, 2.0]),
+                           (0.0, "c", [1.0, 0.5, 0.0])):
+        assert ref_neighbor_shares(sim, uid, t) == shares
+        assert sim._share_sums(t)[uid] == sum(shares)
 
 
 @st.composite
@@ -232,9 +234,6 @@ def test_epoch_held_neighborhood_matches_fresh_build(group, data):
     monotone = sorted(edges + inside)
     revisits = data.draw(st.permutations(monotone))
     for t in monotone + monotone[::-1] + revisits:
-        shares = sim._neighbor_shares(t)
-        sums = sim._neighbor_share_sums(t)
+        sums = sim._share_sums(t)
         for uid in sim.users:
-            expected = ref_neighbor_shares(sim, uid, t)
-            assert shares[uid] == expected
-            assert sums[uid] == sum(expected)
+            assert sums[uid] == sum(ref_neighbor_shares(sim, uid, t))

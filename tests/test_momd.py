@@ -57,7 +57,7 @@ def test_bid_validation():
 def test_bid_rows_and_cap():
     bid = MomdBid("a", ((1.3, 0.0, 0.0), (0.7, 0.7, 0.0), (0.0, 0.0, 0.0)),
                   (5.0, 8.0, 0.0))
-    assert bid.size == 3
+    assert len(bid.bitrate_matrix) == 3
     assert bid.max_segments == 2
     assert bid.row(1) == (1.3,)
     assert bid.row(2) == (0.7, 0.7)

@@ -148,7 +148,7 @@ def test_build_momd_bid_consistency():
         sf = ScoreFunction.efficient(random_profile(rng, "d"))
         bid = build_momd_bid(p, state, sf, 3)
         assert bid.bidder_id == "u"
-        assert bid.size == 3
+        assert len(bid.bitrate_matrix) == 3
         matrix = optimal_bitrate_matrix(p, state, sf, 3)
         assert bid.bitrate_matrix == matrix
         for kappa in range(1, 4):

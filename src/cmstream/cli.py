@@ -18,6 +18,7 @@ from typing import List, Optional
 from .config import (
     ConfigError,
     load_config,
+    lossless_int,
     read_yaml,
     user_from_dict,
     write_snapshot,
@@ -197,10 +198,10 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
     if kind == "momd" and "marginal_scores" in data:
         return {"scores": {str(k): [float(x) for x in v]
                            for k, v in data["marginal_scores"].items()},
-                "K": int(data["K"])}
+                "K": lossless_int(data["K"])}
     inputs = {"downloader": user_from_dict(data["downloader"]),
               "bidders": _instance_bidders(data),
-              "K": int(data.get("K", 1))}
+              "K": lossless_int(data.get("K", 1))}
     if kind == "matrix" and not inputs["bidders"]:
         raise ConfigError("the matrix oracle needs a bidder")
     if kind in ("somd", "momd") and "mechanism_welfare" in data:

@@ -23,7 +23,7 @@ from .model import BitrateLadder, UserProfile
 from .strategy import AdaptationPolicy, ParticipationConfig
 
 
-def _int(value) -> int:
+def lossless_int(value) -> int:
     """An int from an int or an integral float; bools and the rest fail."""
     if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
@@ -38,7 +38,7 @@ def _bool(value) -> bool:
 
 # coercions by field type; the dataclass modules use postponed annotations,
 # so each field.type is a string
-_SCALARS = {"bool": _bool, "float": float, "int": _int, "str": str}
+_SCALARS = {"bool": _bool, "float": float, "int": lossless_int, "str": str}
 
 
 class ConfigError(ValueError):

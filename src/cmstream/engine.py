@@ -1,6 +1,6 @@
 """Deterministic trace-driven simulator for cooperative segment downloading.
 
-Each user auctions his cellular link's next K segment-download slots whenever
+Each user auctions its cellular link's next K segment-download slots whenever
 the link is free; bids, allocations and payments come from the auction
 modules, downloads run against the capacity trace, and buffers drain in real
 time. A single run is strictly sequential and reproducible: identical
@@ -17,7 +17,7 @@ the bitrates of the ``optimal`` adaptation policy or of ``baseline_bitrate``:
     noncooperative  one bitrate, auctioneer   resolve_second_score   efficient
 
 A lone single-bitrate bid wins and pays s(bitrate), or nothing when it is
-the auctioneer's own; momd charges a lone bidder s of his row.
+the auctioneer's own; momd charges a lone bidder s of its row.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ class _Simulation:
     # -- auctions ----------------------------------------------------------
 
     def _share_sums(self, t: float) -> Dict[str, float]:
-        """For every user, the sum over the users he encounters, in user
-        order, of the capacity each would allot him under an even split
+        """For every user, the sum over the users it encounters, in user
+        order, of the capacity each would allot it under an even split
         across that user's own neighborhood.
 
         Capacities and encounters change only at the users' capacity

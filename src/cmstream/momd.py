@@ -5,7 +5,7 @@ allocation and payments, and sufficient-condition checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
@@ -45,40 +45,36 @@ class MomdBid:
     bitrate_matrix: Tuple[Tuple[float, ...], ...]
     price_vector: Tuple[float, ...]
 
+    # leading rows with actual bitrates (the bidder's cap), set on creation
+    max_segments: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        object.__setattr__(self, "bitrate_matrix",
-                           tuple(tuple(float(x) for x in row)
-                                 for row in self.bitrate_matrix))
-        object.__setattr__(self, "price_vector",
-                           tuple(float(p) for p in self.price_vector))
-        k = len(self.bitrate_matrix)
-        if len(self.price_vector) != k:
+        matrix = tuple(tuple(map(float, row)) for row in self.bitrate_matrix)
+        prices = tuple(map(float, self.price_vector))
+        object.__setattr__(self, "bitrate_matrix", matrix)
+        object.__setattr__(self, "price_vector", prices)
+        k = len(matrix)
+        if len(prices) != k:
             raise ValueError("price vector length must match matrix size")
+        n = 0
         capped = False
-        for kappa, row in enumerate(self.bitrate_matrix, start=1):
+        # the entries are floats now, so a truthy one is one != 0.0
+        for kappa, row in enumerate(matrix, start=1):
             if len(row) != k:
                 raise ValueError("bitrate matrix must be square")
-            if any(x != 0.0 for x in row[kappa:]):
+            if any(row[kappa:]):
                 raise ValueError(f"row {kappa} must be zero beyond column {kappa}")
-            empty = all(x == 0.0 for x in row[:kappa])
-            if empty:
+            if not any(row[:kappa]):
                 capped = True
             elif capped:
                 raise ValueError("non-empty row after an all-zero row")
+            else:
+                n = kappa
             if any(x < 0 for x in row):
                 raise ValueError("bitrates must be >= 0")
-        if any(p < 0 for p in self.price_vector):
+        if any(p < 0 for p in prices):
             raise ValueError("prices must be >= 0")
-
-    @property
-    def max_segments(self) -> int:
-        """Number of leading rows with actual bitrates (the bidder's cap)."""
-        n = 0
-        for kappa, row in enumerate(self.bitrate_matrix, start=1):
-            if all(x == 0.0 for x in row[:kappa]):
-                break
-            n = kappa
-        return n
+        object.__setattr__(self, "max_segments", n)
 
     def row(self, kappa: int) -> Tuple[float, ...]:
         """Non-zero bitrates of row kappa (1-based)."""
@@ -129,7 +125,10 @@ def validate_assumption1(seq: MarginalScoreSeq) -> Tuple[bool, Optional[int]]:
 
     Returns (ok, first violating 1-based index or None).
     """
-    s = seq.scores
+    return _assumption1(seq.scores)
+
+
+def _assumption1(s: Sequence[float]) -> Tuple[bool, Optional[int]]:
     for kappa in range(1, len(s) + 1):
         if s[kappa - 1] < 0:
             return False, kappa
@@ -141,20 +140,44 @@ def validate_assumption1(seq: MarginalScoreSeq) -> Tuple[bool, Optional[int]]:
 def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
                           K: int) -> MomdOutcome:
     """Allocate the K segments to the K globally highest marginal scores and
-    charge each winner the score damage he causes plus s of his winning row.
+    charge each winner the score damage it causes plus s of its winning row.
 
     Ties break by (score, lowest bidder_id, lowest row index). Raises
     InsufficientMarginalScoresError when fewer than K marginal entries exist.
+
+    Each bid's marginal scores equal ``marginal_scores(bid, sf)`` and each
+    payment's penalty equals ``sf.of_vector(row)`` bit for bit: sf is called
+    once per distinct rate, and a row's penalty adds its entries left to
+    right, which equals builtin ``sum()`` on Python <= 3.11 only (3.12
+    compensates).
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     if not bids:
         raise InsufficientMarginalScoresError(
             "insufficient marginal scores: no bids")
-    seqs = {bid.bidder_id: marginal_scores(bid, sf) for bid in bids}
-    entries = [(s, seq.bidder_id, kappa)
-               for seq in seqs.values()
-               for kappa, s in enumerate(seq.scores, start=1)]
+    s_of: Dict[float, float] = {}
+    # bidder_id -> (bid, marginal scores, score penalty of each row); a
+    # repeated bidder_id keeps its last bid, as every outcome field does
+    seqs: Dict[str, Tuple[MomdBid, List[float], List[float]]] = {}
+    for bid in bids:
+        scores, penalties = [], []
+        prev = 0.0
+        for kappa in range(1, bid.max_segments + 1):
+            penalty = 0.0
+            for r in bid.bitrate_matrix[kappa - 1][:kappa]:
+                s = s_of.get(r)
+                if s is None:
+                    s = s_of[r] = sf(r)
+                penalty += s
+            phi = bid.price_vector[kappa - 1] - penalty
+            scores.append(phi - prev)
+            penalties.append(penalty)
+            prev = phi
+        seqs[bid.bidder_id] = (bid, scores, penalties)
+    entries = [(s, bidder_id, kappa)
+               for bidder_id, (_, scores, _) in seqs.items()
+               for kappa, s in enumerate(scores, start=1)]
     if len(entries) < K:
         raise InsufficientMarginalScoresError(
             f"insufficient marginal scores: {len(entries)} < {K}")
@@ -167,22 +190,21 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
 
     bitrates: Dict[str, Tuple[float, ...]] = {}
     payments: Dict[str, float] = {}
-    for bid in bids:
-        kappa = counts[bid.bidder_id]
+    for bidder_id, (bid, _, penalties) in seqs.items():
+        kappa = counts[bidder_id]
         if kappa == 0:
-            bitrates[bid.bidder_id] = ()
-            payments[bid.bidder_id] = 0.0
+            bitrates[bidder_id] = ()
+            payments[bidder_id] = 0.0
             continue
-        row = bid.row(kappa)
         # entries is sorted by score, highest first
-        others = [s for s, b, _ in entries if b != bid.bidder_id][:K]
+        others = [s for s, b, _ in entries if b != bidder_id][:K]
         others += [0.0] * (K - len(others))  # absent competitors do no damage
         damage = sum(others[K - kappa:])
-        bitrates[bid.bidder_id] = row
-        payments[bid.bidder_id] = sf.of_vector(row) + damage
+        bitrates[bidder_id] = bid.row(kappa)
+        payments[bidder_id] = penalties[kappa - 1] + damage
 
     violations = tuple(b for b in sorted(seqs)
-                       if not validate_assumption1(seqs[b])[0])
+                       if not _assumption1(seqs[b][1])[0])
     return MomdOutcome(
         per_segment_winners=tuple(b for _, b, _ in top),
         revised_allocation=counts,
@@ -235,7 +257,7 @@ def brute_force_momd_optimum(
     """Welfare-maximizing allocation by exhaustive enumeration.
 
     Enumerates every split of the K segments over the bidders and, per
-    bidder, every ladder-bitrate vector of his segment count. Small
+    bidder, every ladder-bitrate vector of its segment count. Small
     instances only.
     """
     bidders = list(bidders)
@@ -278,10 +300,10 @@ def brute_force_restricted_optimum(
     downloader: UserProfile,
     K: int,
 ) -> Tuple[Tuple[int, ...], float]:
-    """Welfare maximum when each bidder's bitrates are pinned to his matrix rows.
+    """Welfare maximum when each bidder's bitrates are pinned to its matrix rows.
 
     Oracle for the conditional-efficiency claim: allocating kappa segments to
-    bidder m forces row kappa of his submitted matrix.
+    bidder m forces row kappa of its submitted matrix.
     """
     if len(bids) != len(bidders):
         raise ValueError("bids and bidders must align")

@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
-from .model import UserProfile, UserState, cost_single, utility_total, welfare
+from .model import (
+    UserProfile,
+    UserState,
+    cost_single,
+    degradation_single,
+    quality_gain_single,
+    welfare,
+)
 
 
 class InsufficientBiddersError(ValueError):
@@ -82,10 +89,18 @@ def optimal_somd_bid(profile: UserProfile, state: UserState,
 
     The bitrate maximizes U(r) - s(r) over the ladder (ties to the lowest
     rate); the price is exactly the utility at that bitrate.
+
+    Equals ``utility_total(profile, state, (r,))`` bit for bit with no call
+    to it: one segment's utility is (quality gain + buffer gain) -
+    degradation loss. utility_total's one-term sums start from 0.0, which
+    turns a -0.0 quality gain into 0.0; so does the ``0.0 +`` below.
     """
+    buffer = profile.buffer_gain_scale * profile.buffer_gain_decay ** (
+        state.buffer_s / profile.ladder.segment_length_s)
     best = None
     for r in profile.ladder.rates:
-        u = utility_total(profile, state, (r,))
+        u = ((0.0 + quality_gain_single(profile, r)) + buffer
+             - degradation_single(profile, state.prev_bitrate, r))
         obj = u - sf(r)
         if best is None or obj > best[0]:
             best = (obj, r, u)

@@ -134,10 +134,48 @@ def truthful_price_vector(profile: UserProfile, state: UserState,
 
 def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
                    K: int, max_segments: int | None = None) -> MomdBid:
-    """Optimal bitrate matrix plus truthful prices, packaged as a bid."""
-    matrix = optimal_bitrate_matrix(profile, state, sf, K,
-                                    max_segments=max_segments)
-    return _priced_bid(profile, state, matrix)
+    """Optimal bitrate matrix plus truthful prices, packaged as a bid.
+
+    Equals ``_priced_bid(profile, state, optimal_bitrate_matrix(...))`` bit
+    for bit with no ``utility_total`` call. The per-rate terms are computed
+    once; a row repeats one rate, so its degradation loss is a single
+    ``degradation_single(prev, r)``, and its quality gain and the buffer
+    gain prefix add left to right, which equals builtin ``sum()`` on
+    Python <= 3.11 only (3.12 compensates).
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    cap = K if max_segments is None else max(0, min(max_segments, K))
+    per_rate = []  # (rate, quality gain, gain net of sf, degradation loss)
+    for r in profile.ladder.rates:
+        q = quality_gain_single(profile, r)
+        per_rate.append((r, q, q - sf(r),
+                         degradation_single(profile, state.prev_bitrate, r)))
+    gamma = profile.buffer_gain_scale
+    rho = profile.buffer_gain_decay
+    base = state.buffer_s / profile.ladder.segment_length_s
+    buffer_sum = 0.0
+    matrix, prices = [], []
+    for kappa in range(1, K + 1):
+        if kappa > cap:
+            matrix.append((0.0,) * K)
+            prices.append(0.0)
+            continue
+        # optimal_row_rate's argmax; ties go to the lowest rate
+        best = best_obj = None
+        for term in per_rate:
+            obj = kappa * term[2] - term[3]
+            if best_obj is None or obj > best_obj:
+                best, best_obj = term, obj
+        rate, q, _, loss = best
+        quality = 0.0
+        for _ in range(kappa):
+            quality += q
+        buffer_sum += rho ** (base + (kappa - 1))
+        price = (quality + gamma * buffer_sum) - loss
+        matrix.append((rate,) * kappa + (0.0,) * (K - kappa))
+        prices.append(price if price > 0.0 else 0.0)
+    return MomdBid(profile.user_id, tuple(matrix), tuple(prices))
 
 
 def baseline_momd_bid(policy: AdaptationPolicy, profile: UserProfile,

@@ -97,7 +97,7 @@ class CapacityTrace:
 
 @dataclass(frozen=True)
 class EncounterTrace:
-    """Pairwise encounter toggles; a user always encounters himself.
+    """Pairwise encounter toggles; a user always encounters itself.
 
     Pairs with no recorded toggles take default_connected. An empty toggle
     dict with default_connected=True models a fully meshed group.

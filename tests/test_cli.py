@@ -293,7 +293,15 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     ("momd", {"K": 2, "marginal_scores": [1, 2]}),
     ("somd", {"downloader": {"user_id": "d"}, "bidders": [5]}),
     ("matrix", {"K": 2, "downloader": {"user_id": "d"}, "bidders": []}),
-], ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder"])
+    ("momd", {"K": 2.5, "downloader": {"user_id": "d"},
+              "bidders": [{"profile": {"user_id": "u"}}]}),
+    ("momd", {"K": True, "downloader": {"user_id": "d"},
+              "bidders": [{"profile": {"user_id": "u"}}]}),
+    ("momd", {"K": 2.5, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}),
+    ("momd", {"K": True, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}),
+], ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder",
+        "bidders-fractional-k", "bidders-boolean-k", "scores-fractional-k",
+        "scores-boolean-k"])
 def test_oracle_malformed_instance(tmp_path, capsys, kind, instance):
     inst = tmp_path / "bad.yaml"
     inst.write_text(yaml.safe_dump(instance))

@@ -1,6 +1,7 @@
 """Unit tests for the multi-object Vickrey-score auction."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cmstream.momd import (
     InsufficientMarginalScoresError,
     MarginalScoreSeq,
     MomdBid,
+    MomdOutcome,
     brute_force_momd_optimum,
     brute_force_restricted_optimum,
     check_sufficient_conditions,
@@ -28,10 +30,13 @@ from cmstream.strategy import build_momd_bid
 from conftest import (
     LADDER,
     assumption1_momd_instance,
+    bidder_draws,
+    float_bits,
     make_profile,
     random_momd_instance,
     random_profile,
     random_state,
+    score_functions,
 )
 
 
@@ -304,3 +309,112 @@ def test_vickrey_score_at_k1_is_second_score(offers, cost, data):
     assert winner == somd_out.winner_id
     assert momd_out.winning_bitrates[winner] == (somd_out.winning_bitrate,)
     assert momd_out.payments[winner] == somd_out.payment
+
+
+def ref_resolve_vickrey_score(bids, sf, K):
+    """resolve_vickrey_score computed straight from marginal_scores, with
+    sf.of_vector for each payment's penalty."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if not bids:
+        raise InsufficientMarginalScoresError(
+            "insufficient marginal scores: no bids")
+    seqs = {bid.bidder_id: marginal_scores(bid, sf) for bid in bids}
+    entries = [(s, seq.bidder_id, kappa)
+               for seq in seqs.values()
+               for kappa, s in enumerate(seq.scores, start=1)]
+    if len(entries) < K:
+        raise InsufficientMarginalScoresError(
+            f"insufficient marginal scores: {len(entries)} < {K}")
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    top = entries[:K]
+
+    counts = {bid.bidder_id: 0 for bid in bids}
+    for _, bidder_id, _ in top:
+        counts[bidder_id] += 1
+
+    bitrates = {}
+    payments = {}
+    for bid in bids:
+        kappa = counts[bid.bidder_id]
+        if kappa == 0:
+            bitrates[bid.bidder_id] = ()
+            payments[bid.bidder_id] = 0.0
+            continue
+        row = bid.row(kappa)
+        others = [s for s, b, _ in entries if b != bid.bidder_id][:K]
+        others += [0.0] * (K - len(others))
+        damage = sum(others[K - kappa:])
+        bitrates[bid.bidder_id] = row
+        payments[bid.bidder_id] = sf.of_vector(row) + damage
+
+    violations = tuple(b for b in sorted(seqs)
+                       if not validate_assumption1(seqs[b])[0])
+    return MomdOutcome(
+        per_segment_winners=tuple(b for _, b, _ in top),
+        revised_allocation=counts,
+        winning_bitrates=bitrates,
+        payments=payments,
+        assumption_violations=violations,
+    )
+
+
+@st.composite
+def free_bids(draw, bidder_id, K):
+    """A valid K x K bid whose rows mix rates, hold zeros inside and may
+    end in all-zero rows; rates repeat across rows and bids."""
+    cap = draw(st.integers(0, K))
+    rates = st.sampled_from((0.0, 0.2, 0.7, 1.3, 2.3))
+    rows = []
+    for kappa in range(1, K + 1):
+        row = [0.0] * K
+        if kappa <= cap:
+            row[:kappa] = draw(st.lists(rates, min_size=kappa, max_size=kappa)
+                               .filter(any))
+        rows.append(tuple(row))
+    prices = draw(st.lists(st.floats(0.0, 50.0), min_size=K, max_size=K))
+    return MomdBid(bidder_id, tuple(rows), tuple(prices))
+
+
+@st.composite
+def mixed_auctions(draw):
+    """Truthful bids, free-form bids and the unit bids of
+    resolve_from_marginal_scores in one auction, some with a repeated
+    bidder id, over the engine's segment count or any count up to one
+    more than the bids offer."""
+    K = draw(st.integers(1, 5))
+    sf = draw(score_functions())
+    repeat_ids = draw(st.booleans())
+    bids = []
+    for i in range(draw(st.integers(1, 6))):
+        bidder_id = draw(st.sampled_from("abc")) if repeat_ids else f"u{i}"
+        kind = draw(st.sampled_from(("truthful", "free", "unit")))
+        if kind == "truthful":
+            profile, state = draw(bidder_draws(bidder_id))
+            bids.append(build_momd_bid(profile, state, sf, K,
+                                       max_segments=draw(st.integers(0, K))))
+        elif kind == "free":
+            bids.append(draw(free_bids(bidder_id, K)))
+        else:
+            bids.append(unit_bid(bidder_id, draw(st.lists(
+                st.floats(0.0, 50.0), min_size=K, max_size=K))))
+    # a repeated bidder_id offers only its last bid's rows
+    offered = sum(b.max_segments for b in {b.bidder_id: b for b in bids}.values())
+    return bids, sf, draw(st.one_of(st.just(min(K, offered)),
+                                    st.integers(0, offered + 1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixed_auctions())
+def test_vickrey_score_equals_reference(auction):
+    bids, sf, K = auction
+    try:
+        want = ref_resolve_vickrey_score(bids, sf, K)
+    except InsufficientMarginalScoresError as exc:
+        with pytest.raises(InsufficientMarginalScoresError, match=str(exc)):
+            resolve_vickrey_score(bids, sf, K)
+        return
+    got = resolve_vickrey_score(bids, sf, K)
+    for f in fields(MomdOutcome):
+        assert float_bits(getattr(got, f.name)) == float_bits(
+            getattr(want, f.name)), f.name

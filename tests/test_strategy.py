@@ -12,7 +12,7 @@ from cmstream.model import (
     quality_gain_single,
     utility_total,
 )
-from cmstream.somd import ScoreFunction
+from cmstream.somd import ScoreFunction, SomdBid, optimal_somd_bid
 from cmstream.strategy import (
     AdaptationPolicy,
     ParticipationConfig,
@@ -23,11 +23,20 @@ from cmstream.strategy import (
     optimal_bitrate_matrix,
     optimal_row_rate,
     participates,
+    _priced_bid,
     should_participate,
     truthful_price_vector,
 )
 
-from conftest import LADDER, make_profile, random_profile, random_state
+from conftest import (
+    LADDER,
+    bidder_draws,
+    float_bits,
+    make_profile,
+    random_profile,
+    random_state,
+    score_functions,
+)
 
 
 def row_objective(profile, state, cost_of_rate, vec):
@@ -154,6 +163,60 @@ def test_build_momd_bid_consistency():
         for kappa in range(1, 4):
             want = max(0.0, utility_total(p, state, matrix[kappa - 1][:kappa]))
             assert bid.price_vector[kappa - 1] == pytest.approx(want)
+
+
+# The references below sum with builtin sum(), which adds left to right
+# only on Python <= 3.11; the fast paths match it there bit for bit.
+
+def segment_caps(K):
+    """None, 0, a cap below K or one above it."""
+    return st.one_of(st.none(), st.just(0), st.integers(-2, K - 1),
+                     st.integers(K + 1, K + 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bidder_draws(), score_functions(), st.integers(1, 6), st.data())
+def test_build_momd_bid_equals_priced_optimal_matrix(bidder, sf, K, data):
+    profile, state = bidder
+    cap = data.draw(segment_caps(K))
+    fast = build_momd_bid(profile, state, sf, K, max_segments=cap)
+    ref = _priced_bid(profile, state, optimal_bitrate_matrix(
+        profile, state, sf, K, max_segments=cap))
+    assert fast.bidder_id == ref.bidder_id
+    assert float_bits(fast.bitrate_matrix) == float_bits(ref.bitrate_matrix)
+    assert float_bits(fast.price_vector) == float_bits(ref.price_vector)
+    assert fast.max_segments == ref.max_segments
+
+
+def ref_optimal_somd_bid(profile, state, sf):
+    best = None
+    for r in profile.ladder.rates:
+        u = utility_total(profile, state, (r,))
+        obj = u - sf(r)
+        if best is None or obj > best[0]:
+            best = (obj, r, u)
+    return SomdBid(bidder_id=profile.user_id, bitrate=best[1], price=best[2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(bidder_draws(), score_functions())
+def test_optimal_somd_bid_equals_utility_total_reference(bidder, sf):
+    profile, state = bidder
+    fast = optimal_somd_bid(profile, state, sf)
+    ref = ref_optimal_somd_bid(profile, state, sf)
+    assert fast.bidder_id == ref.bidder_id
+    assert float_bits([fast.bitrate, fast.price]) == float_bits(
+        [ref.bitrate, ref.price])
+
+
+def test_optimal_somd_bid_negative_zero_terms():
+    # utility_total's sums start from 0.0, so a -0.0 gain prices at 0.0
+    p = make_profile(theta=-0.0, buffer_gain_scale=-0.0, degradation_slope=-0.0)
+    for sf in (ScoreFunction.zero(), ScoreFunction(lambda r: -0.0)):
+        fast = optimal_somd_bid(p, UserState(), sf)
+        ref = ref_optimal_somd_bid(p, UserState(), sf)
+        assert float_bits([fast.bitrate, fast.price]) == float_bits(
+            [ref.bitrate, ref.price])
 
 
 def test_participation_refrains_on_weak_link():

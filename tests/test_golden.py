@@ -11,6 +11,10 @@ CHANGES.md.
 The command-line digests hash the files that ``gen-traces``, ``simulate``
 and ``compare`` write from the shipped configs; they were recorded before
 config loading moved into one module.
+
+The trace digests hash each scenario's generated traces on their own, so
+a change in numpy's random stream can be told apart from one in the
+engine.
 """
 
 import hashlib
@@ -79,13 +83,18 @@ def toggling_encounters(rng, ids, horizon_ms=960_000):
     return EncounterTrace(toggles)
 
 
-def group_run(n, K, encounters):
+def group_traces(n, encounters):
     rng = np.random.default_rng(TRACE_SEED)
     ids = [f"u{i:02d}" for i in range(n)]
     capacity = group_capacity(rng, ids)
     enc = toggling_encounters(rng, ids) if encounters else EncounterTrace()
-    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids), K=K,
-                    mechanism="momd", participation_enabled=True,
+    return capacity, enc
+
+
+def group_run(n, K, encounters):
+    capacity, enc = group_traces(n, encounters)
+    cfg = SimConfig(users=tuple(standard_profile(u) for u in capacity.users),
+                    K=K, mechanism="momd", participation_enabled=True,
                     video_length_s=GROUP_VIDEO_S)
     return run_simulation(cfg, capacity, enc)
 
@@ -153,6 +162,49 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digest(name):
     assert sim_digest(SCENARIOS[name]()) == GOLDEN[name]
+
+
+def trace_digest(capacity, encounters) -> str:
+    """Hash every breakpoint and toggle as ``float.hex()``: the 6-digit CSV
+    form would hide a change in the last bits."""
+    h = hashlib.sha256()
+    for user, points in capacity.breakpoints.items():
+        h.update(f"capacity {user}\n".encode())
+        for t, c in points:
+            h.update(f"{t.hex()},{c.hex()}\n".encode())
+    for (a, b), events in encounters.toggles.items():
+        h.update(f"encounter {a},{b}\n".encode())
+        for t, v in events:
+            h.update(f"{t.hex()},{v}\n".encode())
+    return h.hexdigest()
+
+
+# The generated traces of the golden scenarios, taken alone: a change in
+# numpy's random stream moves these as well as the simulation digests, a
+# change in the engine moves only the latter.
+TRACE_SETS = {
+    f"two_user_b{m:g}": lambda m=m: two_user_scenario(m, modified=False)[1](
+        TRACE_SEED)
+    for m in (0.15, 0.3, 0.45, 1.5, 3.0)}
+TRACE_SETS["het"] = lambda: heterogeneous_scenario("momd")[1](TRACE_SEED)
+TRACE_SETS["mesh20"] = lambda: group_traces(20, encounters=False)
+TRACE_SETS["mobile12"] = lambda: group_traces(12, encounters=True)
+
+TRACE_GOLDEN = {
+    "het": "57b89fc518d68104189e7e45ab10f5585655f4545baaf62bbe459844fff25a9e",
+    "mesh20": "007b9bb24dce2d4f7a9e0c12b3db1ce8558adc946f38f050af6e5810a80a5cf6",
+    "mobile12": "9267d5de4cb1e3fa501640cdac780466b01d56257c019d5bc0e90d9960cfd470",
+    "two_user_b0.15": "5381c28386816696a50883ad1b57a62470586b7a250c79f664b6f349d971b630",
+    "two_user_b0.3": "e384daafdaa0d2358a23fce88cc15d16d3fd1572698653ab3c62b0efeef63b5f",
+    "two_user_b0.45": "a707e727f42749793439db853ed10ad8d52efe87ec7d3369c8db86ed2b3dcbeb",
+    "two_user_b1.5": "dd999aa0416bbc9bd444dd8e9a785a398fca44aceee5860c755dc091918928f3",
+    "two_user_b3": "40350c12512dc0fea76d3e11a82e44e21871aef4491ceb736cdb014d55b98d62",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SETS))
+def test_trace_digest(name):
+    assert trace_digest(*TRACE_SETS[name]()) == TRACE_GOLDEN[name]
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -81,11 +81,11 @@ def cmd_simulate(args) -> int:
             cfg = replace(cfg, K=args.K)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
         capacity, encounters = _read_traces(args.traces)
-    except (FileNotFoundError, TraceParseError) as exc:
+    except (OSError, UnicodeDecodeError, TraceParseError) as exc:
         return _fail(EXIT_TRACE, "trace", str(exc))
     try:
         _note(f"simulating {cfg.mechanism} K={cfg.K}")
@@ -127,7 +127,7 @@ def cmd_compare(args) -> int:
         if not cells:
             raise ConfigError(f"no cell to run: {', '.join(skipped)} skipped "
                               f"({' and '.join(SINGLE_SEGMENT)} need K=1)")
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
     def gen(seed: int):
@@ -155,7 +155,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg, _ = load_config(args.config)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     failures = 0
     for downloader in cfg.users:
@@ -212,7 +212,7 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
 def cmd_oracle(args) -> int:
     try:
         data = read_yaml(args.instance)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
         inputs = _oracle_inputs(data, args.kind)
@@ -269,7 +269,7 @@ def cmd_gen_traces(args) -> int:
             raise ConfigError("gen-traces needs a trace_stats section")
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     trace = generate_synthetic_traces(spec.stats, spec.horizon_s, spec.step_s,
                                       cfg.seed)

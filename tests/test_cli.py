@@ -345,6 +345,49 @@ def test_simulate_non_finite_toggle_time(tmp_path, config_path, capsys):
     assert _trace_error(capsys)["error"] == "trace"
 
 
+def test_simulate_traces_not_a_directory(tmp_path, config_path, capsys):
+    not_dir = tmp_path / "traces.csv"
+    not_dir.write_text("time_s,user_id,capacity_mbps\n0,A,3.0\n")
+    code = main(["simulate", "--config", str(config_path),
+                 "--traces", str(not_dir), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    assert _trace_error(capsys)["error"] == "trace"
+
+
+@pytest.mark.parametrize("name", ["capacity.csv", "encounter.csv"])
+def test_simulate_undecodable_trace(tmp_path, config_path, capsys, name):
+    d = tmp_path / "traces"
+    d.mkdir()
+    (d / "capacity.csv").write_text(
+        "time_s,user_id,capacity_mbps\n0,A,3.0\n0,B,3.0\n")
+    (d / "encounter.csv").write_text("time_s,user_a,user_b,connected\n")
+    with open(d / name, "ab") as f:
+        f.write(b"0,A,\xff\n")
+    code = main(["simulate", "--config", str(config_path),
+                 "--traces", str(d), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    assert _trace_error(capsys)["error"] == "trace"
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "compare", "verify", "gen-traces"])
+def test_config_is_a_directory(tmp_path, traces_dir, capsys, command):
+    argv = [command, "--config", str(tmp_path)]
+    if command == "simulate":
+        argv += ["--traces", str(traces_dir)]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "o")]
+    capsys.readouterr()  # the traces fixture's output
+    assert main(argv) == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"
+
+
+def test_oracle_instance_is_a_directory(tmp_path, capsys):
+    assert main(["oracle", "--instance", str(tmp_path),
+                 "--kind", "momd"]) == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"
+
+
 # A 10-s video over a 0.0005 Mbps link: the first segment needs 4000 s,
 # past the run's 2000-s horizon guard.
 STALLED = dict(SIM_CONFIG, video_length_s=10.0,

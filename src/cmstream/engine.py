@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .model import UserProfile, UserState, utility_total
+from .model import UserProfile, UserState, lsum, utility_total
 from .momd import MomdBid, resolve_vickrey_score
 from .somd import (
     ScoreFunction,
@@ -189,7 +189,7 @@ class _UserSim:
         return self.total_segments - self.next_seq
 
     def capacity_estimate(self) -> float:
-        return sum(self.capacity_window) / len(self.capacity_window)
+        return lsum(self.capacity_window) / len(self.capacity_window)
 
     def headroom_segments(self, beta: float, max_buffer: float) -> int:
         return math.floor((max_buffer - self.buffer_s) / beta + 1e-9) - self.pending
@@ -312,7 +312,7 @@ class _Simulation:
             # times a positive count
             if any(h < 0 for h in share.values()):
                 raise ValueError("capacities must be >= 0")
-            self._sums = {i: sum(share[j] for j in nbrs[i]) for i in ids}
+            self._sums = {i: lsum(share[j] for j in nbrs[i]) for i in ids}
         return self._sums
 
     def _change_times(self) -> List[float]:
@@ -510,7 +510,7 @@ class _Simulation:
             overhead = u.auctions_initiated * cfg.overhead_energy_per_auction
             w = (u.utility - u.cost - overhead
                  + u.payments_received - u.payments_made)
-            drops = sum(max(a - b, 0.0) for a, b in zip(rates, rates[1:]))
+            drops = lsum(max(a - b, 0.0) for a, b in zip(rates, rates[1:]))
             per_user[uid] = UserResult(
                 user_id=uid,
                 welfare=w,
@@ -519,7 +519,7 @@ class _Simulation:
                 payments_made=u.payments_made,
                 payments_received=u.payments_received,
                 overhead_energy=overhead,
-                average_bitrate_mbps=sum(rates) / len(rates) if rates else 0.0,
+                average_bitrate_mbps=lsum(rates) / len(rates) if rates else 0.0,
                 rebuffer_s=u.stall_s,
                 rebuffer_ratio=(u.stall_s / cfg.video_length_s
                                 if u.total_segments else 0.0),
@@ -530,7 +530,7 @@ class _Simulation:
             total_stall += u.stall_s
             total_video += cfg.video_length_s if u.total_segments else 0.0
             total_drops += drops
-            total_rate_volume += sum(rates)
+            total_rate_volume += lsum(rates)
         return SimResult(
             per_user=per_user,
             social_welfare=social,
@@ -583,7 +583,7 @@ def run_comparison(
             s["auction_count"] += res.auction_count
             rates = [r.average_bitrate_mbps for r in res.per_user.values()
                      if r.average_bitrate_mbps > 0]
-            s["average_bitrate_mbps"] += (sum(rates) / len(rates)
+            s["average_bitrate_mbps"] += (lsum(rates) / len(rates)
                                           if rates else 0.0)
     columns = ("cell", "social_welfare", "rebuffer_ratio",
                "degradation_ratio", "auction_count", "average_bitrate_mbps")

@@ -8,7 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
+
+
+def lsum(values: Iterable[float]):
+    """Builtin ``sum()`` as Python <= 3.11 computes it over floats: one
+    left-to-right addition per value, where 3.12+ compensates. Every float
+    sum goes through here, so a run is bit-identical on every version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,7 @@ def cost_single(profile: UserProfile, rate: float) -> float:
 
 def cost_total(profile: UserProfile, rates: Sequence[float]) -> float:
     """Downloader's total cost for a sequence of segments; additive across segments."""
-    return sum(cost_single(profile, r) for r in rates)
+    return lsum(cost_single(profile, r) for r in rates)
 
 
 def quality_gain_single(profile: UserProfile, rate: float) -> float:
@@ -113,7 +123,7 @@ def quality_gain_single(profile: UserProfile, rate: float) -> float:
 
 
 def quality_gain(profile: UserProfile, rates: Sequence[float]) -> float:
-    return sum(quality_gain_single(profile, r) for r in rates)
+    return lsum(quality_gain_single(profile, r) for r in rates)
 
 
 def buffer_gain(profile: UserProfile, kappa: int, buffer_s: float) -> float:
@@ -127,7 +137,7 @@ def buffer_gain(profile: UserProfile, kappa: int, buffer_s: float) -> float:
     gamma = profile.buffer_gain_scale
     rho = profile.buffer_gain_decay
     base = buffer_s / profile.ladder.segment_length_s
-    return gamma * sum(rho ** (base + j) for j in range(kappa))
+    return gamma * lsum(rho ** (base + j) for j in range(kappa))
 
 
 def buffer_gain_gap(profile: UserProfile, kappa: int, buffer_s: float) -> float:

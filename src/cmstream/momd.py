@@ -12,6 +12,7 @@ from .model import (
     UserProfile,
     UserState,
     cost_single,
+    lsum,
     quality_gain_single,
     welfare,
 )
@@ -148,8 +149,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
     Each bid's marginal scores equal ``marginal_scores(bid, sf)`` and each
     payment's penalty equals ``sf.of_vector(row)`` bit for bit: sf is called
     once per distinct rate, and a row's penalty adds its entries left to
-    right, which equals builtin ``sum()`` on Python <= 3.11 only (3.12
-    compensates).
+    right, as ``lsum`` does.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -199,7 +199,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         # entries is sorted by score, highest first
         others = [s for s, b, _ in entries if b != bidder_id][:K]
         others += [0.0] * (K - len(others))  # absent competitors do no damage
-        damage = sum(others[K - kappa:])
+        damage = lsum(others[K - kappa:])
         bitrates[bidder_id] = bid.row(kappa)
         payments[bidder_id] = penalties[kappa - 1] + damage
 
@@ -285,7 +285,7 @@ def brute_force_momd_optimum(
     best_alloc = None
     best_w = None
     for alloc in _compositions(K, len(bidders)):
-        w = sum(best[i][k][0] for i, k in enumerate(alloc))
+        w = lsum(best[i][k][0] for i, k in enumerate(alloc))
         if best_w is None or w > best_w:
             best_w = w
             best_alloc = alloc
@@ -325,7 +325,7 @@ def brute_force_restricted_optimum(
     for alloc in _compositions(K, len(bids)):
         if any(values[i][k] is None for i, k in enumerate(alloc)):
             continue
-        w = sum(values[i][k] for i, k in enumerate(alloc))
+        w = lsum(values[i][k] for i, k in enumerate(alloc))
         if best_w is None or w > best_w:
             best_w = w
             best_alloc = alloc

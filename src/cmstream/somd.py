@@ -10,6 +10,7 @@ from .model import (
     UserState,
     cost_single,
     degradation_single,
+    lsum,
     quality_gain_single,
     welfare,
 )
@@ -42,7 +43,7 @@ class ScoreFunction:
         return 0.0 if rate == 0 else self.s_of_r(rate)
 
     def of_vector(self, rates: Sequence[float]) -> float:
-        return sum(self(r) for r in rates)
+        return lsum(self(r) for r in rates)
 
     @staticmethod
     def zero() -> "ScoreFunction":

@@ -15,6 +15,7 @@ from .model import (
     UserState,
     degradation_loss,
     degradation_single,
+    lsum,
     quality_gain_single,
     utility_total,
 )
@@ -112,8 +113,8 @@ def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
         best_vec = None
         best_obj = None
         for vec in itertools.product(profile.ladder.rates, repeat=kappa):
-            obj = (sum(quality_gain_single(profile, r) - cost_of_rate(r)
-                       for r in vec)
+            obj = (lsum(quality_gain_single(profile, r) - cost_of_rate(r)
+                        for r in vec)
                    - degradation_loss(profile, state.prev_bitrate, vec))
             if best_obj is None or obj > best_obj:
                 best_vec, best_obj = vec, obj
@@ -140,8 +141,7 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     for bit with no ``utility_total`` call. The per-rate terms are computed
     once; a row repeats one rate, so its degradation loss is a single
     ``degradation_single(prev, r)``, and its quality gain and the buffer
-    gain prefix add left to right, which equals builtin ``sum()`` on
-    Python <= 3.11 only (3.12 compensates).
+    gain prefix add left to right, as ``lsum`` does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -168,9 +168,7 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
             if best_obj is None or obj > best_obj:
                 best, best_obj = term, obj
         rate, q, _, loss = best
-        quality = 0.0
-        for _ in range(kappa):
-            quality += q
+        quality = lsum([q] * kappa)
         buffer_sum += rho ** (base + (kappa - 1))
         price = (quality + gamma * buffer_sum) - loss
         matrix.append((rate,) * kappa + (0.0,) * (K - kappa))
@@ -214,7 +212,7 @@ def should_participate(profile: UserProfile, state: UserState,
         raise ValueError("capacities must be >= 0")
     return participates(profile.ladder.segment_length_s, state.buffer_s,
                         state.prev_bitrate, auctioneer_capacity,
-                        sum(neighbor_capacity_shares), cfg)
+                        lsum(neighbor_capacity_shares), cfg)
 
 
 def participates(beta: float, buffer_s: float, prev_bitrate: float,

@@ -22,6 +22,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .model import lsum
+
 
 class TraceParseError(ValueError):
     pass
@@ -177,8 +179,7 @@ def emit_capacity_trace(trace: CapacityTrace) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_encounter_trace(text: str, default_connected: bool = True,
-                          ) -> EncounterTrace:
+def parse_encounter_trace(text: str) -> EncounterTrace:
     toggles: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
     for lineno, row in _csv_rows(
             text, ("time_s", "user_a", "user_b", "connected")):
@@ -191,8 +192,7 @@ def parse_encounter_trace(text: str, default_connected: bool = True,
             raise TraceParseError(f"line {lineno}: non-finite number")
         pair = tuple(sorted((row[1], row[2])))
         toggles.setdefault(pair, []).append((t, v))
-    return EncounterTrace({p: tuple(e) for p, e in toggles.items()},
-                          default_connected=default_connected)
+    return EncounterTrace({p: tuple(e) for p, e in toggles.items()})
 
 
 def emit_encounter_trace(trace: EncounterTrace) -> str:
@@ -237,10 +237,10 @@ def generate_synthetic_traces(
 
 def degradation_ratio(bitrates: Sequence[float]) -> float:
     """Bitrate-drop volume over the sum of all received segment bitrates."""
-    total = sum(bitrates)
+    total = lsum(bitrates)
     if total == 0:
         return 0.0
-    drops = sum(max(a - b, 0.0) for a, b in zip(bitrates, bitrates[1:]))
+    drops = lsum(max(a - b, 0.0) for a, b in zip(bitrates, bitrates[1:]))
     return drops / total
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cmstream.engine import SimConfig, _Simulation
 from cmstream.experiments import standard_profile
+from cmstream.model import lsum
 from cmstream.traceio import CapacityTrace, EncounterTrace, TraceUnderrunError
 
 
@@ -191,7 +192,7 @@ def test_neighbor_shares_match_per_bidder_definition(seed, n):
     for t in instants + instants[:3]:  # revisits cross the memo
         sums = sim._share_sums(t)
         for uid in sim.users:
-            assert sums[uid] == sum(ref_neighbor_shares(sim, uid, t))
+            assert sums[uid] == lsum(ref_neighbor_shares(sim, uid, t))
 
 
 def test_neighbor_shares_full_mesh():
@@ -203,7 +204,7 @@ def test_neighbor_shares_full_mesh():
                            (10.0, "a", [1.0, 0.5, 2.0]),
                            (0.0, "c", [1.0, 0.5, 0.0])):
         assert ref_neighbor_shares(sim, uid, t) == shares
-        assert sim._share_sums(t)[uid] == sum(shares)
+        assert sim._share_sums(t)[uid] == lsum(shares)
 
 
 @st.composite
@@ -236,4 +237,4 @@ def test_epoch_held_neighborhood_matches_fresh_build(group, data):
     for t in monotone + monotone[::-1] + revisits:
         sums = sim._share_sums(t)
         for uid in sim.users:
-            assert sums[uid] == sum(ref_neighbor_shares(sim, uid, t))
+            assert sums[uid] == lsum(ref_neighbor_shares(sim, uid, t))

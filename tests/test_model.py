@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from cmstream.model import (
     cost_total,
     degradation_loss,
     degradation_single,
+    lsum,
     quality_gain,
     quality_gain_single,
     utility_total,
@@ -22,6 +24,29 @@ from cmstream.model import (
 )
 
 from conftest import LADDER, make_profile, random_profile, random_state
+
+
+def test_lsum_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (3.12+) gives 1.0
+    assert lsum([1e16, 1.0, -1e16]) == 0.0
+
+
+def test_lsum_starts_from_int_zero():
+    empty = lsum([])
+    assert empty == 0 and type(empty) is int
+    assert math.copysign(1.0, lsum([-0.0])) == 1.0
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="builtin sum() compensates from Python 3.12 on")
+def test_lsum_equals_builtin_sum():
+    rng = random.Random(11)
+    for _ in range(2000):
+        values = [rng.choice((-0.0, 1, rng.uniform(-1.0, 1.0)
+                              * 10.0 ** rng.randint(-12, 16)))
+                  for _ in range(rng.randint(0, 40))]
+        # repr tells 0 from 0.0 and -0.0 from 0.0, and round-trips floats
+        assert repr(lsum(values)) == repr(sum(values))
 
 
 def test_ladder_properties():

@@ -23,7 +23,7 @@ from cmstream.momd import (
     row_scores,
     validate_assumption1,
 )
-from cmstream.model import UserState, utility_total
+from cmstream.model import UserState, lsum, utility_total
 from cmstream.somd import ScoreFunction, SomdBid, resolve_second_score
 from cmstream.strategy import build_momd_bid
 
@@ -344,7 +344,7 @@ def ref_resolve_vickrey_score(bids, sf, K):
         row = bid.row(kappa)
         others = [s for s, b, _ in entries if b != bid.bidder_id][:K]
         others += [0.0] * (K - len(others))
-        damage = sum(others[K - kappa:])
+        damage = lsum(others[K - kappa:])
         bitrates[bid.bidder_id] = row
         payments[bid.bidder_id] = sf.of_vector(row) + damage
 

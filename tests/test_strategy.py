@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cmstream.model import (
     BitrateLadder,
     UserState,
+    lsum,
     quality_gain_single,
     utility_total,
 )
@@ -165,9 +166,6 @@ def test_build_momd_bid_consistency():
             assert bid.price_vector[kappa - 1] == pytest.approx(want)
 
 
-# The references below sum with builtin sum(), which adds left to right
-# only on Python <= 3.11; the fast paths match it there bit for bit.
-
 def segment_caps(K):
     """None, 0, a cap below K or one above it."""
     return st.one_of(st.none(), st.just(0), st.integers(-2, K - 1),
@@ -275,7 +273,7 @@ def test_participation_rule_matches_should_participate(
     state = UserState(buffer_s=buffer_s, prev_bitrate=prev_bitrate)
     cfg = ParticipationConfig(*alphas)
     assert participates(segment_s, buffer_s, prev_bitrate, auctioneer,
-                        sum(shares), cfg) == should_participate(
+                        lsum(shares), cfg) == should_participate(
         p, state, auctioneer, shares, cfg)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: simulate, compare, verify, oracle, gen-traces.
 
 Exit codes: 0 success, 2 config error, 3 trace error, 4 oracle size guard.
+Subcommands raise; :func:`main` alone maps their errors to exit codes.
 Every run writes its full effective config next to its outputs so it can be
 reproduced exactly. CMSTREAM_VERBOSE=1 enables progress chatter.
 """
@@ -17,6 +18,7 @@ from typing import List, Optional
 
 from .config import (
     ConfigError,
+    coerce,
     load_config,
     lossless_int,
     read_yaml,
@@ -62,38 +64,34 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def _read_traces(traces_dir: str):
+    """The capacity and encounter traces in ``traces_dir``; a file that
+    cannot be read is a TraceParseError, like one that does not parse."""
     d = Path(traces_dir)
-    capacity = parse_capacity_trace((d / "capacity.csv").read_text())
-    enc_path = d / "encounter.csv"
-    if enc_path.exists():
-        encounters = parse_encounter_trace(enc_path.read_text())
-    else:
-        encounters = EncounterTrace()
+    try:
+        capacity = parse_capacity_trace((d / "capacity.csv").read_text())
+        enc_path = d / "encounter.csv"
+        if enc_path.exists():
+            encounters = parse_encounter_trace(enc_path.read_text())
+        else:
+            encounters = EncounterTrace()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceParseError(str(exc)) from exc
     return capacity, encounters
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg, _ = load_config(args.config)
-        if args.mechanism:
-            cfg = replace(cfg, mechanism=args.mechanism)
-        if args.K is not None:
-            cfg = replace(cfg, K=args.K)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    try:
-        capacity, encounters = _read_traces(args.traces)
-    except (OSError, UnicodeDecodeError, TraceParseError) as exc:
-        return _fail(EXIT_TRACE, "trace", str(exc))
-    try:
-        _note(f"simulating {cfg.mechanism} K={cfg.K}")
-        result = run_simulation(cfg, capacity, encounters)
-    except TraceUnderrunError as exc:
-        return _fail(EXIT_TRACE, "trace", str(exc))
+    cfg, _ = load_config(args.config)
+    if args.mechanism:
+        cfg = replace(cfg, mechanism=args.mechanism)
+    if args.K is not None:
+        cfg = replace(cfg, K=args.K)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    capacity, encounters = _read_traces(args.traces)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _note(f"simulating {cfg.mechanism} K={cfg.K}")
+    result = run_simulation(cfg, capacity, encounters)
     emit_results(result, args.format, out_dir, include_events=args.events)
     write_snapshot(out_dir, cfg, traces_dir=str(args.traces))
     print(f"social_welfare={result.social_welfare:.6g} "
@@ -104,44 +102,37 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        cfg, spec = load_config(args.config)
-        if spec is None:
-            raise ConfigError("compare needs a trace_stats section")
-        if args.replications < 1:
-            raise ConfigError("--replications must be >= 1")
-        mechanisms = args.mechanisms.split(",")
-        ks = [int(x) for x in args.k_values.split(",")]
-        overheads = [float(x) for x in args.overheads.split(",")]
-        cells, skipped = [], []
-        for mech in mechanisms:
-            for k in ks:
-                if mech in SINGLE_SEGMENT and k != 1:
-                    skipped.append(f"{mech}/K={k}")
-                    continue
-                for oh in overheads:
-                    label = f"mechanism={mech},K={k},overhead={oh:g}"
-                    cells.append((label, replace(
-                        cfg, mechanism=mech, K=k,
-                        overhead_energy_per_auction=oh)))
-        if not cells:
-            raise ConfigError(f"no cell to run: {', '.join(skipped)} skipped "
-                              f"({' and '.join(SINGLE_SEGMENT)} need K=1)")
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    cfg, spec = load_config(args.config)
+    if spec is None:
+        raise ConfigError("compare needs a trace_stats section")
+    if args.replications < 1:
+        raise ConfigError("--replications must be >= 1")
+    mechanisms = args.mechanisms.split(",")
+    ks = [int(x) for x in args.k_values.split(",")]
+    overheads = [float(x) for x in args.overheads.split(",")]
+    cells, skipped = [], []
+    for mech in mechanisms:
+        for k in ks:
+            if mech in SINGLE_SEGMENT and k != 1:
+                skipped.append(f"{mech}/K={k}")
+                continue
+            for oh in overheads:
+                label = f"mechanism={mech},K={k},overhead={oh:g}"
+                cells.append((label, replace(
+                    cfg, mechanism=mech, K=k,
+                    overhead_energy_per_auction=oh)))
+    if not cells:
+        raise ConfigError(f"no cell to run: {', '.join(skipped)} skipped "
+                          f"({' and '.join(SINGLE_SEGMENT)} need K=1)")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def gen(seed: int):
         return (generate_synthetic_traces(spec.stats, spec.horizon_s,
                                           spec.step_s, seed),
                 EncounterTrace())
 
-    try:
-        table = run_comparison(cells, gen, args.replications,
-                               base_seed=cfg.seed)
-    except TraceUnderrunError as exc:
-        return _fail(EXIT_TRACE, "trace", str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    table = run_comparison(cells, gen, args.replications, base_seed=cfg.seed)
     emit_results(table, args.format, out_dir)
     write_snapshot(out_dir, cfg, spec, compare={
         "mechanisms": mechanisms, "k_values": ks, "overheads": overheads,
@@ -153,10 +144,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg, _ = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    cfg, _ = load_config(args.config)
     failures = 0
     for downloader in cfg.users:
         for bidder in cfg.users:
@@ -185,8 +173,9 @@ def _instance_bidders(data: dict):
     for entry in data.get("bidders", []):
         profile = user_from_dict(entry["profile"])
         st = entry.get("state") or {}
-        state = UserState(buffer_s=float(st.get("buffer_s", 0.0)),
-                          prev_bitrate=float(st.get("prev_bitrate", 0.0)))
+        state = UserState(**{
+            key: coerce("float", st.get(key, 0.0), f"state.{key}")
+            for key in ("buffer_s", "prev_bitrate")})
         bidders.append((profile, state))
     return bidders
 
@@ -196,7 +185,8 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
     malformed instance raises KeyError, TypeError, AttributeError or
     ValueError here, before any oracle runs."""
     if kind == "momd" and "marginal_scores" in data:
-        return {"scores": {str(k): [float(x) for x in v]
+        return {"scores": {str(k): [coerce("float", x, f"marginal_scores.{k}")
+                                    for x in v]
                            for k, v in data["marginal_scores"].items()},
                 "K": lossless_int(data["K"])}
     inputs = {"downloader": user_from_dict(data["downloader"]),
@@ -205,76 +195,65 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
     if kind == "matrix" and not inputs["bidders"]:
         raise ConfigError("the matrix oracle needs a bidder")
     if kind in ("somd", "momd") and "mechanism_welfare" in data:
-        inputs["claimed"] = float(data["mechanism_welfare"])
+        inputs["claimed"] = coerce("float", data["mechanism_welfare"],
+                                   "mechanism_welfare")
     return inputs
 
 
 def cmd_oracle(args) -> int:
-    try:
-        data = read_yaml(args.instance)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    data = read_yaml(args.instance)
     try:
         inputs = _oracle_inputs(data, args.kind)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", f"bad instance: {exc!r}")
+        raise ConfigError(f"bad instance: {exc!r}") from exc
     K = inputs["K"]
-    try:
-        if "scores" in inputs:
-            outcome = resolve_from_marginal_scores(inputs["scores"], K)
-            alloc = outcome.revised_allocation
-            print(f"allocation: {json.dumps(alloc, sort_keys=True)}")
-            for uid in sorted(alloc):
-                if alloc[uid]:
-                    print(f"score_damage_payment[{uid}] = "
-                          f"{outcome.payments[uid]:.6g}")
-            return EXIT_OK
-
-        downloader, bidders = inputs["downloader"], inputs["bidders"]
-        if args.kind == "somd":
-            uid, rate, welf = brute_force_somd_optimum(bidders, downloader)
-            print(f"optimum: bidder={uid} bitrate={rate:g} "
-                  f"welfare={welf:.6g}")
-        elif args.kind == "momd":
-            alloc, vectors, welf = brute_force_momd_optimum(
-                bidders, downloader, K)
-            print(f"optimum: allocation={list(alloc)} welfare={welf:.6g}")
-            for uid, vec in sorted(vectors.items()):
-                if vec:
-                    print(f"bitrates[{uid}] = {list(vec)}")
-        else:  # matrix
-            profile, state = bidders[0]
-            sf = ScoreFunction.efficient(downloader)
-            rows = brute_force_bitrate_rows(profile, state, sf, K)
-            fast = optimal_bitrate_matrix(profile, state, sf, K)
-            print(f"brute-force rows: {[list(r) for r in rows]}")
-            print(f"reduced-solver rows: "
-                  f"{[list(r[:k + 1]) for k, r in enumerate(fast)]}")
-        if "claimed" in inputs:
-            claimed = inputs["claimed"]
-            verdict = "EQUAL" if abs(claimed - welf) <= 1e-9 else "DIFFERENT"
-            print(f"mechanism welfare {claimed:.6g} vs oracle "
-                  f"{welf:.6g}: {verdict}")
+    if "scores" in inputs:
+        outcome = resolve_from_marginal_scores(inputs["scores"], K)
+        alloc = outcome.revised_allocation
+        print(f"allocation: {json.dumps(alloc, sort_keys=True)}")
+        for uid in sorted(alloc):
+            if alloc[uid]:
+                print(f"score_damage_payment[{uid}] = "
+                      f"{outcome.payments[uid]:.6g}")
         return EXIT_OK
-    except InstanceTooLargeError as exc:
-        return _fail(EXIT_SIZE_GUARD, "size-guard", str(exc))
-    except (KeyError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", f"bad instance: {exc!r}")
+
+    downloader, bidders = inputs["downloader"], inputs["bidders"]
+    if args.kind == "somd":
+        uid, rate, welf = brute_force_somd_optimum(bidders, downloader)
+        print(f"optimum: bidder={uid} bitrate={rate:g} welfare={welf:.6g}")
+    elif args.kind == "momd":
+        alloc, vectors, welf = brute_force_momd_optimum(
+            bidders, downloader, K)
+        print(f"optimum: allocation={list(alloc)} welfare={welf:.6g}")
+        for uid, vec in sorted(vectors.items()):
+            if vec:
+                print(f"bitrates[{uid}] = {list(vec)}")
+    else:  # matrix
+        profile, state = bidders[0]
+        sf = ScoreFunction.efficient(downloader)
+        rows = brute_force_bitrate_rows(profile, state, sf, K)
+        fast = optimal_bitrate_matrix(profile, state, sf, K)
+        print(f"brute-force rows: {[list(r) for r in rows]}")
+        print(f"reduced-solver rows: "
+              f"{[list(r[:k + 1]) for k, r in enumerate(fast)]}")
+    if "claimed" in inputs:
+        claimed = inputs["claimed"]
+        verdict = "EQUAL" if abs(claimed - welf) <= 1e-9 else "DIFFERENT"
+        print(f"mechanism welfare {claimed:.6g} vs oracle "
+              f"{welf:.6g}: {verdict}")
+    return EXIT_OK
 
 
 def cmd_gen_traces(args) -> int:
-    try:
-        cfg, spec = load_config(args.config)
-        if spec is None:
-            raise ConfigError("gen-traces needs a trace_stats section")
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    trace = generate_synthetic_traces(spec.stats, spec.horizon_s, spec.step_s,
-                                      cfg.seed)
+    cfg, spec = load_config(args.config)
+    if spec is None:
+        raise ConfigError("gen-traces needs a trace_stats section")
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    trace = generate_synthetic_traces(spec.stats, spec.horizon_s, spec.step_s,
+                                      cfg.seed)
     (out_dir / "capacity.csv").write_text(emit_capacity_trace(trace))
     (out_dir / "encounter.csv").write_text(
         emit_encounter_trace(EncounterTrace()))
@@ -331,7 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # TraceParseError and InstanceTooLargeError are ValueErrors: map them first
+    try:
+        return args.func(args)
+    except (TraceParseError, TraceUnderrunError) as exc:
+        return _fail(EXIT_TRACE, "trace", str(exc))
+    except InstanceTooLargeError as exc:
+        return _fail(EXIT_SIZE_GUARD, "size-guard", str(exc))
+    except (OSError, ValueError) as exc:
+        return _fail(EXIT_CONFIG, "config", str(exc))
 
 
 if __name__ == "__main__":

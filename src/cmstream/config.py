@@ -36,9 +36,18 @@ def _bool(value) -> bool:
     return value
 
 
+def _float(value) -> float:
+    """A float from a number or a numeric string (PyYAML reads ``1e-3`` as
+    one); bools and the rest fail."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # coercions by field type; the dataclass modules use postponed annotations,
 # so each field.type is a string
-_SCALARS = {"bool": _bool, "float": float, "int": lossless_int, "str": str}
+_SCALARS = {"bool": _bool, "float": _float, "int": lossless_int, "str": str,
+            "Tuple[float, ...]": lambda v: tuple(map(_float, v))}
 
 
 class ConfigError(ValueError):
@@ -82,7 +91,9 @@ def _reject_unknown(data: Mapping, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _coerce(type_name: str, value, where: str):
+def coerce(type_name: str, value, where: str):
+    """``value`` coerced to the field type ``type_name`` (``"float"``,
+    ``"int"``, ...), or a ConfigError naming ``where``."""
     try:
         return _SCALARS.get(type_name, lambda v: v)(value)
     except (TypeError, ValueError) as exc:
@@ -98,7 +109,7 @@ def _build(cls, data, where: str, **built):
     kwargs = dict(built)
     for f in fields(cls):
         if f.name in data and f.name not in built:
-            kwargs[f.name] = _coerce(f.type, data[f.name], f"{where}.{f.name}")
+            kwargs[f.name] = coerce(f.type, data[f.name], f"{where}.{f.name}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -108,7 +119,7 @@ def _build(cls, data, where: str, **built):
 def _positive(value, where: str, zero_ok: bool = False) -> float:
     """``value`` as a finite float > 0, or >= 0 when ``zero_ok``."""
     try:
-        v = float(value)
+        v = _float(value)
     except (TypeError, ValueError):
         v = math.nan
     if not (0 < v < math.inf or zero_ok and v == 0):
@@ -135,8 +146,8 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
     if isinstance(adaptation, str):
         adaptation = {"kind": adaptation}
     participation = dict(_mapping(data.get("participation"), "participation"))
-    enabled = _coerce("bool", participation.pop("enabled", False),
-                      "participation.enabled")
+    enabled = coerce("bool", participation.pop("enabled", False),
+                     "participation.enabled")
     return _build(
         SimConfig, data, "config",
         users=tuple(user_from_dict(u) for u in users),

@@ -567,7 +567,12 @@ def run_comparison(
     base_seed: int = 0,
 ) -> ComparisonTable:
     """Run each labelled config over shared per-replication traces and
-    aggregate means (common random numbers across cells)."""
+    aggregate means (common random numbers across cells). A label given
+    twice is a ValueError, raised before any simulation runs."""
+    labels = [label for label, _ in cells]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"cell {label!r} is repeated in the comparison")
     sums = {label: {"social_welfare": 0.0, "rebuffer_ratio": 0.0,
                     "degradation_ratio": 0.0, "auction_count": 0.0,
                     "average_bitrate_mbps": 0.0}

@@ -173,6 +173,9 @@ def test_compare_grid(tmp_path, config_path, capsys):
     ("--replications", "0"),
     ("--k-values", "x"),
     ("--mechanisms", "bogus"),
+    ("--k-values", "1,1"),
+    ("--overheads", "0,0.0"),
+    ("--mechanisms", "momd,momd"),
 ])
 def test_compare_bad_grid(tmp_path, config_path, capsys, flag, value):
     code = main(["compare", "--config", str(config_path),
@@ -194,6 +197,27 @@ def test_compare_no_cell_left(tmp_path, capsys):
     for pair in ("somd/K=2", "somd/K=4", "vickrey_1d/K=2", "vickrey_1d/K=4"):
         assert pair in message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True],
+                         ids=["existing-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["simulate", "gen-traces", "compare"])
+def test_unusable_out(tmp_path, config_path, traces_dir, capsys, monkeypatch,
+                      command, below):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr("cmstream.cli.run_comparison", no_run)
+    out = tmp_path / "a-file"
+    out.write_text("")
+    if below:
+        out = out / "out"
+    argv = [command, "--config", str(config_path), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--traces", str(traces_dir)]
+    capsys.readouterr()  # the traces fixture's output
+    assert main(argv) == EXIT_CONFIG
+    assert _trace_error(capsys)["error"] == "config"
 
 
 def test_compare_snapshot_reruns(tmp_path, config_path, traces_dir):
@@ -299,9 +323,17 @@ def test_oracle_matrix_kind(tmp_path, capsys):
               "bidders": [{"profile": {"user_id": "u"}}]}),
     ("momd", {"K": 2.5, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}),
     ("momd", {"K": True, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}),
+    ("momd", {"K": 1, "marginal_scores": {"1": [True], "2": [4]}}),
+    ("matrix", {"downloader": {"user_id": "d"},
+                "bidders": [{"profile": {"user_id": "u"},
+                             "state": {"buffer_s": True}}]}),
+    ("somd", {"downloader": {"user_id": "d"},
+              "bidders": [{"profile": {"user_id": "u"}}],
+              "mechanism_welfare": True}),
 ], ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder",
         "bidders-fractional-k", "bidders-boolean-k", "scores-fractional-k",
-        "scores-boolean-k"])
+        "scores-boolean-k", "scores-boolean-entry", "state-boolean-buffer",
+        "welfare-boolean"])
 def test_oracle_malformed_instance(tmp_path, capsys, kind, instance):
     inst = tmp_path / "bad.yaml"
     inst.write_text(yaml.safe_dump(instance))
@@ -449,6 +481,9 @@ HOSTILE = [
     ("gen-traces", ("trace", "horizon"), 1600),
     ("verify", ("trace", "horizon"), 1600),
     ("compare", ("seed",), -1),
+    ("gen-traces", ("trace_stats", "A", "mean"), True),
+    ("compare", ("trace_stats", "B", "std"), False),
+    ("verify", ("overhead_energy_per_auction",), True),
 ]
 
 

@@ -161,6 +161,17 @@ def test_comparison_common_random_numbers():
         assert one[col] == two[col]
 
 
+def test_comparison_rejects_repeated_cell():
+    cfg, _ = two_user_scenario(0.3, modified=False, video_length_s=100.0)
+
+    def gen(seed):
+        raise AssertionError("a simulation ran")
+
+    with pytest.raises(ValueError, match="'one' is repeated"):
+        run_comparison([("one", cfg), ("two", cfg), ("one", cfg)], gen,
+                       replications=1)
+
+
 def test_buffer_never_exceeds_cap():
     cfg, gen = two_user_scenario(0.3, modified=False, video_length_s=100.0)
     cap, enc = gen(2)

@@ -198,6 +198,9 @@ def test_sim_config_roundtrip():
     assert again == cfg
     k = sim_config_from_dict({"users": [{"user_id": "A"}], "K": 1.0}).K
     assert k == 1 and type(k) is int
+    # PyYAML reads 1e-3 (no dot) as a string; float fields still take it
+    theta = user_from_dict({"user_id": "A", "theta": "1e-3"}).theta
+    assert theta == 0.001
 
 
 @pytest.mark.parametrize("data, where", [
@@ -206,7 +209,15 @@ def test_sim_config_roundtrip():
     ({"K": True}, "config.K"),
     ({"participation": {"enabled": "false"}}, "participation.enabled"),
     ({"users": [{"user_id": "A", "helper": "false"}]}, "user.helper"),
-], ids=["K=2.5", "seed=3.7", "K=true", "enabled=str", "helper=str"])
+    ({"users": [{"user_id": "A", "theta": True}]}, "user.theta"),
+    ({"users": [{"user_id": "A", "cost_per_mbit": True}]},
+     "user.cost_per_mbit"),
+    ({"overhead_energy_per_auction": True},
+     "config.overhead_energy_per_auction"),
+    ({"users": [{"user_id": "A", "ladder": {"rates": [True, 2]}}]},
+     "ladder.rates"),
+], ids=["K=2.5", "seed=3.7", "K=true", "enabled=str", "helper=str",
+        "theta=yes", "cost_per_mbit=true", "overhead=on", "rates=[true, 2]"])
 def test_sim_config_scalars_are_lossless(data, where):
     with pytest.raises(ConfigError, match=where):
         sim_config_from_dict({"users": [{"user_id": "A"}], **data})

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
@@ -63,6 +65,22 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
+@contextmanager
+def _out_dir(path: str):
+    """``--out`` as a directory, made up front so an unusable path fails
+    before any work; if the command then fails, a directory it made is
+    removed again while it is still empty."""
+    out = Path(path)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
+
+
 def _read_traces(traces_dir: str):
     """The capacity and encounter traces in ``traces_dir``; a file that
     cannot be read is a TraceParseError, like one that does not parse."""
@@ -85,15 +103,12 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, mechanism=args.mechanism)
     if args.K is not None:
         cfg = replace(cfg, K=args.K)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     capacity, encounters = _read_traces(args.traces)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _note(f"simulating {cfg.mechanism} K={cfg.K}")
-    result = run_simulation(cfg, capacity, encounters)
-    emit_results(result, args.format, out_dir, include_events=args.events)
-    write_snapshot(out_dir, cfg, traces_dir=str(args.traces))
+    with _out_dir(args.out) as out_dir:
+        _note(f"simulating {cfg.mechanism} K={cfg.K}")
+        result = run_simulation(cfg, capacity, encounters)
+        emit_results(result, args.format, out_dir, include_events=args.events)
+        write_snapshot(out_dir, cfg, traces_dir=str(args.traces))
     print(f"social_welfare={result.social_welfare:.6g} "
           f"rebuffer_ratio={result.rebuffer_ratio:.6g} "
           f"degradation_ratio={result.degradation_ratio:.6g} "
@@ -124,19 +139,19 @@ def cmd_compare(args) -> int:
     if not cells:
         raise ConfigError(f"no cell to run: {', '.join(skipped)} skipped "
                           f"({' and '.join(SINGLE_SEGMENT)} need K=1)")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def gen(seed: int):
         return (generate_synthetic_traces(spec.stats, spec.horizon_s,
                                           spec.step_s, seed),
                 EncounterTrace())
 
-    table = run_comparison(cells, gen, args.replications, base_seed=cfg.seed)
-    emit_results(table, args.format, out_dir)
-    write_snapshot(out_dir, cfg, spec, compare={
-        "mechanisms": mechanisms, "k_values": ks, "overheads": overheads,
-        "replications": args.replications})
+    with _out_dir(args.out) as out_dir:
+        table = run_comparison(cells, gen, args.replications,
+                               base_seed=cfg.seed)
+        emit_results(table, args.format, out_dir)
+        write_snapshot(out_dir, cfg, spec, compare={
+            "mechanisms": mechanisms, "k_values": ks, "overheads": overheads,
+            "replications": args.replications})
     for row in table.rows:
         print(f"{row['cell']}: social_welfare={row['social_welfare']:.6g} "
               f"rebuffer_ratio={row['rebuffer_ratio']:.6g}")
@@ -168,10 +183,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _finite(value, where: str) -> float:
+    v = coerce("float", value, where)
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return v
+
+
 def _instance_bidders(data: dict):
-    bidders = []
+    bidders, ids = [], set()
     for entry in data.get("bidders", []):
         profile = user_from_dict(entry["profile"])
+        if profile.user_id in ids:
+            raise ConfigError(f"bidder {profile.user_id!r} is repeated")
+        ids.add(profile.user_id)
         st = entry.get("state") or {}
         state = UserState(**{
             key: coerce("float", st.get(key, 0.0), f"state.{key}")
@@ -185,7 +210,7 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
     malformed instance raises KeyError, TypeError, AttributeError or
     ValueError here, before any oracle runs."""
     if kind == "momd" and "marginal_scores" in data:
-        return {"scores": {str(k): [coerce("float", x, f"marginal_scores.{k}")
+        return {"scores": {str(k): [_finite(x, f"marginal_scores.{k}")
                                     for x in v]
                            for k, v in data["marginal_scores"].items()},
                 "K": lossless_int(data["K"])}
@@ -195,8 +220,8 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
     if kind == "matrix" and not inputs["bidders"]:
         raise ConfigError("the matrix oracle needs a bidder")
     if kind in ("somd", "momd") and "mechanism_welfare" in data:
-        inputs["claimed"] = coerce("float", data["mechanism_welfare"],
-                                   "mechanism_welfare")
+        inputs["claimed"] = _finite(data["mechanism_welfare"],
+                                    "mechanism_welfare")
     return inputs
 
 
@@ -250,13 +275,12 @@ def cmd_gen_traces(args) -> int:
         raise ConfigError("gen-traces needs a trace_stats section")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace = generate_synthetic_traces(spec.stats, spec.horizon_s, spec.step_s,
-                                      cfg.seed)
-    (out_dir / "capacity.csv").write_text(emit_capacity_trace(trace))
-    (out_dir / "encounter.csv").write_text(
-        emit_encounter_trace(EncounterTrace()))
+    with _out_dir(args.out) as out_dir:
+        trace = generate_synthetic_traces(spec.stats, spec.horizon_s,
+                                          spec.step_s, cfg.seed)
+        (out_dir / "capacity.csv").write_text(emit_capacity_trace(trace))
+        (out_dir / "encounter.csv").write_text(
+            emit_encounter_trace(EncounterTrace()))
     print(f"wrote traces for {len(trace.users)} users to {out_dir}")
     return EXIT_OK
 
@@ -272,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--mechanism", choices=MECHANISMS)
     p.add_argument("--K", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
     p.add_argument("--events", action="store_true",

@@ -16,8 +16,8 @@ the bitrates of the ``optimal`` adaptation policy or of ``baseline_bitrate``:
     vickrey_1d      one bitrate               resolve_second_score   zero
     noncooperative  one bitrate, auctioneer   resolve_second_score   efficient
 
-A lone single-bitrate bid wins and pays s(bitrate), or nothing when it is
-the auctioneer's own; momd charges a lone bidder s of its row.
+The resolvers price every bid, a lone one too (its second score is 0); the
+engine keeps one rule: the auctioneer's own lone single-bitrate bid is free.
 """
 
 from __future__ import annotations
@@ -191,8 +191,10 @@ class _UserSim:
     def capacity_estimate(self) -> float:
         return lsum(self.capacity_window) / len(self.capacity_window)
 
-    def headroom_segments(self, beta: float, max_buffer: float) -> int:
-        return math.floor((max_buffer - self.buffer_s) / beta + 1e-9) - self.pending
+    def headroom_segments(self) -> int:
+        ladder = self.profile.ladder
+        return (math.floor((ladder.max_buffer_s - self.buffer_s)
+                           / ladder.segment_length_s + 1e-9) - self.pending)
 
     def state(self) -> UserState:
         return UserState(buffer_s=self.buffer_s,
@@ -339,14 +341,14 @@ class _Simulation:
             if u.remaining_to_assign <= 0:
                 continue
             self._advance(uid, t)
-            beta = u.profile.ladder.segment_length_s
-            if u.headroom_segments(beta, u.profile.ladder.max_buffer_s) <= 0:
+            if u.headroom_segments() <= 0:
                 continue
             if filtering:
                 if sums is None:
                     sums = self._share_sums(t)
                     h_n = self.capacity.capacity_at(auctioneer, t)
-                if not participates(beta, u.buffer_s, u.prev_bitrate, h_n,
+                if not participates(u.profile.ladder.segment_length_s,
+                                    u.buffer_s, u.prev_bitrate, h_n,
                                     sums[uid], cfg.participation):
                     continue
             out.append(uid)
@@ -431,14 +433,10 @@ class _Simulation:
         else:
             if cfg.mechanism == "vickrey_1d":
                 sf = ScoreFunction.zero()
-            if len(bids) == 1:
-                winner, bitrate = bids[0].bidder_id, bids[0].bitrate
-                payment = (0.0 if winner == auctioneer
-                           else sf(bitrate))  # second score is implicitly 0
-            else:
-                outcome = resolve_second_score(bids, sf)
-                winner, bitrate = outcome.winner_id, outcome.winning_bitrate
-                payment = outcome.payment
+            outcome = resolve_second_score(bids, sf)
+            winner, bitrate = outcome.winner_id, outcome.winning_bitrate
+            # a lone auctioneer downloads over its own link and pays nothing
+            payment = 0.0 if bidders == [auctioneer] else outcome.payment
             order = [(winner, bitrate)]
             won = {winner: ((bitrate,), payment)}
 
@@ -464,10 +462,7 @@ class _Simulation:
         cfg = self.cfg
         state = u.state()
         if cfg.mechanism == "momd":
-            ladder = u.profile.ladder
-            cap = min(u.remaining_to_assign,
-                      u.headroom_segments(ladder.segment_length_s,
-                                          ladder.max_buffer_s))
+            cap = min(u.remaining_to_assign, u.headroom_segments())
             if cfg.adaptation.kind == "optimal":
                 return build_momd_bid(u.profile, state, sf, cfg.K,
                                       max_segments=cap)
@@ -507,6 +502,7 @@ class _Simulation:
         social = 0.0
         for uid, u in self.users.items():
             rates = [r for _, r in sorted(u.received)]
+            volume = lsum(rates)
             overhead = u.auctions_initiated * cfg.overhead_energy_per_auction
             w = (u.utility - u.cost - overhead
                  + u.payments_received - u.payments_made)
@@ -519,7 +515,7 @@ class _Simulation:
                 payments_made=u.payments_made,
                 payments_received=u.payments_received,
                 overhead_energy=overhead,
-                average_bitrate_mbps=lsum(rates) / len(rates) if rates else 0.0,
+                average_bitrate_mbps=volume / len(rates) if rates else 0.0,
                 rebuffer_s=u.stall_s,
                 rebuffer_ratio=(u.stall_s / cfg.video_length_s
                                 if u.total_segments else 0.0),
@@ -530,7 +526,7 @@ class _Simulation:
             total_stall += u.stall_s
             total_video += cfg.video_length_s if u.total_segments else 0.0
             total_drops += drops
-            total_rate_volume += lsum(rates)
+            total_rate_volume += volume
         return SimResult(
             per_user=per_user,
             social_welfare=social,
@@ -573,29 +569,21 @@ def run_comparison(
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"cell {label!r} is repeated in the comparison")
-    sums = {label: {"social_welfare": 0.0, "rebuffer_ratio": 0.0,
-                    "degradation_ratio": 0.0, "auction_count": 0.0,
-                    "average_bitrate_mbps": 0.0}
-            for label, _ in cells}
+    metrics = ("social_welfare", "rebuffer_ratio", "degradation_ratio",
+               "auction_count", "average_bitrate_mbps")
+    sums = {label: dict.fromkeys(metrics, 0.0) for label in labels}
     for rep in range(replications):
         capacity, encounters = trace_generator(base_seed + rep)
         for label, cfg in cells:
             res = run_simulation(cfg, capacity, encounters)
-            s = sums[label]
-            s["social_welfare"] += res.social_welfare
-            s["rebuffer_ratio"] += res.rebuffer_ratio
-            s["degradation_ratio"] += res.degradation_ratio
-            s["auction_count"] += res.auction_count
+            row = res.aggregate_row()
             rates = [r.average_bitrate_mbps for r in res.per_user.values()
                      if r.average_bitrate_mbps > 0]
-            s["average_bitrate_mbps"] += (lsum(rates) / len(rates)
-                                          if rates else 0.0)
-    columns = ("cell", "social_welfare", "rebuffer_ratio",
-               "degradation_ratio", "auction_count", "average_bitrate_mbps")
-    rows = []
-    for label, _ in cells:
-        row: Dict[str, object] = {"cell": label}
-        for k, v in sums[label].items():
-            row[k] = v / replications
-        rows.append(row)
-    return ComparisonTable(columns=columns, rows=rows)
+            row["average_bitrate_mbps"] = (lsum(rates) / len(rates)
+                                           if rates else 0.0)
+            s = sums[label]
+            for k in metrics:
+                s[k] += row[k]
+    rows = [{"cell": label, **{k: v / replications for k, v in s.items()}}
+            for label, s in sums.items()]
+    return ComparisonTable(columns=("cell",) + metrics, rows=rows)

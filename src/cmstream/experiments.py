@@ -44,8 +44,6 @@ def two_user_scenario(
     mean_b_phase1: float,
     modified: bool,
     video_length_s: float = 200.0,
-    rel_std: float = 0.1,
-    step_s: float = 5.0,
 ) -> Tuple[SimConfig, "TraceGen"]:
     """User A has a steady good link; user B's link is weak for the first
     100 s and recovers afterwards. `modified` switches the participation
@@ -53,6 +51,7 @@ def two_user_scenario(
 
     The download cost is set high enough that the per-auction optimum sits
     below the top ladder rate, so one good link can serve both users."""
+    rel_std, step_s = 0.1, 5.0
     users = (standard_profile("A", cost_per_mbit=0.25),
              standard_profile("B", cost_per_mbit=0.25))
     cfg = SimConfig(
@@ -79,15 +78,11 @@ def two_user_scenario(
 def heterogeneous_scenario(
     mechanism: str,
     K: int = 1,
-    video_length_s: float = 100.0,
     overhead_energy: float = 0.0,
-    overhead_time: float = 0.0,
-    high_mean: float = 4.0,
-    low_mean: float = 0.18,
-    rel_std: float = 0.5,
-    step_s: float = 5.0,
 ) -> Tuple[SimConfig, "TraceGen"]:
     """One high-capacity and two low-capacity users watching 100 s videos."""
+    video_length_s = 100.0
+    high_mean, low_mean, rel_std, step_s = 4.0, 0.18, 0.5, 5.0
     users = (standard_profile("A"), standard_profile("B"),
              standard_profile("C"))
     cfg = SimConfig(
@@ -96,7 +91,6 @@ def heterogeneous_scenario(
         mechanism=mechanism,
         video_length_s=video_length_s,
         overhead_energy_per_auction=overhead_energy,
-        overhead_time_per_auction_s=overhead_time,
     )
 
     def gen(seed: int) -> Tuple[CapacityTrace, EncounterTrace]:
@@ -115,28 +109,25 @@ def heterogeneous_scenario(
     return cfg, gen
 
 
-def modification_comparison(mean_b: float, replications: int,
-                            base_seed: int = 0) -> ComparisonTable:
+def modification_comparison(mean_b: float,
+                            replications: int) -> ComparisonTable:
     """Unmodified vs modified mechanism on the two-user scenario."""
     cfg_plain, gen = two_user_scenario(mean_b, modified=False)
     cfg_mod, _ = two_user_scenario(mean_b, modified=True)
     return run_comparison(
-        [("unmodified", cfg_plain), ("modified", cfg_mod)],
-        gen, replications, base_seed=base_seed)
+        [("unmodified", cfg_plain), ("modified", cfg_mod)], gen, replications)
 
 
-def cooperation_comparison(replications: int,
-                           base_seed: int = 0) -> ComparisonTable:
+def cooperation_comparison(replications: int) -> ComparisonTable:
     """Cooperative Vickrey-score auction vs noncooperative downloading."""
     cfg_coop, gen = heterogeneous_scenario("momd")
     cfg_solo, _ = heterogeneous_scenario("noncooperative")
     return run_comparison(
-        [("momd", cfg_coop), ("noncooperative", cfg_solo)],
-        gen, replications, base_seed=base_seed)
+        [("momd", cfg_coop), ("noncooperative", cfg_solo)], gen, replications)
 
 
 def overhead_sweep(overheads: Sequence[float], ks: Sequence[int],
-                   replications: int, base_seed: int = 0) -> ComparisonTable:
+                   replications: int) -> ComparisonTable:
     """Mean social welfare per (overhead energy, K) cell, common traces."""
     cells = []
     gen = None
@@ -146,4 +137,4 @@ def overhead_sweep(overheads: Sequence[float], ks: Sequence[int],
                                             overhead_energy=overhead)
             gen = gen or g
             cells.append((f"overhead={overhead:g},K={k}", cfg))
-    return run_comparison(cells, gen, replications, base_seed=base_seed)
+    return run_comparison(cells, gen, replications)

@@ -88,10 +88,11 @@ class UserState:
     prev_bitrate: float = 0.0
 
     def __post_init__(self):
-        if self.buffer_s < 0:
-            raise ValueError("buffer_s must be >= 0")
-        if self.prev_bitrate < 0:
-            raise ValueError("prev_bitrate must be >= 0")
+        # NaN fails every comparison, so these also reject it
+        if not 0 <= self.buffer_s < math.inf:
+            raise ValueError("buffer_s must be finite and >= 0")
+        if not 0 <= self.prev_bitrate < math.inf:
+            raise ValueError("prev_bitrate must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ class MomdBid:
 
     Row kappa (1-based) holds the bitrates the bidder wants if allocated
     kappa segments; entries beyond the row index are zero. Trailing all-zero
-    rows (with zero price) cap the bidder at fewer than K segments.
+    rows (with zero price) cap the bidder at fewer than K segments. The
+    matrix and prices are tuples of floats; they are checked, not converted.
     """
 
     bidder_id: str
@@ -50,16 +51,13 @@ class MomdBid:
     max_segments: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        matrix = tuple(tuple(map(float, row)) for row in self.bitrate_matrix)
-        prices = tuple(map(float, self.price_vector))
-        object.__setattr__(self, "bitrate_matrix", matrix)
-        object.__setattr__(self, "price_vector", prices)
+        matrix, prices = self.bitrate_matrix, self.price_vector
         k = len(matrix)
         if len(prices) != k:
             raise ValueError("price vector length must match matrix size")
         n = 0
         capped = False
-        # the entries are floats now, so a truthy one is one != 0.0
+        # a truthy entry is one != 0
         for kappa, row in enumerate(matrix, start=1):
             if len(row) != k:
                 raise ValueError("bitrate matrix must be square")
@@ -249,6 +247,21 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _best_split(values: Sequence[Sequence[Optional[float]]], K: int,
+                ) -> Tuple[Optional[Tuple[int, ...]], Optional[float]]:
+    """The split of K segments with the largest total of values[i][k],
+    bidder i's value for k segments, and that total; splits that take a None
+    are skipped, the first best split wins ties, and none left is (None, None)."""
+    best_alloc = best_w = None
+    for alloc in _compositions(K, len(values)):
+        if any(values[i][k] is None for i, k in enumerate(alloc)):
+            continue
+        w = lsum(values[i][k] for i, k in enumerate(alloc))
+        if best_w is None or w > best_w:
+            best_alloc, best_w = alloc, w
+    return best_alloc, best_w
+
+
 def brute_force_momd_optimum(
     bidders: Sequence[Tuple[UserProfile, UserState]],
     downloader: UserProfile,
@@ -265,9 +278,6 @@ def brute_force_momd_optimum(
         raise ValueError("need at least one bidder")
     _guard_instance(len(bidders), K,
                     max(p.ladder.num_rates for p, _ in bidders))
-    if K == 0:
-        return tuple(0 for _ in bidders), {p.user_id: () for p, _ in bidders}, 0.0
-
     # Best vector and welfare per (bidder, segment count); welfare is additive
     # across bidders, so the joint enumeration splits cleanly.
     best: List[List[Tuple[float, Tuple[float, ...]]]] = []
@@ -282,16 +292,10 @@ def brute_force_momd_optimum(
             per_kappa.append(top)
         best.append(per_kappa)
 
-    best_alloc = None
-    best_w = None
-    for alloc in _compositions(K, len(bidders)):
-        w = lsum(best[i][k][0] for i, k in enumerate(alloc))
-        if best_w is None or w > best_w:
-            best_w = w
-            best_alloc = alloc
+    alloc, w = _best_split([[v for v, _ in per_kappa] for per_kappa in best], K)
     vectors = {bidders[i][0].user_id: best[i][k][1]
-               for i, k in enumerate(best_alloc)}
-    return best_alloc, vectors, best_w
+               for i, k in enumerate(alloc)}
+    return alloc, vectors, w
 
 
 def brute_force_restricted_optimum(
@@ -320,19 +324,11 @@ def brute_force_restricted_optimum(
                     welfare(downloader, profile, state, bid.row(kappa)).welfare)
         values.append(per_kappa)
 
-    best_alloc = None
-    best_w = None
-    for alloc in _compositions(K, len(bids)):
-        if any(values[i][k] is None for i, k in enumerate(alloc)):
-            continue
-        w = lsum(values[i][k] for i, k in enumerate(alloc))
-        if best_w is None or w > best_w:
-            best_w = w
-            best_alloc = alloc
-    if best_alloc is None:
+    alloc, w = _best_split(values, K)
+    if alloc is None:
         raise InsufficientMarginalScoresError(
             "insufficient marginal scores: bids cannot cover K segments")
-    return best_alloc, best_w
+    return alloc, w
 
 
 @dataclass(frozen=True)

@@ -70,13 +70,14 @@ def resolve_second_score(bids: Sequence[SomdBid], sf: ScoreFunction) -> SomdOutc
     """Highest score wins; the payment derives the second-highest score.
 
     The winner's payment satisfies payment - s(winning_bitrate) =
-    max score among the other bidders. Score ties go to the lowest bidder_id.
+    max score among the other bidders, or 0 for a lone bid: absent
+    competitors do no damage. Score ties go to the lowest bidder_id.
     """
-    if len(bids) < 2:
-        raise InsufficientBiddersError("insufficient bidders: need at least 2")
+    if not bids:
+        raise InsufficientBiddersError("insufficient bidders: no bids")
     ranked = sorted(bids, key=lambda b: (-score(b, sf), b.bidder_id))
     winner = ranked[0]
-    second = max(score(b, sf) for b in ranked[1:])
+    second = max((score(b, sf) for b in ranked[1:]), default=0.0)
     return SomdOutcome(
         winner_id=winner.bidder_id,
         winning_bitrate=winner.bitrate,

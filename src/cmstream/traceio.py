@@ -251,11 +251,6 @@ METRIC_COLUMNS = (
     "degradation_volume_mbps", "degradation_ratio",
 )
 
-AGGREGATE_COLUMNS = (
-    "social_welfare", "rebuffer_ratio", "degradation_ratio",
-    "auction_count", "assumption1_violations",
-)
-
 
 def emit_results(result, fmt: str, out_dir: Path,
                  include_events: bool = False) -> List[Path]:
@@ -269,10 +264,11 @@ def emit_results(result, fmt: str, out_dir: Path,
         if hasattr(result, "rows"):  # comparison table
             return [_write_table(result.rows, result.columns,
                                  out_dir / f"comparison.{_ext(fmt)}", fmt)]
+        summary = result.aggregate_row()
         paths = [
             _write_table(result.per_user_rows(), METRIC_COLUMNS,
                          out_dir / f"metrics.{_ext(fmt)}", fmt),
-            _write_table([result.aggregate_row()], AGGREGATE_COLUMNS,
+            _write_table([summary], tuple(summary),
                          out_dir / f"summary.{_ext(fmt)}", fmt),
         ]
         if include_events:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,7 @@ def test_compare_bad_grid(tmp_path, config_path, capsys, flag, value):
                  flag, value])
     assert code == EXIT_CONFIG
     assert _trace_error(capsys)["error"] == "config"
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_no_cell_left(tmp_path, capsys):
@@ -218,6 +220,7 @@ def test_unusable_out(tmp_path, config_path, traces_dir, capsys, monkeypatch,
     capsys.readouterr()  # the traces fixture's output
     assert main(argv) == EXIT_CONFIG
     assert _trace_error(capsys)["error"] == "config"
+    assert (tmp_path / "a-file").read_text() == ""
 
 
 def test_compare_snapshot_reruns(tmp_path, config_path, traces_dir):
@@ -330,10 +333,25 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     ("somd", {"downloader": {"user_id": "d"},
               "bidders": [{"profile": {"user_id": "u"}}],
               "mechanism_welfare": True}),
+    ("momd", {"K": 1, "marginal_scores": {"1": [math.nan], "2": [3]}}),
+    ("momd", {"K": 1, "marginal_scores": {"1": [math.inf], "2": [3]}}),
+    ("somd", {"downloader": {"user_id": "d"},
+              "bidders": [{"profile": {"user_id": "u"}}],
+              "mechanism_welfare": math.nan}),
+    ("somd", {"downloader": {"user_id": "d"},
+              "bidders": [{"profile": {"user_id": "u"},
+                           "state": {"buffer_s": math.nan}}]}),
+    ("matrix", {"downloader": {"user_id": "d"},
+                "bidders": [{"profile": {"user_id": "u"},
+                             "state": {"prev_bitrate": math.inf}}]}),
+    ("momd", {"K": 2, "downloader": {"user_id": "d"},
+              "bidders": [{"profile": {"user_id": "u"}},
+                          {"profile": {"user_id": "u"}}]}),
 ], ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder",
         "bidders-fractional-k", "bidders-boolean-k", "scores-fractional-k",
         "scores-boolean-k", "scores-boolean-entry", "state-boolean-buffer",
-        "welfare-boolean"])
+        "welfare-boolean", "scores-nan", "scores-inf", "welfare-nan",
+        "state-nan-buffer", "state-inf-prev-bitrate", "repeated-bidder"])
 def test_oracle_malformed_instance(tmp_path, capsys, kind, instance):
     inst = tmp_path / "bad.yaml"
     inst.write_text(yaml.safe_dump(instance))
@@ -438,6 +456,7 @@ def test_simulate_horizon_exceeded(tmp_path, capsys):
                  "--traces", str(d), "--out", str(tmp_path / "o")])
     assert code == EXIT_TRACE
     assert "horizon exceeded" in _trace_error(capsys)["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_horizon_exceeded(tmp_path, capsys):
@@ -447,6 +466,7 @@ def test_compare_horizon_exceeded(tmp_path, capsys):
                  "--out", str(tmp_path / "cmp"), "--replications", "1"])
     assert code == EXIT_TRACE
     assert "horizon exceeded" in _trace_error(capsys)["message"]
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_verbose_is_read_at_call_time(monkeypatch, tmp_path, config_path,

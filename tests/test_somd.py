@@ -42,7 +42,12 @@ def test_efficient_score_is_downloader_cost():
 
 def test_resolve_needs_two_bids():
     with pytest.raises(InsufficientBiddersError):
-        resolve_second_score([SomdBid("a", 1.0, 5.0)], ScoreFunction.zero())
+        resolve_second_score([], ScoreFunction.zero())
+    # a lone bid's second score is 0, so it pays s(bitrate)
+    sf = ScoreFunction(lambda r: 2.0 * r)
+    out = resolve_second_score([SomdBid("a", 1.3, 5.0)], sf)
+    assert (out.winner_id, out.winning_bitrate) == ("a", 1.3)
+    assert out.payment == sf(1.3)
 
 
 def test_resolve_second_score_payment():

@@ -2,11 +2,12 @@
 
 Each scenario hashes the run's aggregate row and every event row. The
 digests were recorded from the code before the trace lookups were indexed
-and the participation filter's neighbourhood was shared per instant, and
-the baseline-policy ones before the four mechanisms shared one bid,
-resolution and booking path; a speed-up or refactor must reproduce them
-bit for bit. A change that alters them on purpose must say why in
-CHANGES.md.
+and the participation filter's neighbourhood was shared per instant, the
+baseline-policy ones before the four mechanisms shared one bid, resolution
+and booking path, and the filter-off mobile and sparse-encounter ones
+before the engine held each user's neighbourhood between trace changes; a
+speed-up or refactor must reproduce them bit for bit. A change that alters
+them on purpose must say why in CHANGES.md.
 
 The command-line digests hash the files that ``gen-traces``, ``simulate``
 and ``compare`` write from the shipped configs; they were recorded before
@@ -91,10 +92,21 @@ def group_traces(n, encounters):
     return capacity, enc
 
 
-def group_run(n, K, encounters):
-    capacity, enc = group_traces(n, encounters)
+def sparse_traces(n):
+    """Toggling encounters with default_connected=False: every third pair
+    has no toggles (never in range) and one pair an empty toggle tuple."""
+    capacity, enc = group_traces(n, encounters=True)
+    pairs = list(enc.toggles)
+    toggles = {pair: events for k, (pair, events) in enumerate(
+        enc.toggles.items()) if k % 3}
+    toggles[pairs[1]] = ()
+    return capacity, EncounterTrace(toggles, default_connected=False)
+
+
+def group_run(n, K, encounters, filtering=True, traces=None):
+    capacity, enc = traces or group_traces(n, encounters)
     cfg = SimConfig(users=tuple(standard_profile(u) for u in capacity.users),
-                    K=K, mechanism="momd", participation_enabled=True,
+                    K=K, mechanism="momd", participation_enabled=filtering,
                     video_length_s=GROUP_VIDEO_S)
     return run_simulation(cfg, capacity, enc)
 
@@ -125,6 +137,10 @@ SCENARIOS["two_user_b0.3_on_hybrid"] = lambda: _scenario(
     lambda: two_user_scenario(0.3, modified=True), "hybrid")
 SCENARIOS["mesh20_momd_k4_on"] = lambda: group_run(20, 4, encounters=False)
 SCENARIOS["mobile12_momd_k1_on"] = lambda: group_run(12, 1, encounters=True)
+SCENARIOS["mobile12_momd_k4_off"] = lambda: group_run(
+    12, 4, encounters=True, filtering=False)
+SCENARIOS["sparse12_momd_k1_on"] = lambda: group_run(
+    12, 1, encounters=True, traces=sparse_traces(12))
 
 GOLDEN = {
     "het_momd_k1": "c8375decfdbcd5e063bf8916f14a3cac91f5d3d4c082e7090893ec98eb7a7e46",
@@ -145,6 +161,8 @@ GOLDEN = {
     "het_vickrey_1d_hybrid": "17ef687d96ba9546cfa3cd23ded17d19b43d9cfbb3c15a513d7043a7ef5da377",
     "mesh20_momd_k4_on": "e9200ca63b854b73833ece07522cc5ecf79afe85b5d760242ccb0f7098e92a9d",
     "mobile12_momd_k1_on": "29b8e784d6766fac86c432d6a041f9346e04cefe35aa6dbf3af41dfdb867513c",
+    "mobile12_momd_k4_off": "292dc3db7a8766cc310cca72e6994c339be46a10d96a16bf3b1ee824abef9df8",
+    "sparse12_momd_k1_on": "ceda48c3b97d1a7af47e1de7e8885e134c12cf555c19be7ba9d6692b47e1af6c",
     "two_user_b0.15_off": "9cdc55f010756cf32faac22cc919cd37ea67c7b375e677e1488d8d9ab815cb5b",
     "two_user_b0.15_on": "b15b4797247ef6839443c97e1e5c76d1b0f116cfd7ffa419dd2b3085d9ab1adb",
     "two_user_b0.3_off": "c248e75cc3575b6771efbfdcabb01fb475688cf63c1fc60d5db48bfe66d57188",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -220,9 +219,7 @@ class _Simulation:
                 profile, total, capacity.capacity_at(profile.user_id, 0.0))
         self.unassigned = sum(u.total_segments for u in self.users.values())
         self.horizon_guard = cfg.video_length_s * 100 + 1000.0
-        self._changes: Optional[List[float]] = None
-        self._epoch = (math.inf, -math.inf)  # [lo, hi) the sums hold for
-        self._sums: Dict[str, float] = {}
+        self._rewind()
 
     # -- event plumbing ----------------------------------------------------
 
@@ -280,63 +277,93 @@ class _Simulation:
 
     # -- auctions ----------------------------------------------------------
 
+    def _rewind(self) -> None:
+        """Hold every user's neighbourhood (the users it encounters, itself
+        included) and capacity as they stand before any trace change, with
+        a heap of cursors over the changes still to come: one per user over
+        its capacity breakpoints, one per simulated pair over its toggles."""
+        users = self.users
+        default = self.encounters.default_connected
+        self._now = -math.inf
+        self._nbrs = {i: set(users) if default else {i} for i in users}
+        self._caps: Dict[str, float] = {}
+        self._sums: Optional[Dict[str, float]] = None
+        cursors = []
+        for i in users:
+            points = self.capacity.breakpoints[i]
+            self._caps[i] = points[0][1]
+            if len(points) > 1:
+                cursors.append((points[1][0], len(cursors), points, 1, i,
+                                None))
+        for (a, b), events in self.encounters.toggles.items():
+            if a == b or a not in users or b not in users:
+                continue
+            # a toggled pair is out of range before its first toggle
+            self._nbrs[a].discard(b)
+            self._nbrs[b].discard(a)
+            if events:
+                cursors.append((events[0][0], len(cursors), events, 0, a, b))
+        heapq.heapify(cursors)
+        self._cursors = cursors
+
+    def _seek(self, t: float) -> None:
+        """Bring the held neighbourhoods and capacities to t: apply every
+        trace change at or before t, each in force from its own time on."""
+        if t < self._now:
+            self._rewind()
+        self._now = t
+        cursors = self._cursors
+        if not cursors or cursors[0][0] > t:
+            return
+        self._sums = None
+        nbrs, caps = self._nbrs, self._caps
+        while cursors and cursors[0][0] <= t:
+            _, n, events, k, a, b = cursors[0]
+            value = events[k][1]
+            if b is None:
+                caps[a] = value
+            elif value:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            else:
+                nbrs[a].discard(b)
+                nbrs[b].discard(a)
+            k += 1
+            if k < len(events):
+                heapq.heapreplace(cursors, (events[k][0], n, events, k, a, b))
+            else:
+                heapq.heappop(cursors)
+
     def _share_sums(self, t: float) -> Dict[str, float]:
         """For every user, the sum over the users it encounters, in user
         order, of the capacity each would allot it under an even split
         across that user's own neighborhood.
 
-        Capacities and encounters change only at the users' capacity
-        breakpoints and their pairs' encounter toggles, each in force from
-        its own time on. So the sums built at t hold on the whole interval
-        [lo, hi) between the change times around t, and are rebuilt only
-        when a t outside it is asked.
-        """
-        lo, hi = self._epoch
-        if not lo <= t < hi:
-            if self._changes is None:
-                self._changes = self._change_times()
-            changes = self._changes
-            at = bisect_right(changes, t)
-            self._epoch = (changes[at - 1] if at else -math.inf,
-                           changes[at] if at < len(changes) else math.inf)
-            ids = list(self.users)
-            # encounters are symmetric: test each pair once, keep user order
-            nbrs: Dict[str, List[str]] = {i: [] for i in ids}
-            for k, i in enumerate(ids):
-                nbrs[i].append(i)
-                for j in ids[k + 1:]:
-                    if self.encounters.connected(i, j, t):
-                        nbrs[i].append(j)
-                        nbrs[j].append(i)
-            share = {i: self.capacity.capacity_at(i, t) / len(nbrs[i])
-                     for i in ids}
+        Built from the held state, and again only after a trace change."""
+        self._seek(t)
+        if self._sums is None:
+            nbrs = self._nbrs
+            share = {i: h / len(nbrs[i]) for i, h in self._caps.items()}
             # every capacity, the auctioneer's too, is some user's share
             # times a positive count
             if any(h < 0 for h in share.values()):
                 raise ValueError("capacities must be >= 0")
-            self._sums = {i: lsum(share[j] for j in nbrs[i]) for i in ids}
+            self._sums = {i: lsum(share[j] for j in share if j in nbrs[i])
+                          for i in share}
         return self._sums
-
-    def _change_times(self) -> List[float]:
-        """Sorted times at which a capacity or an encounter among the
-        simulated users changes."""
-        users = self.users
-        times = {bt for uid in users
-                 for bt, _ in self.capacity.breakpoints[uid]}
-        times.update(tt for (a, b), events in self.encounters.toggles.items()
-                     if a in users and b in users for tt, _ in events)
-        return sorted(times)
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
         cfg = self.cfg
         filtering = (cfg.participation_enabled
                      and cfg.mechanism != "noncooperative")
+        self._seek(t)
+        nearby = self._nbrs[auctioneer]
         sums = None
         out = []
         for uid, u in self.users.items():
             if cfg.mechanism == "noncooperative" and uid != auctioneer:
                 continue
-            if not self.encounters.connected(auctioneer, uid, t):
+            if uid not in nearby:
                 continue
             if u.remaining_to_assign <= 0:
                 continue
@@ -346,7 +373,7 @@ class _Simulation:
             if filtering:
                 if sums is None:
                     sums = self._share_sums(t)
-                    h_n = self.capacity.capacity_at(auctioneer, t)
+                    h_n = self._caps[auctioneer]
                 if not participates(u.profile.ladder.segment_length_s,
                                     u.buffer_s, u.prev_bitrate, h_n,
                                     sums[uid], cfg.participation):

@@ -238,3 +238,52 @@ def test_epoch_held_neighborhood_matches_fresh_build(group, data):
         sums = sim._share_sums(t)
         for uid in sim.users:
             assert sums[uid] == lsum(ref_neighbor_shares(sim, uid, t))
+
+
+# -- held neighbourhoods and capacities ----------------------------------------
+
+half_seconds = st.integers(-4, 40).map(lambda k: k / 2)
+
+
+@st.composite
+def held_state_group(draw):
+    """Simulated users u0.. and an unsimulated x, with capacity breakpoints
+    and encounter toggles on one half-second grid, so that they often fall
+    on the same instant. A pair may have toggles (some before 0), an empty
+    toggle tuple, or none; u0 may have toggles with itself."""
+    ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    capacity = CapacityTrace({
+        uid: ((0.0, draw(capacities)),) + tuple(
+            (t, draw(capacities)) for t in sorted(set(draw(
+                st.lists(half_seconds.filter(lambda t: t > 0), max_size=6)))))
+        for uid in ids + ["x"]})
+    pairs = list(itertools.combinations(ids + ["x"], 2)) + [("u0", "u0")]
+    toggles = {}
+    for pair in pairs:
+        kind = draw(st.sampled_from(("none", "empty", "toggles")))
+        if kind == "empty":
+            toggles[pair] = ()
+        elif kind == "toggles":
+            first = draw(st.integers(0, 1))
+            times = sorted(set(draw(st.lists(half_seconds, min_size=1,
+                                             max_size=6))))
+            toggles[pair] = tuple((t, (first + k) % 2)
+                                  for k, t in enumerate(times))
+    encounters = EncounterTrace(toggles, default_connected=draw(st.booleans()))
+    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids))
+    return _Simulation(cfg, capacity, encounters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(held_state_group(), st.data())
+def test_held_state_matches_point_queries(sim, data):
+    grid = data.draw(st.lists(half_seconds, min_size=1, max_size=8))
+    edges = [math.nextafter(t, -math.inf) for t in grid] + [-10.0, 25.0]
+    monotone = sorted(grid + edges)
+    rewinds = data.draw(st.permutations(monotone))
+    for t in monotone + rewinds:
+        sim._seek(t)
+        for i in sim.users:
+            assert sim._nbrs[i] == {j for j in sim.users
+                                    if sim.encounters.connected(i, j, t)}
+            assert sim._caps[i] == sim.capacity.capacity_at(i, t)

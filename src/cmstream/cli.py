@@ -210,10 +210,13 @@ def _oracle_inputs(data: dict, kind: str) -> dict:
     malformed instance raises KeyError, TypeError, AttributeError or
     ValueError here, before any oracle runs."""
     if kind == "momd" and "marginal_scores" in data:
-        return {"scores": {str(k): [_finite(x, f"marginal_scores.{k}")
-                                    for x in v]
-                           for k, v in data["marginal_scores"].items()},
-                "K": lossless_int(data["K"])}
+        scores = {}
+        for k, v in data["marginal_scores"].items():
+            if str(k) in scores:
+                raise ConfigError(f"marginal_scores key {k!r} names bidder "
+                                  f"{str(k)!r} twice")
+            scores[str(k)] = [_finite(x, f"marginal_scores.{k}") for x in v]
+        return {"scores": scores, "K": lossless_int(data["K"])}
     inputs = {"downloader": user_from_dict(data["downloader"]),
               "bidders": _instance_bidders(data),
               "K": lossless_int(data.get("K", 1))}

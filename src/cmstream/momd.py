@@ -276,6 +276,8 @@ def brute_force_momd_optimum(
     bidders = list(bidders)
     if not bidders:
         raise ValueError("need at least one bidder")
+    if K < 0:
+        raise ValueError("K must be >= 0")
     _guard_instance(len(bidders), K,
                     max(p.ladder.num_rates for p, _ in bidders))
     # Best vector and welfare per (bidder, segment count); welfare is additive

@@ -360,6 +360,26 @@ def test_oracle_malformed_instance(tmp_path, capsys, kind, instance):
     assert _trace_error(capsys)["error"] == "config"
 
 
+@pytest.mark.parametrize("bidders", [1, 2])
+def test_oracle_negative_k(tmp_path, capsys, bidders):
+    inst = tmp_path / "neg.yaml"
+    inst.write_text(yaml.safe_dump({
+        "K": -1, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": f"u{i}"}}
+                    for i in range(bidders)]}))
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_CONFIG
+    assert "K must be >= 0" in _trace_error(capsys)["message"]
+
+
+def test_oracle_colliding_score_keys(tmp_path, capsys):
+    inst = tmp_path / "keys.yaml"
+    inst.write_text('K: 1\nmarginal_scores: {1: [5], "1": [3], "2": [4]}\n')
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_CONFIG
+    assert "key '1' names bidder '1' twice" in _trace_error(capsys)["message"]
+
+
 def _trace_error(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -288,6 +288,8 @@ class _Simulation:
         self._nbrs = {i: set(users) if default else {i} for i in users}
         self._caps: Dict[str, float] = {}
         self._sums: Optional[Dict[str, float]] = None
+        # (time of the next change, unique tiebreak, the changes, index of
+        # the next one, user or pair (a, b)); b is None for a capacity
         cursors = []
         for i in users:
             points = self.capacity.breakpoints[i]
@@ -356,13 +358,14 @@ class _Simulation:
         cfg = self.cfg
         filtering = (cfg.participation_enabled
                      and cfg.mechanism != "noncooperative")
-        self._seek(t)
-        nearby = self._nbrs[auctioneer]
+        if cfg.mechanism == "noncooperative":
+            nearby = {auctioneer}
+        else:
+            self._seek(t)
+            nearby = self._nbrs[auctioneer]
         sums = None
         out = []
         for uid, u in self.users.items():
-            if cfg.mechanism == "noncooperative" and uid != auctioneer:
-                continue
             if uid not in nearby:
                 continue
             if u.remaining_to_assign <= 0:

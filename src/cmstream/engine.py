@@ -279,24 +279,18 @@ class _Simulation:
 
     def _rewind(self) -> None:
         """Hold every user's neighbourhood (the users it encounters, itself
-        included) and capacity as they stand before any trace change, with
-        a heap of cursors over the changes still to come: one per user over
-        its capacity breakpoints, one per simulated pair over its toggles."""
+        included) as it stands before any trace change, with a heap of
+        cursors over the changes still to come, one per simulated pair over
+        its toggles. Capacities join on the first share-sum build."""
         users = self.users
         default = self.encounters.default_connected
         self._now = -math.inf
         self._nbrs = {i: set(users) if default else {i} for i in users}
-        self._caps: Dict[str, float] = {}
+        self._caps: Optional[Dict[str, float]] = None
         self._sums: Optional[Dict[str, float]] = None
         # (time of the next change, unique tiebreak, the changes, index of
         # the next one, user or pair (a, b)); b is None for a capacity
         cursors = []
-        for i in users:
-            points = self.capacity.breakpoints[i]
-            self._caps[i] = points[0][1]
-            if len(points) > 1:
-                cursors.append((points[1][0], len(cursors), points, 1, i,
-                                None))
         for (a, b), events in self.encounters.toggles.items():
             if a == b or a not in users or b not in users:
                 continue
@@ -307,6 +301,20 @@ class _Simulation:
                 cursors.append((events[0][0], len(cursors), events, 0, a, b))
         heapq.heapify(cursors)
         self._cursors = cursors
+
+    def _hold_capacities(self) -> None:
+        """Hold every user's capacity from now on, with one cursor per user
+        over its breakpoints. Only the participation filter reads
+        capacities, so a run without it never pays for crossing them."""
+        self._caps = {}
+        for i in self.users:
+            points = self.capacity.breakpoints[i]
+            self._caps[i] = points[0][1]
+            if len(points) > 1:
+                # negative tiebreaks stay apart from the pairs' ones
+                heapq.heappush(self._cursors, (points[1][0], -len(self._caps),
+                                               points, 1, i, None))
+        self._seek(self._now)
 
     def _seek(self, t: float) -> None:
         """Bring the held neighbourhoods and capacities to t: apply every
@@ -343,6 +351,8 @@ class _Simulation:
 
         Built from the held state, and again only after a trace change."""
         self._seek(t)
+        if self._caps is None:
+            self._hold_capacities()
         if self._sums is None:
             nbrs = self._nbrs
             share = {i: h / len(nbrs[i]) for i, h in self._caps.items()}
@@ -358,14 +368,13 @@ class _Simulation:
         cfg = self.cfg
         filtering = (cfg.participation_enabled
                      and cfg.mechanism != "noncooperative")
-        if cfg.mechanism == "noncooperative":
-            nearby = {auctioneer}
-        else:
-            self._seek(t)
-            nearby = self._nbrs[auctioneer]
+        self._seek(t)
+        nearby = self._nbrs[auctioneer]
         sums = None
         out = []
         for uid, u in self.users.items():
+            if cfg.mechanism == "noncooperative" and uid != auctioneer:
+                continue
             if uid not in nearby:
                 continue
             if u.remaining_to_assign <= 0:

@@ -286,4 +286,6 @@ def test_held_state_matches_point_queries(sim, data):
         for i in sim.users:
             assert sim._nbrs[i] == {j for j in sim.users
                                     if sim.encounters.connected(i, j, t)}
+        sim._share_sums(t)  # capacities are held from the first build on
+        for i in sim.users:
             assert sim._caps[i] == sim.capacity.capacity_at(i, t)

@@ -120,8 +120,6 @@ def cmd_compare(args) -> int:
     cfg, spec = load_config(args.config)
     if spec is None:
         raise ConfigError("compare needs a trace_stats section")
-    if args.replications < 1:
-        raise ConfigError("--replications must be >= 1")
     mechanisms = args.mechanisms.split(",")
     ks = [int(x) for x in args.k_values.split(",")]
     overheads = [float(x) for x in args.overheads.split(",")]

@@ -48,6 +48,7 @@ from .strategy import (
 from .traceio import (
     CapacityTrace,
     EncounterTrace,
+    TraceParseError,
     TraceUnderrunError,
     degradation_ratio,
 )
@@ -56,6 +57,7 @@ MECHANISMS = ("somd", "momd", "vickrey_1d", "noncooperative")
 SINGLE_SEGMENT = ("somd", "vickrey_1d")  # mechanisms that need K=1
 
 CAPACITY_WINDOW = 3  # completed downloads feeding the capacity estimate
+IDLE_RETRY_S = 1.0  # an auctioneer with no bidder polls again after this
 
 
 class SimulationHorizonError(TraceUnderrunError):
@@ -72,10 +74,7 @@ class SimConfig:
     participation_enabled: bool = False
     video_length_s: float = 100.0
     overhead_energy_per_auction: float = 0.0
-    overhead_time_per_auction_s: float = 0.0
-    d2d_delay_s: float = 0.0
     seed: int = 0
-    idle_retry_s: float = 1.0
 
     def __post_init__(self):
         if not self.users:
@@ -86,14 +85,10 @@ class SimConfig:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mechanism in SINGLE_SEGMENT and self.K != 1:
             raise ValueError(f"{self.mechanism} requires K=1")
-        for name in ("video_length_s", "overhead_energy_per_auction",
-                     "overhead_time_per_auction_s", "d2d_delay_s",
-                     "idle_retry_s"):
+        for name in ("video_length_s", "overhead_energy_per_auction"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.idle_retry_s == 0:
-            raise ValueError("idle_retry_s must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         ids = [u.user_id for u in self.users]
@@ -280,8 +275,8 @@ class _Simulation:
     def _rewind(self) -> None:
         """Hold every user's neighbourhood (the users it encounters, itself
         included) as it stands before any trace change, with a heap of
-        cursors over the changes still to come, one per simulated pair over
-        its toggles. Capacities join on the first share-sum build."""
+        cursors over the changes still to come, one per pair over its
+        toggles. Capacities join on the first share-sum build."""
         users = self.users
         default = self.encounters.default_connected
         self._now = -math.inf
@@ -292,8 +287,6 @@ class _Simulation:
         # the next one, user or pair (a, b)); b is None for a capacity
         cursors = []
         for (a, b), events in self.encounters.toggles.items():
-            if a == b or a not in users or b not in users:
-                continue
             # a toggled pair is out of range before its first toggle
             self._nbrs[a].discard(b)
             self._nbrs[b].discard(a)
@@ -356,10 +349,6 @@ class _Simulation:
         if self._sums is None:
             nbrs = self._nbrs
             share = {i: h / len(nbrs[i]) for i, h in self._caps.items()}
-            # every capacity, the auctioneer's too, is some user's share
-            # times a positive count
-            if any(h < 0 for h in share.values()):
-                raise ValueError("capacities must be >= 0")
             self._sums = {i: lsum(share[j] for j in share if j in nbrs[i])
                           for i in share}
         return self._sums
@@ -398,18 +387,14 @@ class _Simulation:
             raise SimulationHorizonError(
                 f"simulation horizon exceeded at t={t:.1f}; likely a trace "
                 f"underrun or permanently refused auctions")
-        cfg = self.cfg
         auc = self.users[auctioneer]
         self._advance(auctioneer, t)
-        if auc.completed and not auc.profile.helper and auc.remaining_to_assign <= 0:
-            return
         bidders = self._candidate_bidders(auctioneer, t)
         if not bidders:
             if self.unassigned:
-                self._push(t + cfg.idle_retry_s, "ready", (auctioneer,))
+                self._push(t + IDLE_RETRY_S, "ready", (auctioneer,))
             return
 
-        t_res = t + cfg.overhead_time_per_auction_s
         h_est = auc.capacity_estimate()
         eff_cost = (auc.profile.cost_per_mbit
                     + (auc.profile.link_cost_per_s / h_est if h_est > 0
@@ -420,7 +405,7 @@ class _Simulation:
         allocation = self._resolve(t, auctioneer, bidders, sf, h_est)
 
         # Sequential downloads on the auctioneer's link, then the next auction.
-        cursor = t_res
+        cursor = t
         for uid, bitrate in allocation:
             receiver = self.users[uid]
             beta = receiver.profile.ladder.segment_length_s
@@ -435,9 +420,7 @@ class _Simulation:
             receiver.next_seq += 1
             self.unassigned -= 1
             receiver.pending += 1
-            delay = cfg.d2d_delay_s if uid != auctioneer else 0.0
-            self._push(cursor + delay, "deliver",
-                       (uid, bitrate, seq_no, auctioneer))
+            self._push(cursor, "deliver", (uid, bitrate, seq_no, auctioneer))
             self._log(cursor, "segment_downloaded", downloader=auctioneer,
                       receiver=uid, bitrate=bitrate, seq=seq_no)
         self._push(cursor, "ready", (auctioneer,))
@@ -489,8 +472,7 @@ class _Simulation:
                                 for uid, (rates, _) in won.items()}}
         if cooperative:
             resolved["payments"] = {uid: p for uid, (_, p) in won.items()}
-        self._log(t + cfg.overhead_time_per_auction_s, "auction_resolved",
-                  auctioneer=auctioneer, **resolved)
+        self._log(t, "auction_resolved", auctioneer=auctioneer, **resolved)
         return order
 
     def _bid(self, u: _UserSim, sf: ScoreFunction,
@@ -580,12 +562,18 @@ class _Simulation:
 
 def run_simulation(cfg: SimConfig, capacity: CapacityTrace,
                    encounters: Optional[EncounterTrace] = None) -> SimResult:
-    """Run one deterministic simulation against the given traces."""
+    """Run one deterministic simulation against the given traces, which
+    must cover every user and name no other."""
     if encounters is None:
         encounters = EncounterTrace()
+    ids = {u.user_id for u in cfg.users}
     for u in cfg.users:
         if u.user_id not in capacity.breakpoints:
             raise TraceUnderrunError(f"no capacity trace for user {u.user_id}")
+    for pair in encounters.toggles:
+        if not ids.issuperset(pair):
+            raise TraceParseError(f"encounter pair {pair} names a user the "
+                                  f"config does not simulate")
     return _Simulation(cfg, capacity, encounters).run()
 
 
@@ -603,7 +591,10 @@ def run_comparison(
 ) -> ComparisonTable:
     """Run each labelled config over shared per-replication traces and
     aggregate means (common random numbers across cells). A label given
-    twice is a ValueError, raised before any simulation runs."""
+    twice, or fewer than one replication, is a ValueError, raised before
+    any simulation runs."""
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     labels = [label for label, _ in cells]
     for label in labels:
         if labels.count(label) > 1:

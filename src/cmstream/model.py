@@ -68,7 +68,6 @@ class UserProfile:
     buffer_gain_decay: float = 0.7
     degradation_slope: float = 1.0
     link_cost_per_s: float = 0.0
-    helper: bool = True
 
     def __post_init__(self):
         for name in ("theta", "cost_per_mbit", "buffer_gain_scale",

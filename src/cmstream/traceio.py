@@ -102,7 +102,8 @@ class EncounterTrace:
     """Pairwise encounter toggles; a user always encounters itself.
 
     Pairs with no recorded toggles take default_connected. An empty toggle
-    dict with default_connected=True models a fully meshed group.
+    dict with default_connected=True models a fully meshed group. A self-pair
+    or a pair given twice (in either order) is a TraceParseError.
     """
 
     toggles: Dict[Tuple[str, str], Tuple[Tuple[float, int], ...]] = field(
@@ -113,6 +114,10 @@ class EncounterTrace:
         clean = {}
         for pair, events in self.toggles.items():
             key = tuple(sorted(pair))
+            if key[0] == key[1]:
+                raise TraceParseError(f"pair {key}: a user with itself")
+            if key in clean:
+                raise TraceParseError(f"pair {key}: given twice")
             events = tuple((float(t), int(v)) for t, v in events)
             times = [t for t, _ in events]
             # as for capacity breakpoints: finite ends and a strictly

@@ -120,9 +120,8 @@ def test_verify_invalid_yaml(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("idle_retry_s", float("nan")),
     ("overhead_energy_per_auction", float("nan")),
-    ("d2d_delay_s", float("inf")),
+    ("overhead_energy_per_auction", float("inf")),
     ("video_length_s", float("nan")),
 ])
 def test_simulate_non_finite_config(tmp_path, traces_dir, capsys, key, value):
@@ -136,6 +135,48 @@ def test_simulate_non_finite_config(tmp_path, traces_dir, capsys, key, value):
     line = json.loads(err.splitlines()[-1])
     assert line["error"] == "config"
     assert key in line["message"]
+
+
+@pytest.mark.parametrize("key", ["idle_retry_s", "d2d_delay_s",
+                                 "overhead_time_per_auction_s", "helper"])
+def test_simulate_rejects_removed_key(tmp_path, traces_dir, capsys, key):
+    # a snapshot written while these were settings carries all four
+    config = copy.deepcopy(SIM_CONFIG)
+    if key == "helper":
+        config["users"][0]["helper"] = True
+    else:
+        config[key] = 1.0
+    bad = tmp_path / "old.yaml"
+    bad.write_text(yaml.safe_dump(config))
+    code = main(["simulate", "--config", str(bad),
+                 "--traces", str(traces_dir), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    line = _trace_error(capsys)
+    assert line["error"] == "config"
+    assert f"unknown keys ['{key}']" in line["message"]
+
+
+@pytest.mark.parametrize("row,code", [
+    ("0,A,b,0", EXIT_TRACE),
+    ("0,A,A,0", EXIT_TRACE),
+    ("0,A,B,0", EXIT_OK),
+], ids=["unsimulated-user", "user-with-itself", "pair"])
+def test_simulate_encounter_users(tmp_path, config_path, traces_dir, capsys,
+                                  row, code):
+    argv = ["simulate", "--config", str(config_path),
+            "--traces", str(traces_dir)]
+    assert main(argv + ["--out", str(tmp_path / "mesh")]) == EXIT_OK
+    (traces_dir / "encounter.csv").write_text(
+        f"time_s,user_a,user_b,connected\n{row}\n")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == code
+    if code == EXIT_TRACE:
+        assert _trace_error(capsys)["error"] == "trace"
+        assert not out.exists()
+    else:  # A and B never meet, so the run is not the full mesh's
+        summary = (out / "summary.csv").read_text()
+        assert summary != (tmp_path / "mesh" / "summary.csv").read_text()
 
 
 def test_simulate_missing_traces(tmp_path, config_path):

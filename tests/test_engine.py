@@ -12,7 +12,12 @@ from cmstream.engine import (
     run_simulation,
 )
 from cmstream.experiments import standard_profile, two_user_scenario
-from cmstream.traceio import CapacityTrace, EncounterTrace, TraceUnderrunError
+from cmstream.traceio import (
+    CapacityTrace,
+    EncounterTrace,
+    TraceParseError,
+    TraceUnderrunError,
+)
 
 from conftest import make_profile
 
@@ -33,10 +38,7 @@ def test_config_validation():
         SimConfig(users=(user,), video_length_s=95.0)
     for name, bad in (("video_length_s", math.nan),
                       ("overhead_energy_per_auction", math.nan),
-                      ("overhead_time_per_auction_s", -1.0),
-                      ("d2d_delay_s", math.inf),
-                      ("idle_retry_s", math.nan),
-                      ("idle_retry_s", 0.0)):
+                      ("overhead_energy_per_auction", -1.0)):
         with pytest.raises(ValueError, match=name):
             SimConfig(users=(user,), **{name: bad})
 
@@ -95,18 +97,6 @@ def test_accounting_identities():
             + u.payments_received - u.payments_made)
 
 
-def test_overhead_time_delays_resolution():
-    user = make_profile("A")
-    trace = CapacityTrace({"A": ((0.0, 5.0),)})
-    cfg = SimConfig(users=(user,), mechanism="momd", video_length_s=50.0,
-                    overhead_time_per_auction_s=2.0)
-    result = run_simulation(cfg, trace)
-    starts = [e.time_s for e in result.events if e.kind == "auction_start"]
-    resolved = [e.time_s for e in result.events if e.kind == "auction_resolved"]
-    for s, r in zip(starts, resolved):
-        assert r == pytest.approx(s + 2.0)
-
-
 def test_encounter_trace_limits_bidders():
     users = (standard_profile("A", cost_per_mbit=0.25),
              standard_profile("B", cost_per_mbit=0.25))
@@ -118,6 +108,14 @@ def test_encounter_trace_limits_bidders():
     for e in result.events:
         if e.kind == "segment_downloaded":
             assert e.payload["downloader"] == e.payload["receiver"]
+
+
+def test_encounter_pair_outside_the_config_raises():
+    cfg = SimConfig(users=(make_profile("A"), make_profile("B")))
+    cap = CapacityTrace({"A": ((0.0, 5.0),), "B": ((0.0, 5.0),)})
+    enc = EncounterTrace({("A", "b"): ((0.0, 0),)})
+    with pytest.raises(TraceParseError, match=r"\('A', 'b'\)"):
+        run_simulation(cfg, cap, enc)
 
 
 def test_stall_and_recovery_events():
@@ -170,6 +168,17 @@ def test_comparison_rejects_repeated_cell():
     with pytest.raises(ValueError, match="'one' is repeated"):
         run_comparison([("one", cfg), ("two", cfg), ("one", cfg)], gen,
                        replications=1)
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_comparison_rejects_no_replication(replications):
+    cfg, _ = two_user_scenario(0.3, modified=False, video_length_s=100.0)
+
+    def gen(seed):
+        raise AssertionError("a simulation ran")
+
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        run_comparison([("one", cfg)], gen, replications=replications)
 
 
 def test_buffer_never_exceeds_cap():

@@ -11,7 +11,10 @@ them on purpose must say why in CHANGES.md.
 
 The command-line digests hash the files that ``gen-traces``, ``simulate``
 and ``compare`` write from the shipped configs; they were recorded before
-config loading moved into one module.
+config loading moved into one module. The two ``config_snapshot.yaml``
+digests were re-recorded when ``idle_retry_s``, ``d2d_delay_s``,
+``overhead_time_per_auction_s`` and each user's ``helper`` stopped being
+settings: those keys left the snapshots, and nothing else in them moved.
 
 The trace digests hash each scenario's generated traces on their own, so
 a change in numpy's random stream can be told apart from one in the
@@ -253,9 +256,9 @@ CLI_GOLDEN = {
     "run/metrics.csv": "6b5e6e2e0057be7a0e4c49f1613b3902a58442efcabb55e5581c685db25b72ba",
     "run/summary.csv": "c7d94cc426c114a028a154fad189545ffbfc25d61d2f8a7f6f77401946ff8f3a",
     "run/events.csv": "da9f4e664650f5bce38fa234c2ae46c247cc47075c2b94cdd9a8109097f3a4b4",
-    "run/config_snapshot.yaml": "2d0fd48677bcc4ec91e529d18648d952bdd9f3dc4a560e572902a4de6d3fff39",
+    "run/config_snapshot.yaml": "225c5258a7484b8a41cd84dcc8877176ed792dd99735c08a6209516eeb2d9a76",
     "cmp/comparison.csv": "79583cb6a0a4b11eb604eee223e60a3844bbe62e10b85b12f9edc42caed933ca",
-    "cmp/config_snapshot.yaml": "8c2a5257d4e1ce5ad4519b858cded94425c71a7157375d2ba8e74f7cebbd8cc8",
+    "cmp/config_snapshot.yaml": "82a650ec4b860f305d9bd56b27fc4a95e1e0dd67191f7c83e5dc7afcf28d5c80",
 }
 
 

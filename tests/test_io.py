@@ -125,6 +125,18 @@ def test_encounter_validation():
         EncounterTrace({("A", "B"): ((2.0, 1), (2.0, 0))})
 
 
+def test_encounter_rejects_a_user_with_itself():
+    with pytest.raises(TraceParseError, match=r"\('A', 'A'\): a user with"):
+        EncounterTrace({("A", "A"): ((0.0, 0),)})
+    with pytest.raises(TraceParseError, match="a user with itself"):
+        parse_encounter_trace("time_s,user_a,user_b,connected\n0,A,A,0\n")
+
+
+def test_encounter_rejects_a_pair_given_twice():
+    with pytest.raises(TraceParseError, match=r"\('A', 'B'\): given twice"):
+        EncounterTrace({("A", "B"): ((0.0, 1),), ("B", "A"): ((5.0, 0),)})
+
+
 def test_encounter_roundtrip():
     trace = EncounterTrace({("A", "B"): ((5.0, 1), (9.0, 0))})
     again = parse_encounter_trace(emit_encounter_trace(trace))
@@ -208,7 +220,6 @@ def test_sim_config_roundtrip():
     ({"seed": 3.7}, "config.seed"),
     ({"K": True}, "config.K"),
     ({"participation": {"enabled": "false"}}, "participation.enabled"),
-    ({"users": [{"user_id": "A", "helper": "false"}]}, "user.helper"),
     ({"users": [{"user_id": "A", "theta": True}]}, "user.theta"),
     ({"users": [{"user_id": "A", "cost_per_mbit": True}]},
      "user.cost_per_mbit"),
@@ -216,8 +227,8 @@ def test_sim_config_roundtrip():
      "config.overhead_energy_per_auction"),
     ({"users": [{"user_id": "A", "ladder": {"rates": [True, 2]}}]},
      "ladder.rates"),
-], ids=["K=2.5", "seed=3.7", "K=true", "enabled=str", "helper=str",
-        "theta=yes", "cost_per_mbit=true", "overhead=on", "rates=[true, 2]"])
+], ids=["K=2.5", "seed=3.7", "K=true", "enabled=str", "theta=yes",
+        "cost_per_mbit=true", "overhead=on", "rates=[true, 2]"])
 def test_sim_config_scalars_are_lossless(data, where):
     with pytest.raises(ConfigError, match=where):
         sim_config_from_dict({"users": [{"user_id": "A"}], **data})

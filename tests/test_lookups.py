@@ -247,19 +247,18 @@ half_seconds = st.integers(-4, 40).map(lambda k: k / 2)
 
 @st.composite
 def held_state_group(draw):
-    """Simulated users u0.. and an unsimulated x, with capacity breakpoints
-    and encounter toggles on one half-second grid, so that they often fall
-    on the same instant. A pair may have toggles (some before 0), an empty
-    toggle tuple, or none; u0 may have toggles with itself."""
+    """Simulated users u0.. with capacity breakpoints and encounter toggles
+    on one half-second grid, so that they often fall on the same instant.
+    A pair may have toggles (some before 0), an empty toggle tuple, or
+    none."""
     ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
     capacity = CapacityTrace({
         uid: ((0.0, draw(capacities)),) + tuple(
             (t, draw(capacities)) for t in sorted(set(draw(
                 st.lists(half_seconds.filter(lambda t: t > 0), max_size=6)))))
-        for uid in ids + ["x"]})
-    pairs = list(itertools.combinations(ids + ["x"], 2)) + [("u0", "u0")]
+        for uid in ids})
     toggles = {}
-    for pair in pairs:
+    for pair in itertools.combinations(ids, 2):
         kind = draw(st.sampled_from(("none", "empty", "toggles")))
         if kind == "empty":
             toggles[pair] = ()

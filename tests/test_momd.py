@@ -59,6 +59,16 @@ def test_bid_validation():
         MomdBid("a", ((-1.0,),), (1.0,))  # negative bitrate
 
 
+def test_bid_validation_sees_negatives_past_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="bitrates"):
+        MomdBid("a", ((1.0, 0.0), (nan, -1.0)), (1.0, 2.0))
+    with pytest.raises(ValueError, match="prices"):
+        MomdBid("a", ((1.0, 0.0), (1.0, 1.0)), (nan, -1.0))
+    # a NaN is neither zero nor negative: it fills a row and passes
+    assert MomdBid("a", ((nan, 0.0), (1.0, nan)), (nan, nan)).max_segments == 2
+
+
 def test_bid_rows_and_cap():
     bid = MomdBid("a", ((1.3, 0.0, 0.0), (0.7, 0.7, 0.0), (0.0, 0.0, 0.0)),
                   (5.0, 8.0, 0.0))

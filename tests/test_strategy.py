@@ -255,6 +255,22 @@ def test_participation_rejects_negative_capacity():
         should_participate(p, UserState(), -1.0, (), ParticipationConfig())
 
 
+def test_participation_sees_negative_share_past_nan():
+    with pytest.raises(ValueError):
+        should_participate(make_profile(), UserState(), 1.0,
+                           (float("nan"), -1.0), ParticipationConfig())
+
+
+def test_participation_all_nan_shares():
+    # NaN shares are not negative; their NaN sum fails the link test, so
+    # the bidder takes part on an empty and on a full buffer alike
+    nan = float("nan")
+    for state in (UserState(), UserState(buffer_s=30.0, prev_bitrate=2.3)):
+        for shares in ((nan,), (nan, nan, nan)):
+            assert should_participate(make_profile(), state, 0.0, shares,
+                                      ParticipationConfig())
+
+
 capacities = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 
 

@@ -26,7 +26,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .model import UserProfile, UserState, lsum, utility_total
@@ -62,6 +62,22 @@ IDLE_RETRY_S = 1.0  # an auctioneer with no bidder polls again after this
 
 class SimulationHorizonError(TraceUnderrunError):
     """The run went past its horizon guard without every video finishing."""
+
+
+def auction_score(profile: UserProfile, h_est: float,
+                  t: float) -> ScoreFunction:
+    """The score function of an auction the user runs at time t: one
+    segment's downloading cost at the user's effective per-Mbit cost, which
+    adds its link cost per second over its capacity estimate h_est (no link
+    term at h_est = 0). An estimate so small that this cost overflows is a
+    trace fault, raised as TraceUnderrunError."""
+    eff_cost = (profile.cost_per_mbit
+                + (profile.link_cost_per_s / h_est if h_est > 0 else 0.0))
+    if not math.isfinite(eff_cost):
+        raise TraceUnderrunError(
+            f"auctioneer {profile.user_id} at t={t}: capacity estimate "
+            f"{h_est!r} makes the cost per Mbit {eff_cost}")
+    return ScoreFunction.per_mbit(eff_cost, profile.ladder.segment_length_s)
 
 
 @dataclass(frozen=True)
@@ -355,15 +371,16 @@ class _Simulation:
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
         cfg = self.cfg
-        filtering = (cfg.participation_enabled
-                     and cfg.mechanism != "noncooperative")
-        self._seek(t)
-        nearby = self._nbrs[auctioneer]
+        if cfg.mechanism == "noncooperative":
+            # the auctioneer bids alone on its own link, unfiltered
+            nearby, filtering = (auctioneer,), False
+        else:
+            self._seek(t)
+            nearby = self._nbrs[auctioneer]
+            filtering = cfg.participation_enabled
         sums = None
         out = []
         for uid, u in self.users.items():
-            if cfg.mechanism == "noncooperative" and uid != auctioneer:
-                continue
             if uid not in nearby:
                 continue
             if u.remaining_to_assign <= 0:
@@ -396,12 +413,7 @@ class _Simulation:
             return
 
         h_est = auc.capacity_estimate()
-        eff_cost = (auc.profile.cost_per_mbit
-                    + (auc.profile.link_cost_per_s / h_est if h_est > 0
-                       else 0.0))
-        eff_profile = replace(auc.profile, cost_per_mbit=eff_cost)
-        sf = ScoreFunction.efficient(eff_profile)
-
+        sf = auction_score(auc.profile, h_est, t)
         allocation = self._resolve(t, auctioneer, bidders, sf, h_est)
 
         # Sequential downloads on the auctioneer's link, then the next auction.

@@ -5,6 +5,8 @@ allocation and payments, and sufficient-condition checks.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,6 +59,9 @@ class MomdBid:
             raise ValueError("price vector length must match matrix size")
         n = 0
         capped = False
+        # any(x < 0 for x in xs) is any(map(lt, xs, zeros)), scanned in C;
+        # a NaN is not negative
+        lt, zeros = operator.lt, itertools.repeat(0)
         # a truthy entry is one != 0
         for kappa, row in enumerate(matrix, start=1):
             if len(row) != k:
@@ -69,9 +74,9 @@ class MomdBid:
                 raise ValueError("non-empty row after an all-zero row")
             else:
                 n = kappa
-            if any(x < 0 for x in row):
+            if any(map(lt, row, zeros)):
                 raise ValueError("bitrates must be >= 0")
-        if any(p < 0 for p in prices):
+        if any(map(lt, prices, zeros)):
             raise ValueError("prices must be >= 0")
         object.__setattr__(self, "max_segments", n)
 
@@ -155,12 +160,15 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         raise InsufficientMarginalScoresError(
             "insufficient marginal scores: no bids")
     s_of: Dict[float, float] = {}
-    # bidder_id -> (bid, marginal scores, score penalty of each row); a
-    # repeated bidder_id keeps its last bid, as every outcome field does
-    seqs: Dict[str, Tuple[MomdBid, List[float], List[float]]] = {}
+    # bidder_id -> (bid, marginal scores, score penalty of each row, whether
+    # the scores meet Assumption 1); a repeated bidder_id keeps its last
+    # bid, as every outcome field does
+    seqs: Dict[str, Tuple[MomdBid, List[float], List[float], bool]] = {}
     for bid in bids:
         scores, penalties = [], []
         prev = 0.0
+        # _assumption1(scores)[0], checked as the scores are made
+        ok, above = True, math.inf
         for kappa in range(1, bid.max_segments + 1):
             penalty = 0.0
             for r in bid.bitrate_matrix[kappa - 1][:kappa]:
@@ -169,17 +177,21 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
                     s = s_of[r] = sf(r)
                 penalty += s
             phi = bid.price_vector[kappa - 1] - penalty
-            scores.append(phi - prev)
+            marginal = phi - prev
+            if marginal < 0 or above < marginal:
+                ok = False
+            scores.append(marginal)
             penalties.append(penalty)
-            prev = phi
-        seqs[bid.bidder_id] = (bid, scores, penalties)
-    entries = [(s, bidder_id, kappa)
-               for bidder_id, (_, scores, _) in seqs.items()
+            prev, above = phi, marginal
+        seqs[bid.bidder_id] = (bid, scores, penalties, ok)
+    # (-score, bidder_id, row): sorted, highest score first
+    entries = [(-s, bidder_id, kappa)
+               for bidder_id, (_, scores, _, _) in seqs.items()
                for kappa, s in enumerate(scores, start=1)]
     if len(entries) < K:
         raise InsufficientMarginalScoresError(
             f"insufficient marginal scores: {len(entries)} < {K}")
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    entries.sort()
     top = entries[:K]
 
     counts = {bid.bidder_id: 0 for bid in bids}
@@ -188,21 +200,20 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
 
     bitrates: Dict[str, Tuple[float, ...]] = {}
     payments: Dict[str, float] = {}
-    for bidder_id, (bid, _, penalties) in seqs.items():
+    for bidder_id, (bid, _, penalties, _) in seqs.items():
         kappa = counts[bidder_id]
         if kappa == 0:
             bitrates[bidder_id] = ()
             payments[bidder_id] = 0.0
             continue
-        # entries is sorted by score, highest first
-        others = [s for s, b, _ in entries if b != bidder_id][:K]
+        others = list(itertools.islice(
+            (-s for s, b, _ in entries if b != bidder_id), K))
         others += [0.0] * (K - len(others))  # absent competitors do no damage
         damage = lsum(others[K - kappa:])
         bitrates[bidder_id] = bid.row(kappa)
         payments[bidder_id] = penalties[kappa - 1] + damage
 
-    violations = tuple(b for b in sorted(seqs)
-                       if not _assumption1(seqs[b][1])[0])
+    violations = tuple(sorted(b for b, seq in seqs.items() if not seq[3]))
     return MomdOutcome(
         per_segment_winners=tuple(b for _, b, _ in top),
         revised_allocation=counts,

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
-from .model import (
-    UserProfile,
-    UserState,
-    cost_single,
-    degradation_single,
-    lsum,
-    quality_gain_single,
-    welfare,
-)
+from .model import UserProfile, UserState, lsum, welfare
 
 
 class InsufficientBiddersError(ValueError):
@@ -51,7 +44,15 @@ class ScoreFunction:
 
     @staticmethod
     def efficient(downloader: UserProfile) -> "ScoreFunction":
-        return ScoreFunction(lambda r: cost_single(downloader, r))
+        return ScoreFunction.per_mbit(downloader.cost_per_mbit,
+                                      downloader.ladder.segment_length_s)
+
+    @staticmethod
+    def per_mbit(cost_per_mbit: float,
+                 segment_length_s: float) -> "ScoreFunction":
+        """s(r) = cost_per_mbit * r * segment_length_s, multiplied left to
+        right as ``cost_single`` does: one segment's downloading cost."""
+        return ScoreFunction(lambda r: cost_per_mbit * r * segment_length_s)
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,11 @@ def resolve_second_score(bids: Sequence[SomdBid], sf: ScoreFunction) -> SomdOutc
     """
     if not bids:
         raise InsufficientBiddersError("insufficient bidders: no bids")
-    ranked = sorted(bids, key=lambda b: (-score(b, sf), b.bidder_id))
-    winner = ranked[0]
-    second = max((score(b, sf) for b in ranked[1:]), default=0.0)
+    scores = [score(b, sf) for b in bids]
+    keys = [(-s, b.bidder_id) for s, b in zip(scores, bids)]
+    ranked = sorted(range(len(bids)), key=keys.__getitem__)
+    winner = bids[ranked[0]]
+    second = max((scores[i] for i in ranked[1:]), default=0.0)
     return SomdOutcome(
         winner_id=winner.bidder_id,
         winning_bitrate=winner.bitrate,
@@ -99,11 +102,19 @@ def optimal_somd_bid(profile: UserProfile, state: UserState,
     """
     buffer = profile.buffer_gain_scale * profile.buffer_gain_decay ** (
         state.buffer_s / profile.ladder.segment_length_s)
+    # quality_gain_single, sf and degradation_single of each rate, with the
+    # profile's constants bound once; ladder rates are > 0, so sf(r) is
+    # sf.s_of_r(r)
+    gain = profile.theta * profile.ladder.segment_length_s
+    slope = profile.degradation_slope
+    prev = state.prev_bitrate
+    penalty = sf.s_of_r
+    log1p = math.log1p
     best = None
     for r in profile.ladder.rates:
-        u = ((0.0 + quality_gain_single(profile, r)) + buffer
-             - degradation_single(profile, state.prev_bitrate, r))
-        obj = u - sf(r)
+        loss = 0.0 if prev <= r else slope * (prev - r)
+        u = ((0.0 + gain * log1p(r)) + buffer - loss)
+        obj = u - penalty(r)
         if best is None or obj > best[0]:
             best = (obj, r, u)
     return SomdBid(bidder_id=profile.user_id, bitrate=best[1], price=best[2])

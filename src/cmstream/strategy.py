@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -146,11 +147,19 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     if K < 1:
         raise ValueError("K must be >= 1")
     cap = K if max_segments is None else max(0, min(max_segments, K))
+    # quality_gain_single, sf and degradation_single of each rate, with the
+    # profile's constants bound once; ladder rates are > 0, so sf(r) is
+    # sf.s_of_r(r)
+    gain = profile.theta * profile.ladder.segment_length_s
+    slope = profile.degradation_slope
+    prev = state.prev_bitrate
+    penalty = sf.s_of_r
+    log1p = math.log1p
     per_rate = []  # (rate, quality gain, gain net of sf, degradation loss)
     for r in profile.ladder.rates:
-        q = quality_gain_single(profile, r)
-        per_rate.append((r, q, q - sf(r),
-                         degradation_single(profile, state.prev_bitrate, r)))
+        q = gain * log1p(r)
+        per_rate.append((r, q, q - penalty(r),
+                         0.0 if prev <= r else slope * (prev - r)))
     gamma = profile.buffer_gain_scale
     rho = profile.buffer_gain_decay
     base = state.buffer_s / profile.ladder.segment_length_s
@@ -208,11 +217,16 @@ def should_participate(profile: UserProfile, state: UserState,
     diverges), so a starving user still refrains when a better link is
     around and otherwise takes whatever capacity exists.
     """
-    if auctioneer_capacity < 0 or any(h < 0 for h in neighbor_capacity_shares):
+    shares = neighbor_capacity_shares
+    # any(h < 0 for h in shares), in C: no value is below a min that is
+    # >= 0 (a NaN first makes min NaN), else scan; a NaN is not negative
+    if auctioneer_capacity < 0 or (
+            not min(shares, default=0) >= 0
+            and any(map(operator.lt, shares, itertools.repeat(0)))):
         raise ValueError("capacities must be >= 0")
     return participates(profile.ladder.segment_length_s, state.buffer_s,
                         state.prev_bitrate, auctioneer_capacity,
-                        lsum(neighbor_capacity_shares), cfg)
+                        lsum(shares), cfg)
 
 
 def participates(beta: float, buffer_s: float, prev_bitrate: float,

@@ -443,6 +443,23 @@ def test_simulate_non_finite_capacity(tmp_path, config_path, capsys,
     assert "line 3: non-finite" in err["message"]
 
 
+def test_simulate_tiny_capacity(tmp_path, config_path, traces_dir, capsys):
+    """A subnormal capacity is valid, but its link cost per Mbit overflows:
+    a trace fault (exit 3), not a config one."""
+    path = traces_dir / "capacity.csv"
+    lines = path.read_text().splitlines()
+    first_a = next(i for i, row in enumerate(lines) if row.startswith("0,A,"))
+    lines[first_a] = "0,A,1e-310"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["simulate", "--config", str(config_path),
+                 "--traces", str(traces_dir), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    err = _trace_error(capsys)
+    assert err["error"] == "trace"
+    assert "auctioneer A at t=0.0" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_non_finite_toggle_time(tmp_path, config_path, capsys):
     d = tmp_path / "traces"
     d.mkdir()

@@ -1,16 +1,22 @@
 """Unit tests for the trace-driven simulation engine."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmstream
 from cmstream.engine import (
     SimConfig,
     SimulationHorizonError,
+    auction_score,
     run_comparison,
     run_simulation,
 )
+from cmstream.model import BitrateLadder, UserProfile
+from cmstream.somd import ScoreFunction
 from cmstream.experiments import standard_profile, two_user_scenario
 from cmstream.traceio import (
     CapacityTrace,
@@ -19,7 +25,7 @@ from cmstream.traceio import (
     TraceUnderrunError,
 )
 
-from conftest import make_profile
+from conftest import float_bits, make_profile
 
 
 def test_config_validation():
@@ -66,6 +72,51 @@ def test_missing_trace_raises():
     cfg = SimConfig(users=(make_profile("A"),), mechanism="noncooperative")
     with pytest.raises(TraceUnderrunError):
         run_simulation(cfg, CapacityTrace({"B": ((0.0, 1.0),)}))
+
+
+def test_tiny_capacity_estimate_is_a_trace_fault():
+    # 0.45 / 1e-310 overflows, so the cost per Mbit of A's auction is inf
+    cfg = SimConfig(users=(make_profile("A", link_cost_per_s=0.45),),
+                    mechanism="noncooperative")
+    capacity = CapacityTrace({"A": ((0.0, 1e-310), (5.0, 3.0))})
+    with pytest.raises(TraceUnderrunError, match=r"auctioneer A at t=0\.0"):
+        run_simulation(cfg, capacity)
+
+
+@st.composite
+def auctioneers(draw):
+    rates = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=1,
+                                 max_size=6, unique=True)))
+    segment_s = draw(st.floats(0.5, 20.0))
+    return UserProfile(
+        user_id="a",
+        ladder=BitrateLadder(rates=tuple(rates), segment_length_s=segment_s,
+                             max_buffer_s=4 * segment_s),
+        cost_per_mbit=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        link_cost_per_s=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(auctioneers(),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e3),
+                 st.floats(5e-324, 1e-300)))
+def test_auction_score_equals_efficient_of_the_effective_profile(profile,
+                                                                 h_est):
+    """The engine's score function is the one the effective-cost profile
+    gives, bit for bit, at every ladder rate and at 0; a cost that overflows
+    is a trace fault where the profile would be refused."""
+    eff_cost = (profile.cost_per_mbit
+                + (profile.link_cost_per_s / h_est if h_est > 0 else 0.0))
+    try:
+        effective = replace(profile, cost_per_mbit=eff_cost)
+    except ValueError:  # the cost overflowed
+        with pytest.raises(TraceUnderrunError):
+            auction_score(profile, h_est, 0.0)
+        return
+    want = ScoreFunction.efficient(effective)
+    got = auction_score(profile, h_est, 0.0)
+    for r in (0.0,) + profile.ladder.rates:
+        assert float_bits(got(r)) == float_bits(want(r))
 
 
 def test_determinism():

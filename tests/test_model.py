@@ -5,6 +5,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmstream.model import (
     BitrateLadder,
@@ -23,7 +25,13 @@ from cmstream.model import (
     welfare,
 )
 
-from conftest import LADDER, make_profile, random_profile, random_state
+from conftest import (
+    LADDER,
+    float_bits,
+    make_profile,
+    random_profile,
+    random_state,
+)
 
 
 def test_lsum_adds_left_to_right():
@@ -35,6 +43,31 @@ def test_lsum_starts_from_int_zero():
     empty = lsum([])
     assert empty == 0 and type(empty) is int
     assert math.copysign(1.0, lsum([-0.0])) == 1.0
+
+
+def ref_lsum(values):
+    """lsum as one ``+=`` per value from int 0."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+lsum_values = st.lists(st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 1.0))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lsum_values, st.booleans())
+def test_lsum_equals_the_plus_equals_loop(values, as_generator):
+    """Same value, bits and type as the loop, on lists (the empty one
+    included) and on generators."""
+    got = lsum((v for v in values) if as_generator else values)
+    want = ref_lsum(values)
+    assert type(got) is type(want)
+    assert float_bits(got) == float_bits(want)
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12),

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmstream.model import UserState, utility_total, welfare
 from cmstream.somd import (
@@ -15,7 +17,14 @@ from cmstream.somd import (
     score,
 )
 
-from conftest import LADDER, make_profile, random_profile, random_state
+from conftest import (
+    LADDER,
+    float_bits,
+    make_profile,
+    random_profile,
+    random_state,
+    score_functions,
+)
 
 
 def test_score_function_zero_at_zero():
@@ -149,3 +158,45 @@ def test_second_score_truthfulness_small_suite():
             dev = SomdBid("focal", truthful.bitrate,
                           truthful.price * 2.0 * i / 20.0)
             assert base >= payoff(dev) - 1e-9
+
+
+def ref_resolve_second_score(bids, sf):
+    """resolve_second_score as it scored each bid twice: once in the sort
+    key and again for the runner-up."""
+    if not bids:
+        raise InsufficientBiddersError("insufficient bidders: no bids")
+    ranked = sorted(bids, key=lambda b: (-score(b, sf), b.bidder_id))
+    winner = ranked[0]
+    second = max((score(b, sf) for b in ranked[1:]), default=0.0)
+    return (winner.bidder_id, winner.bitrate, second + sf(winner.bitrate))
+
+
+# few ids, rates and prices, so that scores and ids tie often
+somd_bids = st.lists(st.builds(
+    SomdBid,
+    bidder_id=st.sampled_from("abc"),
+    bitrate=st.sampled_from((0.0,) + LADDER.rates),
+    price=st.one_of(st.sampled_from((0.0, 1.0, 2.5)),
+                    st.floats(0.0, 10.0))), min_size=1, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(somd_bids, score_functions())
+def test_second_score_equals_reference(bids, sf):
+    """Winner, bitrate and payment equal the twice-scoring version bit for
+    bit, ties to the lowest id and lone bids included."""
+    out = resolve_second_score(bids, sf)
+    want = ref_resolve_second_score(bids, sf)
+    assert float_bits((out.winner_id, out.winning_bitrate, out.payment)) \
+        == float_bits(want)
+
+
+def test_second_score_ties_and_lone_bid():
+    zero = ScoreFunction.zero()
+    tied = [SomdBid("b", 1.3, 4.0), SomdBid("a", 0.7, 4.0),
+            SomdBid("c", 2.3, 4.0)]
+    out = resolve_second_score(tied, zero)
+    assert (out.winner_id, out.winning_bitrate, out.payment) == ("a", 0.7, 4.0)
+    lone = resolve_second_score([SomdBid("a", 1.3, 4.0)],
+                                ScoreFunction(lambda r: r))
+    assert (lone.winner_id, lone.payment) == ("a", 1.3)

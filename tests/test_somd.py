@@ -190,13 +190,3 @@ def test_second_score_equals_reference(bids, sf):
     assert float_bits((out.winner_id, out.winning_bitrate, out.payment)) \
         == float_bits(want)
 
-
-def test_second_score_ties_and_lone_bid():
-    zero = ScoreFunction.zero()
-    tied = [SomdBid("b", 1.3, 4.0), SomdBid("a", 0.7, 4.0),
-            SomdBid("c", 2.3, 4.0)]
-    out = resolve_second_score(tied, zero)
-    assert (out.winner_id, out.winning_bitrate, out.payment) == ("a", 0.7, 4.0)
-    lone = resolve_second_score([SomdBid("a", 1.3, 4.0)],
-                                ScoreFunction(lambda r: r))
-    assert (lone.winner_id, lone.payment) == ("a", 1.3)

@@ -256,9 +256,11 @@ def test_participation_rejects_negative_capacity():
 
 
 def test_participation_sees_negative_share_past_nan():
-    with pytest.raises(ValueError):
-        should_participate(make_profile(), UserState(), 1.0,
-                           (float("nan"), -1.0), ParticipationConfig())
+    nan = float("nan")
+    for shares in ((nan, -1.0), (1.0, nan, -1.0)):
+        with pytest.raises(ValueError):
+            should_participate(make_profile(), UserState(), 1.0, shares,
+                               ParticipationConfig())
 
 
 def test_participation_all_nan_shares():

@@ -2,9 +2,13 @@
 results emission."""
 
 import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cmstream.config import (
     ConfigError,
@@ -284,3 +288,260 @@ def test_emit_results_csv_and_jsonl(tmp_path):
     line = (tmp_path / "jsonl" / "summary.jsonl").read_text().splitlines()[0]
     summary = json.loads(line)
     assert summary["auction_count"] == 0
+
+
+# -- the parsers against a frozen copy of them ---------------------------------
+#
+# ref_* are the parsers and trace checks as they stood before the one-pass
+# rewrite, kept verbatim (bar names) so that a faster parser must accept the
+# same texts, build the same traces and refuse the rest with the same
+# exception type and message, line numbers included.
+
+
+def ref_capacity_checks(breakpoints):
+    clean = {}
+    inf = math.inf
+    for user, points in breakpoints.items():
+        points = tuple((float(t), float(h)) for t, h in points)
+        if not points or points[0][0] != 0.0:
+            raise TraceParseError(
+                f"user {user}: capacity trace must start at time 0")
+        times = [t for t, _ in points]
+        if not (all(a < b for a, b in zip(times, times[1:]))
+                and times[-1] < inf):
+            raise TraceParseError(f"user {user}: breakpoint times must "
+                                  f"be finite and strictly increase")
+        if not all(0 <= h < inf for _, h in points):
+            raise TraceParseError(
+                f"user {user}: negative or non-finite capacity")
+        clean[user] = points
+    return clean
+
+
+def ref_encounter_checks(toggles):
+    clean = {}
+    for pair, events in toggles.items():
+        key = tuple(sorted(pair))
+        if key[0] == key[1]:
+            raise TraceParseError(f"pair {key}: a user with itself")
+        if key in clean:
+            raise TraceParseError(f"pair {key}: given twice")
+        events = tuple((float(t), int(v)) for t, v in events)
+        times = [t for t, _ in events]
+        if times and not (-math.inf < times[0] and times[-1] < math.inf
+                          and all(a < b for a, b in zip(times, times[1:]))):
+            raise TraceParseError(
+                f"pair {key}: toggle times must be finite and increase")
+        for (_, a), (_, b) in zip(events, events[1:]):
+            if a == b:
+                raise TraceParseError(f"pair {key}: toggles must alternate")
+        if any(v not in (0, 1) for _, v in events):
+            raise TraceParseError(f"pair {key}: connected must be 0/1")
+        clean[key] = events
+    return clean
+
+
+def ref_csv_rows(text, header):
+    reader = csv.reader(io.StringIO(text))
+    lines = [(i + 1, row) for i, row in enumerate(reader) if row]
+    if not lines or tuple(lines[0][1]) != header:
+        raise TraceParseError(f"line 1: expected header {','.join(header)}")
+    for lineno, row in lines[1:]:
+        if len(row) != len(header):
+            raise TraceParseError(f"line {lineno}: expected {len(header)} fields")
+        yield lineno, row
+
+
+def ref_parse_capacity(text):
+    rows = {}
+    for lineno, row in ref_csv_rows(text, ("time_s", "user_id",
+                                           "capacity_mbps")):
+        try:
+            t = float(row[0])
+            h = float(row[2])
+        except ValueError:
+            raise TraceParseError(f"line {lineno}: malformed number")
+        if not math.isfinite(t) or math.isnan(h) or h == math.inf:
+            raise TraceParseError(f"line {lineno}: non-finite number")
+        user = row[1]
+        if h < 0:
+            raise TraceParseError(f"line {lineno}: negative capacity")
+        prev = rows.setdefault(user, [])
+        if prev and t <= prev[-1][0]:
+            raise TraceParseError(
+                f"line {lineno}: non-monotone time for user {user}")
+        prev.append((t, h))
+    for user, points in rows.items():
+        if points[0][0] != 0.0:
+            raise TraceParseError(f"user {user}: missing breakpoint at time 0")
+    return ref_capacity_checks({u: tuple(p) for u, p in rows.items()})
+
+
+def ref_parse_encounter(text):
+    toggles = {}
+    for lineno, row in ref_csv_rows(
+            text, ("time_s", "user_a", "user_b", "connected")):
+        try:
+            t = float(row[0])
+            v = int(row[3])
+        except ValueError:
+            raise TraceParseError(f"line {lineno}: malformed number")
+        if not math.isfinite(t):
+            raise TraceParseError(f"line {lineno}: non-finite number")
+        pair = tuple(sorted((row[1], row[2])))
+        toggles.setdefault(pair, []).append((t, v))
+    return ref_encounter_checks({p: tuple(e) for p, e in toggles.items()})
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives, comparable across implementations: the repr of
+    its value (so -0.0, int/float and key order count), or the type and
+    message of what it raised."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return type(exc), str(exc)
+
+
+NUMBERS = ("nan", "inf", "-inf", "-0.0", "0", "-1", "-2.5", "1e-310", "3",
+           "1.0", "2", "1e", "fast", "", " 4 ", "0x10", "1_0", "Infinity")
+USERS = ("A", "B", "c", "u01")
+
+
+@st.composite
+def mutated_lines(draw, lines, fields, numeric):
+    """``lines`` (a header and rows) after a few random edits: a blank line,
+    a wrong header, a row with a field dropped or added, a number replaced,
+    rows moved (interleaving users, or putting a time out of order), a row
+    repeated or deleted, or a user name swapped."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(("blank", "header", "fields", "number",
+                                     "number", "number", "move", "move",
+                                     "repeat", "delete", "name")))
+        k = draw(st.integers(0, len(lines) - 1))
+        if edit == "blank":
+            lines.insert(k, draw(st.sampled_from(("", " "))))
+        elif edit == "header":
+            lines[0] = draw(st.sampled_from(
+                ("time_s,user,capacity", "a,b,c,d", ",".join(fields[::-1]),
+                 ",".join(fields[:-1]), ",".join(fields) + ",x")))
+        elif edit == "fields":
+            row = lines[k].split(",")
+            if draw(st.booleans()) and len(row) > 1:
+                del row[draw(st.integers(0, len(row) - 1))]
+            else:
+                row.insert(draw(st.integers(0, len(row))), "1")
+            lines[k] = ",".join(row)
+        elif edit == "number" and k:
+            row = lines[k].split(",")
+            i = draw(st.sampled_from(numeric))
+            if i < len(row):
+                row[i] = draw(st.sampled_from(NUMBERS))
+            lines[k] = ",".join(row)
+        elif edit == "move" and len(lines) > 2:
+            row = lines.pop(draw(st.integers(1, len(lines) - 1)))
+            lines.insert(draw(st.integers(1, len(lines))), row)
+        elif edit == "repeat" and k:
+            lines.insert(draw(st.integers(1, len(lines))), lines[k])
+        elif edit == "delete" and k:
+            del lines[k]
+        elif edit == "name" and k:
+            row = lines[k].split(",")
+            if len(row) > 2:
+                row[draw(st.sampled_from((1, 2)))] = draw(
+                    st.sampled_from(USERS))
+            lines[k] = ",".join(row)
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n")))
+
+
+@st.composite
+def capacity_texts(draw):
+    users = draw(st.lists(st.sampled_from(USERS), min_size=1, max_size=3,
+                          unique=True))
+    trace = CapacityTrace({
+        u: tuple((float(t), draw(st.sampled_from((0.0, 0.3, 2.5, 1e6))))
+                 for t in sorted(set(draw(st.lists(
+                     st.integers(1, 40), max_size=4))) | {0}))
+        for u in users})
+    lines = emit_capacity_trace(trace).splitlines()
+    if draw(st.booleans()):  # interleave the users' rows
+        rows = lines[1:]
+        lines = lines[:1] + sorted(rows, key=lambda r: float(r.split(",")[0]))
+    return draw(mutated_lines(lines, ("time_s", "user_id", "capacity_mbps"),
+                              (0, 2)))
+
+
+@st.composite
+def encounter_texts(draw):
+    pairs = draw(st.lists(st.sampled_from([("A", "B"), ("A", "c"),
+                                           ("B", "u01"), ("c", "u01")]),
+                          max_size=3, unique=True))
+    toggles = {}
+    for pair in pairs:
+        first = draw(st.integers(0, 1))
+        times = sorted(set(draw(st.lists(st.integers(0, 40), max_size=4))))
+        toggles[pair] = tuple((float(t), (first + k) % 2)
+                              for k, t in enumerate(times))
+    trace = EncounterTrace(toggles)
+    lines = emit_encounter_trace(trace).splitlines()
+    rows = lines[1:]
+    if draw(st.booleans()):  # write some pairs B,A
+        rows = [",".join((t, b, a, v)) if draw(st.booleans()) else r
+                for r in rows for t, a, b, v in [r.split(",")]]
+    if draw(st.booleans()):  # interleave the pairs' rows
+        rows.sort(key=lambda r: float(r.split(",")[0]))
+    edits = draw(st.lists(st.sampled_from(("2", "1.0", "-1", " 1", "01",
+                                           "true")), max_size=1))
+    if edits and rows:  # a connected value that is not a plain 0/1
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k].rsplit(",", 1)[0] + "," + edits[0]
+    return draw(mutated_lines(lines[:1] + rows,
+                              ("time_s", "user_a", "user_b", "connected"),
+                              (0, 3)))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(capacity_texts())
+@example("time_s,user_id,capacity_mbps\n0,A,-inf\n")
+@example("time_s,user_id,capacity_mbps\n\n0,A,1\n5,B,1\n2,A,-0.0\n")
+def test_capacity_parser_matches_frozen_copy(text):
+    assert (outcome(lambda s: parse_capacity_trace(s).breakpoints, text)
+            == outcome(ref_parse_capacity, text))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(encounter_texts())
+@example("time_s,user_a,user_b,connected\n0,A,A,1\n")
+@example("time_s,user_a,user_b,connected\n0,B,A,1\n3,A,B,0\n1,c,A,1\n")
+@example("time_s,user_a,user_b,connected\n0,A,B,1\n0,B,A,0\n")
+def test_encounter_parser_matches_frozen_copy(text):
+    assert (outcome(lambda s: parse_encounter_trace(s).toggles, text)
+            == outcome(ref_parse_encounter, text))
+
+
+values = st.one_of(
+    st.sampled_from((0, 1, 2, -1, 0.0, -0.0, 1.0, 0.5, True, math.nan,
+                     math.inf, -math.inf, "3", 1e-310)),
+    st.floats(-5.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(USERS),
+                       st.lists(st.tuples(values, values), max_size=4)
+                       .map(tuple), max_size=3))
+def test_capacity_checks_match_frozen_copy(breakpoints):
+    assert (outcome(lambda b: CapacityTrace(b).breakpoints, breakpoints)
+            == outcome(ref_capacity_checks, breakpoints))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.sampled_from(USERS),
+                                 st.sampled_from(USERS)),
+                       st.lists(st.tuples(values, values), max_size=4)
+                       .map(tuple), max_size=3))
+def test_encounter_checks_match_frozen_copy(toggles):
+    assert (outcome(lambda g: EncounterTrace(g).toggles, toggles)
+            == outcome(ref_encounter_checks, toggles))

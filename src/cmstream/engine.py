@@ -25,8 +25,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .model import UserProfile, UserState, lsum, utility_total
@@ -60,6 +62,10 @@ CAPACITY_WINDOW = 3  # completed downloads feeding the capacity estimate
 IDLE_RETRY_S = 1.0  # an auctioneer with no bidder polls again after this
 
 
+# json.dumps(payload, sort_keys=True) without a new encoder per event
+_encode_payload = json.JSONEncoder(sort_keys=True).encode
+
+
 class SimulationHorizonError(TraceUnderrunError):
     """The run went past its horizon guard without every video finishing."""
 
@@ -69,15 +75,18 @@ def auction_score(profile: UserProfile, h_est: float,
     """The score function of an auction the user runs at time t: one
     segment's downloading cost at the user's effective per-Mbit cost, which
     adds its link cost per second over its capacity estimate h_est (no link
-    term at h_est = 0). An estimate so small that this cost overflows is a
-    trace fault, raised as TraceUnderrunError."""
+    term at h_est = 0). UserProfile keeps a top-rate segment's cost finite
+    at any estimate of 1 Mbps or more; an estimate so small that it
+    overflows is a trace fault, raised as TraceUnderrunError."""
     eff_cost = (profile.cost_per_mbit
                 + (profile.link_cost_per_s / h_est if h_est > 0 else 0.0))
-    if not math.isfinite(eff_cost):
+    beta = profile.ladder.segment_length_s
+    top = eff_cost * profile.ladder.top_rate * beta
+    if not math.isfinite(top):
         raise TraceUnderrunError(
             f"auctioneer {profile.user_id} at t={t}: capacity estimate "
-            f"{h_est!r} makes the cost per Mbit {eff_cost}")
-    return ScoreFunction.per_mbit(eff_cost, profile.ladder.segment_length_s)
+            f"{h_est!r} makes the cost of a top-rate segment {top}")
+    return ScoreFunction.per_mbit(eff_cost, beta)
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,7 @@ class SimEvent:
 
     def as_row(self) -> Dict[str, object]:
         return {"time_s": self.time_s, "kind": self.kind,
-                "payload": json.dumps(self.payload, sort_keys=True)}
+                "payload": _encode_payload(self.payload)}
 
 
 @dataclass
@@ -157,7 +166,9 @@ class SimResult:
     events: Tuple[SimEvent, ...]
 
     def per_user_rows(self) -> List[Dict[str, object]]:
-        return [asdict(r) for r in self.per_user.values()]
+        # a UserResult holds only strs and floats: a shallow copy of its
+        # fields, in field order, is what dataclasses.asdict gives
+        return [vars(r).copy() for r in self.per_user.values()]
 
     def aggregate_row(self) -> Dict[str, object]:
         return {
@@ -229,6 +240,12 @@ class _Simulation:
             self.users[profile.user_id] = _UserSim(
                 profile, total, capacity.capacity_at(profile.user_id, 0.0))
         self.unassigned = sum(u.total_segments for u in self.users.values())
+        # users in user order, each user's place in it, and a mask over it
+        # of the users with segments still to assign
+        self._members = list(self.users.items())
+        self._place = {uid: k for k, uid in enumerate(self.users)}
+        self._open = bytearray(u.remaining_to_assign > 0
+                               for u in self.users.values())
         self.horizon_guard = cfg.video_length_s * 100 + 1000.0
         self._rewind()
 
@@ -292,11 +309,16 @@ class _Simulation:
         """Hold every user's neighbourhood (the users it encounters, itself
         included) as it stands before any trace change, with a heap of
         cursors over the changes still to come, one per pair over its
-        toggles. Capacities join on the first share-sum build."""
-        users = self.users
-        default = self.encounters.default_connected
+        toggles. A neighbourhood is a mask over the users in user order.
+        Capacities join on the first share-sum build."""
+        place = self._place
         self._now = -math.inf
-        self._nbrs = {i: set(users) if default else {i} for i in users}
+        if self.encounters.default_connected:
+            self._nbrs = {i: bytearray(b"\1") * len(place) for i in place}
+        else:
+            self._nbrs = {i: bytearray(len(place)) for i in place}
+            for i, k in place.items():
+                self._nbrs[i][k] = 1
         self._caps: Optional[Dict[str, float]] = None
         self._sums: Optional[Dict[str, float]] = None
         # (time of the next change, unique tiebreak, the changes, index of
@@ -304,8 +326,7 @@ class _Simulation:
         cursors = []
         for (a, b), events in self.encounters.toggles.items():
             # a toggled pair is out of range before its first toggle
-            self._nbrs[a].discard(b)
-            self._nbrs[b].discard(a)
+            self._nbrs[a][place[b]] = self._nbrs[b][place[a]] = 0
             if events:
                 cursors.append((events[0][0], len(cursors), events, 0, a, b))
         heapq.heapify(cursors)
@@ -335,18 +356,14 @@ class _Simulation:
         if not cursors or cursors[0][0] > t:
             return
         self._sums = None
-        nbrs, caps = self._nbrs, self._caps
+        nbrs, caps, place = self._nbrs, self._caps, self._place
         while cursors and cursors[0][0] <= t:
             _, n, events, k, a, b = cursors[0]
             value = events[k][1]
             if b is None:
                 caps[a] = value
-            elif value:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
             else:
-                nbrs[a].discard(b)
-                nbrs[b].discard(a)
+                nbrs[a][place[b]] = nbrs[b][place[a]] = value
             k += 1
             if k < len(events):
                 heapq.heapreplace(cursors, (events[k][0], n, events, k, a, b))
@@ -363,28 +380,32 @@ class _Simulation:
         if self._caps is None:
             self._hold_capacities()
         if self._sums is None:
-            nbrs = self._nbrs
-            share = {i: h / len(nbrs[i]) for i, h in self._caps.items()}
-            self._sums = {i: lsum(share[j] for j in share if j in nbrs[i])
-                          for i in share}
+            masks = self._nbrs.values()
+            shares = [h / mask.count(1)
+                      for h, mask in zip(self._caps.values(), masks)]
+            self._sums = {i: lsum(compress(shares, mask))
+                          for i, mask in self._nbrs.items()}
         return self._sums
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
+        """The users that bid in an auction the auctioneer runs at t, in
+        user order: those it encounters that have segments to assign and
+        room to buffer one, and that pass the participation filter when
+        it is on."""
         cfg = self.cfg
         if cfg.mechanism == "noncooperative":
             # the auctioneer bids alone on its own link, unfiltered
-            nearby, filtering = (auctioneer,), False
+            k = self._place[auctioneer]
+            nearby = self._members[k:k + 1] if self._open[k] else ()
+            filtering = False
         else:
             self._seek(t)
-            nearby = self._nbrs[auctioneer]
+            nearby = compress(self._members, map(
+                operator.and_, self._nbrs[auctioneer], self._open))
             filtering = cfg.participation_enabled
         sums = None
         out = []
-        for uid, u in self.users.items():
-            if uid not in nearby:
-                continue
-            if u.remaining_to_assign <= 0:
-                continue
+        for uid, u in nearby:
             self._advance(uid, t)
             if u.headroom_segments() <= 0:
                 continue
@@ -430,6 +451,8 @@ class _Simulation:
             auc.capacity_window.append(avg_capacity)
             seq_no = receiver.next_seq
             receiver.next_seq += 1
+            if receiver.next_seq == receiver.total_segments:
+                self._open[self._place[uid]] = 0
             self.unassigned -= 1
             receiver.pending += 1
             self._push(cursor, "deliver", (uid, bitrate, seq_no, auctioneer))

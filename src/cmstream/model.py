@@ -77,6 +77,19 @@ class UserProfile:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if not 0.0 < self.buffer_gain_decay < 1.0:
             raise ValueError("buffer_gain_decay must be in (0, 1)")
+        # A top-rate segment over a 1-Mbps link must cost a finite amount
+        # (multiplied as ScoreFunction.per_mbit does), so that only a
+        # capacity estimate below 1 Mbps can overflow an auction's cost.
+        cost = ((self.cost_per_mbit + self.link_cost_per_s)
+                * self.ladder.top_rate * self.ladder.segment_length_s)
+        if not math.isfinite(cost):
+            name = ("cost_per_mbit"
+                    if self.cost_per_mbit >= self.link_cost_per_s
+                    else "link_cost_per_s")
+            raise ValueError(
+                f"user {self.user_id}: {name} {getattr(self, name)!r} makes "
+                f"a segment at {self.ladder.top_rate!r} Mbps over a 1-Mbps "
+                f"link cost {cost}")
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,21 @@ import csv
 import io
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .model import lsum
+
+
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
+_CONNECTED = frozenset((0, 1))
 
 
 class TraceParseError(ValueError):
@@ -41,20 +48,21 @@ class CapacityTrace:
 
     def __post_init__(self):
         clean = {}
-        inf = math.inf
         for user, points in self.breakpoints.items():
-            points = tuple((float(t), float(h)) for t, h in points)
+            points = tuple([(float(t), float(h)) for t, h in points])
             if not points or points[0][0] != 0.0:
                 raise TraceParseError(
                     f"user {user}: capacity trace must start at time 0")
-            times = [t for t, _ in points]
+            times = list(map(_first, points))
             # a < b is false when either is NaN, so a chain that strictly
             # increases from 0 to a finite last time is finite throughout
-            if not (all(a < b for a, b in zip(times, times[1:]))
-                    and times[-1] < inf):
+            if not (all(map(operator.lt, times, times[1:]))
+                    and times[-1] < math.inf):
                 raise TraceParseError(f"user {user}: breakpoint times must "
                                       f"be finite and strictly increase")
-            if not all(0 <= h < inf for _, h in points):
+            caps = list(map(_second, points))
+            if not (all(map(operator.le, repeat(0), caps))
+                    and all(map(operator.lt, caps, repeat(math.inf)))):
                 raise TraceParseError(
                     f"user {user}: negative or non-finite capacity")
             clean[user] = points
@@ -118,18 +126,18 @@ class EncounterTrace:
                 raise TraceParseError(f"pair {key}: a user with itself")
             if key in clean:
                 raise TraceParseError(f"pair {key}: given twice")
-            events = tuple((float(t), int(v)) for t, v in events)
-            times = [t for t, _ in events]
+            events = tuple([(float(t), int(v)) for t, v in events])
+            times = list(map(_first, events))
             # as for capacity breakpoints: finite ends and a strictly
             # increasing chain leave no NaN or infinity inside
             if times and not (-math.inf < times[0] and times[-1] < math.inf
-                              and all(a < b for a, b in zip(times, times[1:]))):
+                              and all(map(operator.lt, times, times[1:]))):
                 raise TraceParseError(
                     f"pair {key}: toggle times must be finite and increase")
-            for (_, a), (_, b) in zip(events, events[1:]):
-                if a == b:
-                    raise TraceParseError(f"pair {key}: toggles must alternate")
-            if any(v not in (0, 1) for _, v in events):
+            values = list(map(_second, events))
+            if any(map(operator.eq, values, values[1:])):
+                raise TraceParseError(f"pair {key}: toggles must alternate")
+            if not _CONNECTED.issuperset(values):
                 raise TraceParseError(f"pair {key}: connected must be 0/1")
             clean[key] = events
         object.__setattr__(self, "toggles", clean)
@@ -154,22 +162,26 @@ def _segment(points: Tuple[Tuple[float, float], ...], t: float) -> int:
 def parse_capacity_trace(text: str) -> CapacityTrace:
     """Parse the canonical capacity-trace CSV; errors carry the line number."""
     rows: Dict[str, List[Tuple[float, float]]] = {}
-    for lineno, row in _csv_rows(text, ("time_s", "user_id", "capacity_mbps")):
+    inf = math.inf
+    for lineno, (t, user, h) in _csv_rows(
+            text, ("time_s", "user_id", "capacity_mbps")):
         try:
-            t = float(row[0])
-            h = float(row[2])
+            t = float(t)
+            h = float(h)
         except ValueError:
             raise TraceParseError(f"line {lineno}: malformed number")
-        if not math.isfinite(t) or math.isnan(h) or h == math.inf:
-            raise TraceParseError(f"line {lineno}: non-finite number")
-        user = row[1]
-        if h < 0:
+        if not (-inf < t < inf and 0 <= h < inf):
+            if not math.isfinite(t) or math.isnan(h) or h == inf:
+                raise TraceParseError(f"line {lineno}: non-finite number")
             raise TraceParseError(f"line {lineno}: negative capacity")
-        prev = rows.setdefault(user, [])
-        if prev and t <= prev[-1][0]:
+        prev = rows.get(user)
+        if prev is None:
+            rows[user] = [(t, h)]
+        elif t > prev[-1][0]:
+            prev.append((t, h))
+        else:
             raise TraceParseError(
                 f"line {lineno}: non-monotone time for user {user}")
-        prev.append((t, h))
     for user, points in rows.items():
         if points[0][0] != 0.0:
             raise TraceParseError(f"user {user}: missing breakpoint at time 0")
@@ -186,17 +198,22 @@ def emit_capacity_trace(trace: CapacityTrace) -> str:
 
 def parse_encounter_trace(text: str) -> EncounterTrace:
     toggles: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
-    for lineno, row in _csv_rows(
+    inf = math.inf
+    for lineno, (t, a, b, v) in _csv_rows(
             text, ("time_s", "user_a", "user_b", "connected")):
         try:
-            t = float(row[0])
-            v = int(row[3])
+            t = float(t)
+            v = int(v)
         except ValueError:
             raise TraceParseError(f"line {lineno}: malformed number")
-        if not math.isfinite(t):
+        if not -inf < t < inf:
             raise TraceParseError(f"line {lineno}: non-finite number")
-        pair = tuple(sorted((row[1], row[2])))
-        toggles.setdefault(pair, []).append((t, v))
+        pair = (a, b) if a <= b else (b, a)
+        events = toggles.get(pair)
+        if events is None:
+            toggles[pair] = [(t, v)]
+        else:
+            events.append((t, v))
     return EncounterTrace({p: tuple(e) for p, e in toggles.items()})
 
 
@@ -209,14 +226,27 @@ def emit_encounter_trace(trace: EncounterTrace) -> str:
 
 
 def _csv_rows(text: str, header: Tuple[str, ...]):
-    reader = csv.reader(io.StringIO(text))
-    lines = [(i + 1, row) for i, row in enumerate(reader) if row]
-    if not lines or tuple(lines[0][1]) != header:
+    """(line number, row) for each row after the header, blank lines left
+    out. The rows before the first one with a wrong field count come out
+    before that row's error is raised."""
+    rows = list(csv.reader(io.StringIO(text)))
+    n = len(header)
+    bad = len(rows)  # the first row neither blank nor n fields wide, if any
+    if not {0, n}.issuperset(map(len, rows)):
+        bad = next(k for k, row in enumerate(rows) if len(row) not in (0, n))
+    lines = filter(_second, enumerate(rows[:bad], 1))
+    first = next(lines, None)
+    if first is None or tuple(first[1]) != header:
         raise TraceParseError(f"line 1: expected header {','.join(header)}")
-    for lineno, row in lines[1:]:
-        if len(row) != len(header):
-            raise TraceParseError(f"line {lineno}: expected {len(header)} fields")
-        yield lineno, row
+    if bad == len(rows):
+        return lines
+    return _then_raise(lines, TraceParseError(
+        f"line {bad + 1}: expected {n} fields"))
+
+
+def _then_raise(items, exc: Exception):
+    yield from items
+    raise exc
 
 
 def generate_synthetic_traces(
@@ -300,7 +330,7 @@ def _write_table(rows: Iterable[Mapping[str, object]],
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
+            lines.append(",".join([_fmt(row.get(c, "")) for c in columns]))
         path.write_text("\n".join(lines) + "\n")
     else:
         lines = [json.dumps({c: _round(row.get(c)) for c in columns},

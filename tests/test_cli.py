@@ -460,6 +460,25 @@ def test_simulate_tiny_capacity(tmp_path, config_path, traces_dir, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field", ["cost_per_mbit", "link_cost_per_s"])
+def test_simulate_cost_overflow(tmp_path, traces_dir, capsys, field):
+    """A cost per Mbit so large that a segment's cost overflows on an
+    ordinary capacity is the config's fault (exit 2), naming the user and
+    the field; it used to exit 3 for the link cost and 0, with a NaN
+    welfare, for the per-Mbit cost."""
+    config = copy.deepcopy(SIM_CONFIG)
+    config["users"][0][field] = 1e308
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config))
+    code = main(["simulate", "--config", str(bad),
+                 "--traces", str(traces_dir), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = _trace_error(capsys)
+    assert err["error"] == "config"
+    assert f"user A: {field} 1e+308" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_non_finite_toggle_time(tmp_path, config_path, capsys):
     d = tmp_path / "traces"
     d.mkdir()

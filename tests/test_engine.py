@@ -83,6 +83,36 @@ def test_tiny_capacity_estimate_is_a_trace_fault():
         run_simulation(cfg, capacity)
 
 
+@pytest.mark.parametrize("field", ["cost_per_mbit", "link_cost_per_s"])
+def test_cost_overflow_is_a_config_fault(field):
+    # 1e308 Mbit-units per Mbit: a 2.3-Mbps, 10-s segment costs inf, on
+    # a capacity estimate like the 0.31 Mbps of the shipped two-user traces
+    with pytest.raises(ValueError, match=f"user A: {field} 1e\\+308 makes"):
+        make_profile("A", **{field: 1e308})
+    # 7e306 * 2.3 * 10 is still below the largest float
+    make_profile("A", **{field: 7e306})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1e308), st.floats(0.0, 1e308), st.floats(1.0, 1e9),
+       st.floats(0.05, 5.0), st.floats(0.5, 20.0))
+def test_valid_profile_never_overflows_at_one_mbps_or_more(
+        cost, link_cost, h_est, top_rate, segment_s):
+    """A profile UserProfile accepts scores every ladder rate finitely at any
+    capacity estimate of 1 Mbps or more, so an overflow in auction_score is
+    the trace's alone."""
+    ladder = BitrateLadder(rates=(top_rate / 2, top_rate),
+                           segment_length_s=segment_s,
+                           max_buffer_s=4 * segment_s)
+    try:
+        profile = make_profile("a", ladder=ladder, cost_per_mbit=cost,
+                               link_cost_per_s=link_cost)
+    except ValueError:
+        return
+    sf = auction_score(profile, h_est, 0.0)
+    assert all(math.isfinite(sf(r)) for r in ladder.rates)
+
+
 @st.composite
 def auctioneers(draw):
     rates = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=1,

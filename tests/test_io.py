@@ -2,6 +2,7 @@
 results emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from cmstream.config import (
     trace_stats_from_dict,
     user_from_dict,
 )
+from cmstream.engine import SimEvent, SimResult, UserResult
 from cmstream.traceio import (
     CapacityTrace,
     EncounterTrace,
@@ -545,3 +547,35 @@ def test_capacity_checks_match_frozen_copy(breakpoints):
 def test_encounter_checks_match_frozen_copy(toggles):
     assert (outcome(lambda g: EncounterTrace(g).toggles, toggles)
             == outcome(ref_encounter_checks, toggles))
+
+
+# -- result emission against the library encoders ------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True))
+payloads = st.dictionaries(st.text(max_size=4), st.recursive(
+    json_scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_event_payload_is_json_dumps_with_sorted_keys(payload):
+    row = SimEvent(time_s=1.5, kind="k", payload=payload).as_row()
+    assert row["payload"] == json.dumps(payload, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)]
+                         * 11), max_size=4))
+def test_per_user_rows_are_asdict(values):
+    per_user = {f"u{k}": UserResult(f"u{k}", *v)
+                for k, v in enumerate(values)}
+    result = SimResult(per_user, 0.0, 0.0, 0.0, 0, 0, ())
+    # repr: key order, -0.0 and NaN count
+    assert (repr([list(row.items()) for row in result.per_user_rows()])
+            == repr([list(dataclasses.asdict(r).items())
+                     for r in per_user.values()]))

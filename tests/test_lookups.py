@@ -283,8 +283,9 @@ def test_held_state_matches_point_queries(sim, data):
     for t in monotone + rewinds:
         sim._seek(t)
         for i in sim.users:
-            assert sim._nbrs[i] == {j for j in sim.users
-                                    if sim.encounters.connected(i, j, t)}
+            # a mask over the users in user order
+            assert list(sim._nbrs[i]) == [sim.encounters.connected(i, j, t)
+                                          for j in sim.users]
         sim._share_sums(t)  # capacities are held from the first build on
         for i in sim.users:
             assert sim._caps[i] == sim.capacity.capacity_at(i, t)

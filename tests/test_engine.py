@@ -11,12 +11,14 @@ import cmstream
 from cmstream.engine import (
     SimConfig,
     SimulationHorizonError,
+    _Simulation,
     auction_score,
     run_comparison,
     run_simulation,
 )
-from cmstream.model import BitrateLadder, UserProfile
-from cmstream.somd import ScoreFunction
+from cmstream.model import BitrateLadder, UserProfile, utility_total
+from cmstream.somd import ScoreFunction, SomdBid
+from cmstream.strategy import AdaptationPolicy, _priced_bid, baseline_bitrate
 from cmstream.experiments import standard_profile, two_user_scenario
 from cmstream.traceio import (
     CapacityTrace,
@@ -25,7 +27,7 @@ from cmstream.traceio import (
     TraceUnderrunError,
 )
 
-from conftest import float_bits, make_profile
+from conftest import bidder_draws, float_bits, make_profile, score_functions
 
 
 def test_config_validation():
@@ -147,6 +149,56 @@ def test_auction_score_equals_efficient_of_the_effective_profile(profile,
     got = auction_score(profile, h_est, 0.0)
     for r in (0.0,) + profile.ladder.rates:
         assert float_bits(got(r)) == float_bits(want(r))
+
+
+def frozen_baseline_bid(cfg, u, h_est):
+    """A baseline policy's bid as the engine built it beside the optimal
+    bidders: the policy's rate on every row up to the segment cap, at
+    floored truthful prices, for momd; the rate at its true utility for the
+    single-segment mechanisms."""
+    profile, state = u.profile, u.state()
+    rate = baseline_bitrate(cfg.adaptation, state, h_est, profile.ladder)
+    if cfg.mechanism != "momd":
+        return SomdBid(profile.user_id, rate,
+                       utility_total(profile, state, (rate,)))
+    K = cfg.K
+    cap = max(0, min(u.remaining_to_assign, u.headroom_segments(), K))
+    rows = tuple((rate,) * kappa + (0.0,) * (K - kappa)
+                 if kappa <= cap else (0.0,) * K
+                 for kappa in range(1, K + 1))
+    return _priced_bid(profile, state, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bidder_draws(), score_functions(),
+       st.one_of(st.sampled_from([0.0, 5e-324, 1e9]),
+                 st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)),
+       st.sampled_from(["buffer_based", "bandwidth_based", "hybrid"]),
+       st.one_of(st.tuples(st.sampled_from(["somd", "vickrey_1d"]),
+                           st.just(1)),
+                 st.tuples(st.sampled_from(["momd", "noncooperative"]),
+                           st.integers(1, 6))),
+       st.data())
+def test_baseline_bid_matches_frozen_construction(bidder, sf, h_est, kind,
+                                                  mechanism_k, data):
+    """A baseline policy's bid in the engine equals, bit for bit, the
+    construction it had as a path of its own."""
+    profile, state = bidder
+    mechanism, K = mechanism_k
+    total = data.draw(st.integers(1, 8))
+    cfg = SimConfig(users=(profile,), K=K, mechanism=mechanism,
+                    adaptation=AdaptationPolicy(kind),
+                    video_length_s=profile.ladder.segment_length_s * total)
+    sim = _Simulation(cfg, CapacityTrace({"u": ((0.0, 1.0),)}),
+                      EncounterTrace())
+    u = sim.users["u"]
+    u.buffer_s, u.prev_bitrate = state.buffer_s, state.prev_bitrate
+    u.next_seq = data.draw(st.integers(0, total))
+    u.pending = data.draw(st.integers(0, u.next_seq))
+    got = sim._bid(u, sf, h_est)
+    want = frozen_baseline_bid(cfg, u, h_est)
+    assert type(got) is type(want)
+    assert float_bits(vars(got)) == float_bits(vars(want))
 
 
 def test_determinism():

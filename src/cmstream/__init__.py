@@ -46,7 +46,6 @@ from .strategy import (
     AdaptationPolicy,
     ParticipationConfig,
     baseline_bitrate,
-    baseline_momd_bid,
     brute_force_bitrate_rows,
     build_momd_bid,
     optimal_bitrate_matrix,

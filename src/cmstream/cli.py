@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -18,17 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .config import (
-    ConfigError,
-    coerce,
-    load_config,
-    lossless_int,
-    read_yaml,
-    user_from_dict,
-    write_snapshot,
-)
+from .config import ConfigError, load_config, load_instance, write_snapshot
 from .engine import MECHANISMS, SINGLE_SEGMENT, run_comparison, run_simulation
-from .model import UserState
 from .momd import (
     InstanceTooLargeError,
     brute_force_momd_optimum,
@@ -181,57 +171,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _finite(value, where: str) -> float:
-    v = coerce("float", value, where)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return v
-
-
-def _instance_bidders(data: dict):
-    bidders, ids = [], set()
-    for entry in data.get("bidders", []):
-        profile = user_from_dict(entry["profile"])
-        if profile.user_id in ids:
-            raise ConfigError(f"bidder {profile.user_id!r} is repeated")
-        ids.add(profile.user_id)
-        st = entry.get("state") or {}
-        state = UserState(**{
-            key: coerce("float", st.get(key, 0.0), f"state.{key}")
-            for key in ("buffer_s", "prev_bitrate")})
-        bidders.append((profile, state))
-    return bidders
-
-
-def _oracle_inputs(data: dict, kind: str) -> dict:
-    """The typed fields of an oracle instance that ``kind`` reads. A
-    malformed instance raises KeyError, TypeError, AttributeError or
-    ValueError here, before any oracle runs."""
-    if kind == "momd" and "marginal_scores" in data:
-        scores = {}
-        for k, v in data["marginal_scores"].items():
-            if str(k) in scores:
-                raise ConfigError(f"marginal_scores key {k!r} names bidder "
-                                  f"{str(k)!r} twice")
-            scores[str(k)] = [_finite(x, f"marginal_scores.{k}") for x in v]
-        return {"scores": scores, "K": lossless_int(data["K"])}
-    inputs = {"downloader": user_from_dict(data["downloader"]),
-              "bidders": _instance_bidders(data),
-              "K": lossless_int(data.get("K", 1))}
-    if kind == "matrix" and not inputs["bidders"]:
-        raise ConfigError("the matrix oracle needs a bidder")
-    if kind in ("somd", "momd") and "mechanism_welfare" in data:
-        inputs["claimed"] = _finite(data["mechanism_welfare"],
-                                    "mechanism_welfare")
-    return inputs
-
-
 def cmd_oracle(args) -> int:
-    data = read_yaml(args.instance)
-    try:
-        inputs = _oracle_inputs(data, args.kind)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ConfigError(f"bad instance: {exc!r}") from exc
+    inputs = load_instance(args.instance, args.kind)
     K = inputs["K"]
     if "scores" in inputs:
         outcome = resolve_from_marginal_scores(inputs["scores"], K)

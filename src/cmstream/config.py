@@ -1,12 +1,13 @@
 """Reading, checking and writing the YAML config files.
 
-Every subcommand that takes ``--config`` loads it with :func:`load_config`.
+Every subcommand that takes ``--config`` loads it with :func:`load_config`,
+and ``oracle`` loads its ``--instance`` with :func:`load_instance`.
 The accepted keys and their defaults are the fields of the dataclasses
 they build (``SimConfig``, ``UserProfile``, ``BitrateLadder``,
-``AdaptationPolicy``, ``ParticipationConfig``); unknown keys are rejected
-at every level so typos fail fast. ``trace_stats``/``trace`` sections
-parameterize synthetic trace generation for the gen-traces and compare
-commands and are checked whenever a config loads.
+``AdaptationPolicy``, ``ParticipationConfig``, ``UserState``); unknown keys
+are rejected at every level so typos fail fast. ``trace_stats``/``trace``
+sections parameterize synthetic trace generation for the gen-traces and
+compare commands and are checked whenever a config loads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import yaml
 
 from .engine import SimConfig
-from .model import BitrateLadder, UserProfile
+from .model import BitrateLadder, UserProfile, UserState
 from .strategy import AdaptationPolicy, ParticipationConfig
 
 
@@ -197,6 +198,65 @@ def load_config(path) -> Tuple[SimConfig, Optional[TraceSpec]]:
                   "trace.horizon_s"),
         _positive(trace.get("step_s", 5.0), "trace.step_s"))
     return cfg, spec if stats else None
+
+
+def _finite(value, where: str) -> float:
+    v = coerce("float", value, where)
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return v
+
+
+def _instance_bidders(data: Mapping):
+    bidders, ids = [], set()
+    for i, entry in enumerate(data.get("bidders", [])):
+        where = f"bidders[{i}]"
+        entry = _mapping(entry, where)
+        _reject_unknown(entry, {"profile", "state"}, where)
+        profile = user_from_dict(entry["profile"])
+        if profile.user_id in ids:
+            raise ConfigError(f"bidder {profile.user_id!r} is repeated")
+        ids.add(profile.user_id)
+        bidders.append((profile, _build(UserState, entry.get("state"),
+                                        f"{where}.state")))
+    return bidders
+
+
+def _oracle_inputs(data: Mapping, kind: str) -> dict:
+    if kind == "momd" and "marginal_scores" in data:
+        _reject_unknown(data, {"K", "marginal_scores"}, "instance")
+        scores = {}
+        for k, v in data["marginal_scores"].items():
+            if str(k) in scores:
+                raise ConfigError(f"marginal_scores key {k!r} names bidder "
+                                  f"{str(k)!r} twice")
+            scores[str(k)] = [_finite(x, f"marginal_scores.{k}") for x in v]
+        return {"scores": scores, "K": lossless_int(data["K"])}
+    _reject_unknown(data, {"K", "downloader", "bidders", "mechanism_welfare"},
+                    "instance")
+    inputs = {"downloader": user_from_dict(data["downloader"]),
+              "bidders": _instance_bidders(data),
+              "K": lossless_int(data.get("K", 1))}
+    if kind == "matrix" and not inputs["bidders"]:
+        raise ConfigError("the matrix oracle needs a bidder")
+    if kind in ("somd", "momd") and "mechanism_welfare" in data:
+        inputs["claimed"] = _finite(data["mechanism_welfare"],
+                                    "mechanism_welfare")
+    return inputs
+
+
+def load_instance(path, kind: str) -> dict:
+    """The typed fields of the oracle instance in a YAML file that the
+    oracle ``kind`` reads: ``scores`` and ``K`` for a ``marginal_scores``
+    instance (``momd`` only), else ``downloader``, ``bidders`` as (profile,
+    state) pairs, ``K`` and, for ``somd`` and ``momd``, the ``claimed``
+    mechanism welfare. A malformed instance, an unknown key in it included,
+    is a ConfigError, raised before any oracle runs."""
+    data = read_yaml(path)
+    try:
+        return _oracle_inputs(data, kind)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ConfigError(f"bad instance: {exc!r}") from exc
 
 
 def write_snapshot(out_dir: Path, cfg: SimConfig,

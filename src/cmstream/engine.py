@@ -7,14 +7,16 @@ time. A single run is strictly sequential and reproducible: identical
 (config, traces, seed) give an identical event log.
 
 Every mechanism runs one path: build the bids, resolve them, then book and
-log the outcome. Bids are priced at true utility (floored at 0 in momd), at
-the bitrates of the ``optimal`` adaptation policy or of ``baseline_bitrate``:
+log the outcome. Every bidder bids optimally, at true utility (floored at 0
+in momd); under a baseline adaptation policy its ladder holds only the rate
+``baseline_bitrate`` picks. momd caps the rows at the bidder's headroom,
+and in noncooperative the auctioneer bids alone:
 
-    mechanism       bid                       resolver               score
-    momd            headroom-capped matrix    resolve_vickrey_score  efficient
-    somd            one bitrate               resolve_second_score   efficient
-    vickrey_1d      one bitrate               resolve_second_score   zero
-    noncooperative  one bitrate, auctioneer   resolve_second_score   efficient
+    mechanism       bid                      resolver               score
+    momd            build_momd_bid, capped   resolve_vickrey_score  efficient
+    somd            optimal_somd_bid         resolve_second_score   efficient
+    vickrey_1d      optimal_somd_bid         resolve_second_score   zero
+    noncooperative  optimal_somd_bid, alone  resolve_second_score   efficient
 
 The resolvers price every bid, a lone one too (its second score is 0); the
 engine keeps one rule: the auctioneer's own lone single-bitrate bid is free.
@@ -27,7 +29,7 @@ import json
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +45,6 @@ from .strategy import (
     AdaptationPolicy,
     ParticipationConfig,
     baseline_bitrate,
-    baseline_momd_bid,
     build_momd_bid,
     participates,
 )
@@ -52,7 +53,6 @@ from .traceio import (
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
-    degradation_ratio,
 )
 
 MECHANISMS = ("somd", "momd", "vickrey_1d", "noncooperative")
@@ -512,23 +512,21 @@ class _Simulation:
 
     def _bid(self, u: _UserSim, sf: ScoreFunction,
              h_est: float) -> Union[MomdBid, SomdBid]:
-        """u's bid: a segment-capped bitrate matrix for momd, one bitrate for
-        the single-segment mechanisms; the adaptation policy picks the rates
-        and a baseline policy bids at the auctioneer's capacity estimate."""
+        """u's optimal bid: a segment-capped bitrate matrix for momd, one
+        bitrate for the other mechanisms. Under a baseline policy u bids on
+        a ladder that holds only the rate the policy picks at the
+        auctioneer's capacity estimate h_est."""
         cfg = self.cfg
-        state = u.state()
+        profile, state = u.profile, u.state()
+        if cfg.adaptation.kind != "optimal":
+            rate = baseline_bitrate(cfg.adaptation, state, h_est,
+                                    profile.ladder)
+            profile = replace(profile,
+                              ladder=replace(profile.ladder, rates=(rate,)))
         if cfg.mechanism == "momd":
             cap = min(u.remaining_to_assign, u.headroom_segments())
-            if cfg.adaptation.kind == "optimal":
-                return build_momd_bid(u.profile, state, sf, cfg.K,
-                                      max_segments=cap)
-            return baseline_momd_bid(cfg.adaptation, u.profile, state, h_est,
-                                     cfg.K, max_segments=cap)
-        if cfg.adaptation.kind == "optimal":
-            return optimal_somd_bid(u.profile, state, sf)
-        r = baseline_bitrate(cfg.adaptation, state, h_est, u.profile.ladder)
-        return SomdBid(u.profile.user_id, r,
-                       utility_total(u.profile, state, (r,)))
+            return build_momd_bid(profile, state, sf, cfg.K, max_segments=cap)
+        return optimal_somd_bid(profile, state, sf)
 
     # -- main loop ---------------------------------------------------------
 
@@ -562,6 +560,11 @@ class _Simulation:
             overhead = u.auctions_initiated * cfg.overhead_energy_per_auction
             w = (u.utility - u.cost - overhead
                  + u.payments_received - u.payments_made)
+            # each segment's terms are finite; their sums over a run can
+            # still overflow
+            if not math.isfinite(w):
+                raise ValueError(f"user {uid}: welfare {w} over the run is "
+                                 "not finite; the config's values overflow")
             drops = lsum(max(a - b, 0.0) for a, b in zip(rates, rates[1:]))
             per_user[uid] = UserResult(
                 user_id=uid,
@@ -576,13 +579,16 @@ class _Simulation:
                 rebuffer_ratio=(u.stall_s / cfg.video_length_s
                                 if u.total_segments else 0.0),
                 degradation_volume_mbps=drops,
-                degradation_ratio=degradation_ratio(rates),
+                degradation_ratio=drops / volume if volume else 0.0,
             )
             social += w
             total_stall += u.stall_s
             total_video += cfg.video_length_s if u.total_segments else 0.0
             total_drops += drops
             total_rate_volume += volume
+        if not math.isfinite(social):
+            raise ValueError(f"social welfare {social} over the run is not "
+                             "finite; the config's values overflow")
         return SimResult(
             per_user=per_user,
             social_welfare=social,

@@ -83,18 +83,9 @@ def optimal_bitrate_matrix(profile: UserProfile, state: UserState,
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _capped_rows(
-        K, max_segments,
-        lambda kappa: optimal_row_rate(profile, state, cost_of_rate, kappa))
-
-
-def _capped_rows(K: int, max_segments: int | None,
-                 rate_of_row: Callable[[int], float],
-                 ) -> Tuple[Tuple[float, ...], ...]:
-    """K x K lower-triangular matrix whose row kappa repeats
-    rate_of_row(kappa); rows past max_segments are all zero."""
     cap = K if max_segments is None else max(0, min(max_segments, K))
-    return tuple((rate_of_row(kappa),) * kappa + (0.0,) * (K - kappa)
+    return tuple((optimal_row_rate(profile, state, cost_of_rate, kappa),)
+                 * kappa + (0.0,) * (K - kappa)
                  if kappa <= cap else (0.0,) * K
                  for kappa in range(1, K + 1))
 
@@ -183,15 +174,6 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
         matrix.append((rate,) * kappa + (0.0,) * (K - kappa))
         prices.append(price if price > 0.0 else 0.0)
     return MomdBid(profile.user_id, tuple(matrix), tuple(prices))
-
-
-def baseline_momd_bid(policy: AdaptationPolicy, profile: UserProfile,
-                      state: UserState, est_capacity: float, K: int,
-                      max_segments: int | None = None) -> MomdBid:
-    """The policy's bitrate on every row, at truthful prices, as a bid."""
-    rate = baseline_bitrate(policy, state, est_capacity, profile.ladder)
-    return _priced_bid(profile, state,
-                       _capped_rows(K, max_segments, lambda kappa: rate))
 
 
 def _priced_bid(profile: UserProfile, state: UserState,

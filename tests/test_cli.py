@@ -16,6 +16,9 @@ from cmstream.cli import (
     main,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TWO_USER = yaml.safe_load((CONFIGS / "two_user.yaml").read_text())
+
 SIM_CONFIG = {
     "users": [
         {"user_id": "A", "cost_per_mbit": 0.25, "link_cost_per_s": 0.45},
@@ -99,6 +102,33 @@ def test_simulate_snapshot_reproduces(tmp_path, config_path, traces_dir):
                  "--traces", str(traces_dir), "--out", str(out2)]) == EXIT_OK
     for name in ("metrics.csv", "summary.csv"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+def test_simulate_adaptation_key(tmp_path, traces_dir, capsys):
+    """``adaptation: hybrid`` is shorthand for ``adaptation: {kind:
+    hybrid}``; a baseline policy changes the results; an unknown one is a
+    config error."""
+    outputs = {}
+    for name, adaptation in (("optimal", None), ("long", {"kind": "hybrid"}),
+                             ("short", "hybrid"), ("bogus", "bogus")):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(
+            dict(SIM_CONFIG, **({"adaptation": adaptation}
+                                if adaptation else {}))))
+        out = tmp_path / name
+        code = main(["simulate", "--config", str(path),
+                     "--traces", str(traces_dir), "--out", str(out)])
+        if name == "bogus":
+            assert code == EXIT_CONFIG
+            assert "'bogus'" in _trace_error(capsys)["message"]
+            assert not out.exists()
+            continue
+        assert code == EXIT_OK
+        outputs[name] = [(out / f).read_bytes()
+                         for f in ("metrics.csv", "summary.csv")]
+    assert outputs["long"] == outputs["short"]
+    for optimal, hybrid in zip(outputs["optimal"], outputs["long"]):
+        assert optimal != hybrid
 
 
 def test_simulate_bad_config(tmp_path, traces_dir):
@@ -357,7 +387,32 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     assert "reduced-solver rows:" in out
 
 
-@pytest.mark.parametrize("kind,instance", [
+# id: (kind, instance with a misspelt key, what the error names); such a
+# key used to be dropped, and the oracle answered as if it were absent
+MISSPELT = {
+    "bidder-stat": ("momd", {
+        "K": 2, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"},
+                     "stat": {"buffer_s": 30, "prev_bitrate": 2.3}}]},
+        "bidders[0]: unknown keys ['stat']"),
+    "state-prev-bitrat": ("momd", {
+        "K": 2, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"},
+                     "state": {"prev_bitrat": 2.3}}]},
+        "bidders[0].state: unknown keys ['prev_bitrat']"),
+    "mechanism-welfre": ("momd", {
+        "K": 1, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}],
+        "mechanism_welfre": 1.0},
+        "instance: unknown keys ['mechanism_welfre']"),
+    "scores-extra": ("momd", {
+        "K": 1, "marginal_scores": {"1": [3], "2": [4]}, "extra": 1},
+        "instance: unknown keys ['extra']"),
+}
+
+
+# (kind, instance) pairs that are malformed in other ways
+MALFORMED = [
     ("momd", {"K": 2, "marginal_scores": [1, 2]}),
     ("somd", {"downloader": {"user_id": "d"}, "bidders": [5]}),
     ("matrix", {"K": 2, "downloader": {"user_id": "d"}, "bidders": []}),
@@ -388,17 +443,27 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     ("momd", {"K": 2, "downloader": {"user_id": "d"},
               "bidders": [{"profile": {"user_id": "u"}},
                           {"profile": {"user_id": "u"}}]}),
-], ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder",
-        "bidders-fractional-k", "bidders-boolean-k", "scores-fractional-k",
-        "scores-boolean-k", "scores-boolean-entry", "state-boolean-buffer",
-        "welfare-boolean", "scores-nan", "scores-inf", "welfare-nan",
-        "state-nan-buffer", "state-inf-prev-bitrate", "repeated-bidder"])
-def test_oracle_malformed_instance(tmp_path, capsys, kind, instance):
+]
+
+
+@pytest.mark.parametrize(
+    "kind,instance,named",
+    [(kind, instance, None) for kind, instance in MALFORMED]
+    + list(MISSPELT.values()),
+    ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder",
+         "bidders-fractional-k", "bidders-boolean-k", "scores-fractional-k",
+         "scores-boolean-k", "scores-boolean-entry", "state-boolean-buffer",
+         "welfare-boolean", "scores-nan", "scores-inf", "welfare-nan",
+         "state-nan-buffer", "state-inf-prev-bitrate", "repeated-bidder",
+         *MISSPELT])
+def test_oracle_malformed_instance(tmp_path, capsys, kind, instance, named):
     inst = tmp_path / "bad.yaml"
     inst.write_text(yaml.safe_dump(instance))
     assert main(["oracle", "--instance", str(inst),
                  "--kind", kind]) == EXIT_CONFIG
-    assert _trace_error(capsys)["error"] == "config"
+    err = _trace_error(capsys)
+    assert err["error"] == "config"
+    assert named is None or named in err["message"]
 
 
 @pytest.mark.parametrize("bidders", [1, 2])
@@ -476,6 +541,31 @@ def test_simulate_cost_overflow(tmp_path, traces_dir, capsys, field):
     err = _trace_error(capsys)
     assert err["error"] == "config"
     assert f"user A: {field} 1e+308" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("theta", 1e308), ("theta", 1e306), ("buffer_gain_scale", 1e308),
+    ("cost_per_mbit", 7e306)])
+def test_simulate_welfare_overflow(tmp_path, capsys, field, value):
+    """Values on A that UserProfile accepts, but whose sums over the
+    shipped two-user run overflow: exit 2 naming A, no --out left. They
+    used to exit 0 with an infinite or NaN social welfare."""
+    shipped = CONFIGS / "two_user.yaml"
+    traces = tmp_path / "traces"
+    assert main(["gen-traces", "--config", str(shipped),
+                 "--out", str(traces)]) == EXIT_OK
+    capsys.readouterr()
+    config = copy.deepcopy(TWO_USER)
+    config["users"][0][field] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config))
+    code = main(["simulate", "--config", str(bad),
+                 "--traces", str(traces), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = _trace_error(capsys)
+    assert err["error"] == "config"
+    assert err["message"].startswith("user A: welfare ")
     assert not (tmp_path / "o").exists()
 
 
@@ -577,10 +667,6 @@ def test_verbose_is_read_at_call_time(monkeypatch, tmp_path, config_path,
     assert main(args) == EXIT_OK
     assert "simulating momd K=1" in capsys.readouterr().err
 
-
-TWO_USER = yaml.safe_load(
-    (Path(__file__).resolve().parent.parent / "configs" / "two_user.yaml")
-    .read_text())
 
 # (command, key path into configs/two_user.yaml, value written there)
 HOSTILE = [

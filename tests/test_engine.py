@@ -95,6 +95,25 @@ def test_cost_overflow_is_a_config_fault(field):
     make_profile("A", **{field: 7e306})
 
 
+@pytest.mark.parametrize("field,value,users,video_s,message", [
+    ("theta", 1e308, "A", 100.0, "user A: welfare inf"),
+    ("buffer_gain_scale", 1e308, "A", 100.0, "user A: welfare inf"),
+    ("cost_per_mbit", 7e306, "A", 200.0, "user A: welfare -inf"),
+    # each user's welfare is finite, their sum is not
+    ("theta", 1e306, "AB", 100.0, "social welfare inf"),
+], ids=["theta", "buffer-gain", "cost", "sum"])
+def test_welfare_overflow_is_a_config_fault(field, value, users, video_s,
+                                            message):
+    """Every segment's terms are finite, but their sums over the run
+    overflow: a ValueError naming whose welfare, not an infinite result."""
+    cfg = SimConfig(users=tuple(make_profile(uid, **{field: value})
+                                for uid in users),
+                    mechanism="noncooperative", video_length_s=video_s)
+    capacity = CapacityTrace({uid: ((0.0, 3.0),) for uid in users})
+    with pytest.raises(ValueError, match=f"^{message} over the run"):
+        run_simulation(cfg, capacity)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.0, 1e308), st.floats(0.0, 1e308), st.floats(1.0, 1e9),
        st.floats(0.05, 5.0), st.floats(0.5, 20.0))

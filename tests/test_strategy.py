@@ -1,6 +1,7 @@
 """Unit tests for bidding strategy, participation, and adaptation policies."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from cmstream.strategy import (
     AdaptationPolicy,
     ParticipationConfig,
     baseline_bitrate,
-    baseline_momd_bid,
     brute_force_bitrate_rows,
     build_momd_bid,
     optimal_bitrate_matrix,
@@ -306,7 +306,10 @@ def test_baseline_momd_bid_rows_and_prices():
     state = UserState(buffer_s=20.0, prev_bitrate=2.3)
     policy = AdaptationPolicy("buffer_based")
     rate = baseline_bitrate(policy, state, 1.0, p.ladder)
-    bid = baseline_momd_bid(policy, p, state, 1.0, 3, max_segments=2)
+    # the engine's baseline bid: the optimal bidder on a one-rate ladder
+    one_rate = replace(p, ladder=replace(p.ladder, rates=(rate,)))
+    bid = build_momd_bid(one_rate, state, ScoreFunction.zero(), 3,
+                         max_segments=2)
     assert bid.bitrate_matrix == ((rate, 0.0, 0.0), (rate, rate, 0.0),
                                   (0.0, 0.0, 0.0))
     prices = truthful_price_vector(p, state, bid.bitrate_matrix)

@@ -387,8 +387,7 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     assert "reduced-solver rows:" in out
 
 
-# id: (kind, instance with a misspelt key, what the error names); such a
-# key used to be dropped, and the oracle answered as if it were absent
+# id: (kind, instance with a misspelt key, what the error names)
 MISSPELT = {
     "bidder-stat": ("momd", {
         "K": 2, "downloader": {"user_id": "d"},

@@ -4,6 +4,7 @@ results emission."""
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -520,6 +521,82 @@ def test_capacity_parser_matches_frozen_copy(text):
 @example("time_s,user_a,user_b,connected\n0,B,A,1\n3,A,B,0\n1,c,A,1\n")
 @example("time_s,user_a,user_b,connected\n0,A,B,1\n0,B,A,0\n")
 def test_encounter_parser_matches_frozen_copy(text):
+    assert (outcome(lambda s: parse_encounter_trace(s).toggles, text)
+            == outcome(ref_parse_encounter, text))
+
+
+# the connected-value edits of encounter_texts, put in any one cell below
+CELL_EDITS = ("2", "1.0", "-1", " 1", "01", "true")
+WHOLE_FORMS = ("plain", "plain", "plain", "no final newline", "quoted field",
+               "crlf", "blank line", "cell edit")
+
+
+@st.composite
+def whole_traces(draw, encounters):
+    """A whole emitted trace over several users (or pairs), as a writer may
+    give it: rows interleaved across users, pairs written B,A, and one of
+    WHOLE_FORMS, most often untouched. Unlike the texts above it keeps
+    many rows and no random edits, so that most of it is a plain file."""
+    users = draw(st.lists(st.sampled_from(USERS + ("u02", "Z9")),
+                          min_size=2, max_size=6, unique=True))
+    times = st.lists(st.integers(1, 60), max_size=10).map(
+        lambda ts: sorted(set(ts)))
+    if encounters:
+        pairs = draw(st.lists(st.sampled_from(
+            [tuple(sorted(p)) for p in itertools.combinations(users, 2)]),
+            min_size=1, max_size=6, unique=True))
+        toggles = {}
+        for pair in pairs:
+            first = draw(st.integers(0, 1))
+            toggles[pair] = tuple((float(t), (first + k) % 2) for k, t
+                                  in enumerate([0] + draw(times)))
+        lines = emit_encounter_trace(EncounterTrace(toggles)).splitlines()
+    else:
+        trace = CapacityTrace({u: tuple(
+            (float(t), draw(st.sampled_from((0.0, 0.3, 2.5, 1e6, 1e-310))))
+            for t in [0] + draw(times)) for u in users})
+        lines = emit_capacity_trace(trace).splitlines()
+    rows = lines[1:]
+    if encounters and draw(st.booleans()):  # write some pairs B,A
+        rows = [",".join((t, b, a, v)) if draw(st.booleans()) else r
+                for r in rows for t, a, b, v in [r.split(",")]]
+    if draw(st.booleans()):  # interleave the users' (pairs') rows
+        rows.sort(key=lambda r: float(r.split(",")[0]))
+    lines = lines[:1] + rows
+    form = draw(st.sampled_from(WHOLE_FORMS))
+    k = draw(st.integers(0, len(lines) - 1))
+    end = "\n"
+    if form == "no final newline":
+        end = ""
+    elif form == "quoted field":
+        cells = lines[k].split(",")
+        i = draw(st.integers(0, len(cells) - 1))
+        cells[i] = f'"{cells[i]}"'
+        lines[k] = ",".join(cells)
+    elif form == "crlf":
+        lines[k] += "\r"
+    elif form == "blank line":
+        lines.insert(k, "")
+    elif form == "cell edit" and k:
+        cells = lines[k].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(CELL_EDITS))
+        lines[k] = ",".join(cells)
+    return "\n".join(lines) + end
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(whole_traces(encounters=False))
+def test_whole_capacity_traces_match_frozen_copy(text):
+    assert (outcome(lambda s: parse_capacity_trace(s).breakpoints, text)
+            == outcome(ref_parse_capacity, text))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(whole_traces(encounters=True))
+def test_whole_encounter_traces_match_frozen_copy(text):
     assert (outcome(lambda s: parse_encounter_trace(s).toggles, text)
             == outcome(ref_parse_encounter, text))
 

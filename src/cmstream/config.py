@@ -232,14 +232,16 @@ def _oracle_inputs(data: Mapping, kind: str) -> dict:
                                   f"{str(k)!r} twice")
             scores[str(k)] = [_finite(x, f"marginal_scores.{k}") for x in v]
         return {"scores": scores, "K": lossless_int(data["K"])}
-    _reject_unknown(data, {"K", "downloader", "bidders", "mechanism_welfare"},
+    # the matrix oracle compares no welfare, so a claimed one is unknown
+    _reject_unknown(data, {"K", "downloader", "bidders"} if kind == "matrix"
+                    else {"K", "downloader", "bidders", "mechanism_welfare"},
                     "instance")
     inputs = {"downloader": user_from_dict(data["downloader"]),
               "bidders": _instance_bidders(data),
               "K": lossless_int(data.get("K", 1))}
     if kind == "matrix" and not inputs["bidders"]:
         raise ConfigError("the matrix oracle needs a bidder")
-    if kind in ("somd", "momd") and "mechanism_welfare" in data:
+    if "mechanism_welfare" in data:
         inputs["claimed"] = _finite(data["mechanism_welfare"],
                                     "mechanism_welfare")
     return inputs
@@ -250,8 +252,9 @@ def load_instance(path, kind: str) -> dict:
     oracle ``kind`` reads: ``scores`` and ``K`` for a ``marginal_scores``
     instance (``momd`` only), else ``downloader``, ``bidders`` as (profile,
     state) pairs, ``K`` and, for ``somd`` and ``momd``, the ``claimed``
-    mechanism welfare. A malformed instance, an unknown key in it included,
-    is a ConfigError, raised before any oracle runs."""
+    mechanism welfare. A malformed instance, an unknown key in it included
+    (``mechanism_welfare`` for ``matrix``, which compares none), is a
+    ConfigError, raised before any oracle runs."""
     data = read_yaml(path)
     try:
         return _oracle_inputs(data, kind)

@@ -633,7 +633,8 @@ def run_comparison(
     """Run each labelled config over shared per-replication traces and
     aggregate means (common random numbers across cells). A label given
     twice, or fewer than one replication, is a ValueError, raised before
-    any simulation runs."""
+    any simulation runs. A cell's mean that is not finite, though every
+    run's metrics are, is a ValueError raised once all have run."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     labels = [label for label, _ in cells]
@@ -657,4 +658,11 @@ def run_comparison(
                 s[k] += row[k]
     rows = [{"cell": label, **{k: v / replications for k, v in s.items()}}
             for label, s in sums.items()]
+    for row in rows:
+        for k in metrics:
+            # every run's metrics are finite; their sum can still overflow
+            if not math.isfinite(row[k]):
+                raise ValueError(f"cell {row['cell']!r}: mean {k} {row[k]} "
+                                 f"over {replications} replications is not "
+                                 f"finite; the config's values overflow")
     return ComparisonTable(columns=("cell",) + metrics, rows=rows)

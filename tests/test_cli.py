@@ -407,6 +407,12 @@ MISSPELT = {
     "scores-extra": ("momd", {
         "K": 1, "marginal_scores": {"1": [3], "2": [4]}, "extra": 1},
         "instance: unknown keys ['extra']"),
+    # the matrix oracle compares no welfare: a claimed one went unchecked
+    "matrix-welfare": ("matrix", {
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}],
+        "mechanism_welfare": 12345},
+        "instance: unknown keys ['mechanism_welfare']"),
 }
 
 
@@ -652,6 +658,26 @@ def test_compare_horizon_exceeded(tmp_path, capsys):
                  "--out", str(tmp_path / "cmp"), "--replications", "1"])
     assert code == EXIT_TRACE
     assert "horizon exceeded" in _trace_error(capsys)["message"]
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_mean_overflow(tmp_path, capsys):
+    """Two runs whose social welfare (about 1.4e308 each) is finite, but
+    whose sum over the replications overflows: exit 2 naming the cell, no
+    --out left. It used to print social_welfare=inf and exit 0."""
+    config = copy.deepcopy(TWO_USER)
+    for user in config["users"]:
+        user["theta"] = 3.0e305
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    code = main(["compare", "--config", str(cfg), "--out",
+                 str(tmp_path / "cmp"), "--mechanisms", "noncooperative",
+                 "--replications", "2"])
+    assert code == EXIT_CONFIG
+    err = _trace_error(capsys)
+    assert err["error"] == "config"
+    assert err["message"].startswith(
+        "cell 'mechanism=noncooperative,K=1,overhead=0': mean social_welfare")
     assert not (tmp_path / "cmp").exists()
 
 

@@ -222,6 +222,27 @@ class _UserSim:
                          prev_bitrate=self.prev_bitrate)
 
 
+class _ShareSums(dict):
+    """The share sums of one trace epoch, each user's summed when it is
+    first read, from the epoch's shares (one per user, in user order) and
+    that user's neighbourhood mask. A trace change applied to the masks
+    retires the mapping: the rows it has summed stay, and reading any other
+    raises RuntimeError, so that no row mixes two epochs."""
+
+    __slots__ = ("shares", "nbrs")
+
+    def __init__(self, shares: List[float], nbrs: Dict[str, bytearray]):
+        self.shares = shares
+        self.nbrs = nbrs
+
+    def __missing__(self, uid: str) -> float:
+        if self.shares is None:
+            raise RuntimeError(f"share sum of user {uid} read after a "
+                               f"trace change retired its epoch")
+        row = self[uid] = lsum(compress(self.shares, self.nbrs[uid]))
+        return row
+
+
 class _Simulation:
     def __init__(self, cfg: SimConfig, capacity: CapacityTrace,
                  encounters: EncounterTrace):
@@ -320,7 +341,9 @@ class _Simulation:
             for i, k in place.items():
                 self._nbrs[i][k] = 1
         self._caps: Optional[Dict[str, float]] = None
-        self._sums: Optional[Dict[str, float]] = None
+        # a mapping from before a rewind keeps masks that no change touches
+        # again, so it still answers for its own epoch
+        self._sums: Optional[_ShareSums] = None
         # (time of the next change, unique tiebreak, the changes, index of
         # the next one, user or pair (a, b)); b is None for a capacity
         cursors = []
@@ -355,7 +378,9 @@ class _Simulation:
         cursors = self._cursors
         if not cursors or cursors[0][0] > t:
             return
-        self._sums = None
+        if self._sums is not None:
+            self._sums.shares = None  # the masks it reads change below
+            self._sums = None
         nbrs, caps, place = self._nbrs, self._caps, self._place
         while cursors and cursors[0][0] <= t:
             _, n, events, k, a, b = cursors[0]
@@ -370,21 +395,24 @@ class _Simulation:
             else:
                 heapq.heappop(cursors)
 
-    def _share_sums(self, t: float) -> Dict[str, float]:
+    def _share_sums(self, t: float) -> _ShareSums:
         """For every user, the sum over the users it encounters, in user
         order, of the capacity each would allot it under an even split
         across that user's own neighborhood.
 
-        Built from the held state, and again only after a trace change."""
+        The shares are taken from the held state once per trace epoch, and
+        a user's sum only when a filter test first reads it. The mapping
+        answers for t's epoch alone: the next trace change the held state
+        crosses retires it, and it then raises RuntimeError on a row it has
+        not summed (see _ShareSums)."""
         self._seek(t)
         if self._caps is None:
             self._hold_capacities()
         if self._sums is None:
-            masks = self._nbrs.values()
             shares = [h / mask.count(1)
-                      for h, mask in zip(self._caps.values(), masks)]
-            self._sums = {i: lsum(compress(shares, mask))
-                          for i, mask in self._nbrs.items()}
+                      for h, mask in zip(self._caps.values(),
+                                         self._nbrs.values())]
+            self._sums = _ShareSums(shares, self._nbrs)
         return self._sums
 
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:

@@ -7,6 +7,14 @@ Canonical interchange formats (UTF-8, comma separated, LF endings):
 
 Capacity traces are piecewise constant; the last value extends to the
 horizon. Numbers in emitted result files carry 6 significant digits.
+
+Parsing reads a plain file (the header on line 1, then rows of exactly its
+field count: no blank line, quote, CR or NUL) in bulk passes over whole
+columns, and a valid one never goes row by row. Anything else, and any
+file that fails one of those passes, goes through the row scan, which
+alone words a row's fault, so every message and line number is what the
+row scan gives. The trace classes word the faults of a user's or a pair's
+whole list, for both.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -30,6 +38,8 @@ from .model import lsum
 _first = operator.itemgetter(0)
 _second = operator.itemgetter(1)
 _CONNECTED = frozenset((0, 1))
+_CAPACITY_HEADER = ("time_s", "user_id", "capacity_mbps")
+_ENCOUNTER_HEADER = ("time_s", "user_a", "user_b", "connected")
 
 
 class TraceParseError(ValueError):
@@ -161,10 +171,21 @@ def _segment(points: Tuple[Tuple[float, float], ...], t: float) -> int:
 
 def parse_capacity_trace(text: str) -> CapacityTrace:
     """Parse the canonical capacity-trace CSV; errors carry the line number."""
+    columns = _plain_columns(text, _CAPACITY_HEADER)
+    if columns is not None:
+        t_col, users, h_col = columns
+        try:
+            points = list(zip(map(float, t_col), map(float, h_col)))
+            return CapacityTrace(_group_runs(users, points))
+        except ValueError:  # a malformed number or a trace check's
+            pass  # TraceParseError: the row scan words the row's fault
+    return _scan_capacity_trace(text)
+
+
+def _scan_capacity_trace(text: str) -> CapacityTrace:
     rows: Dict[str, List[Tuple[float, float]]] = {}
     inf = math.inf
-    for lineno, (t, user, h) in _csv_rows(
-            text, ("time_s", "user_id", "capacity_mbps")):
+    for lineno, (t, user, h) in _csv_rows(text, _CAPACITY_HEADER):
         try:
             t = float(t)
             h = float(h)
@@ -197,10 +218,31 @@ def emit_capacity_trace(trace: CapacityTrace) -> str:
 
 
 def parse_encounter_trace(text: str) -> EncounterTrace:
+    """Parse the canonical encounter-trace CSV; errors carry the line
+    number, or the pair for a fault in its toggles."""
+    columns = _plain_columns(text, _ENCOUNTER_HEADER)
+    if columns is not None:
+        t_col, a_col, b_col, v_col = columns
+        try:
+            times = list(map(float, t_col))
+            points = list(zip(times, map(int, v_col)))
+        except ValueError:  # a malformed number, which the row scan words
+            points = None
+        # finite times, and each pair written with its users in order; the
+        # trace checks word a pair's faults, as they do for the row scan
+        if (points is not None
+                and all(map(operator.lt, repeat(-math.inf), times))
+                and all(map(operator.lt, times, repeat(math.inf)))
+                and not any(map(operator.gt, a_col, b_col))):
+            return EncounterTrace(
+                _group_runs(list(zip(a_col, b_col)), points))
+    return _scan_encounter_trace(text)
+
+
+def _scan_encounter_trace(text: str) -> EncounterTrace:
     toggles: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
     inf = math.inf
-    for lineno, (t, a, b, v) in _csv_rows(
-            text, ("time_s", "user_a", "user_b", "connected")):
+    for lineno, (t, a, b, v) in _csv_rows(text, _ENCOUNTER_HEADER):
         try:
             t = float(t)
             v = int(v)
@@ -223,6 +265,40 @@ def emit_encounter_trace(trace: EncounterTrace) -> str:
         for t, v in trace.toggles[pair]:
             out.append(f"{_fmt(t)},{pair[0]},{pair[1]},{v}")
     return "\n".join(out) + "\n"
+
+
+def _plain_columns(text: str, header: Tuple[str, ...]):
+    """The columns of the rows after the header when text is a plain file:
+    the header on line 1, then rows of exactly the header's field count,
+    no blank line, no quote, CR or NUL, and no line the csv module would
+    refuse as too long. Otherwise None, and the row scan reads it."""
+    head = ",".join(header) + "\n"
+    if not text.startswith(head) or '"' in text or "\r" in text \
+            or "\0" in text:
+        return None
+    lines = text[len(head):].split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline
+    n = len(header)
+    if not (lines and {n - 1} == set(map(str.count, lines, repeat(",")))
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return None
+    cells = ",".join(lines).split(",")
+    return [cells[k::n] for k in range(n)]
+
+
+def _group_runs(keys: list, points: list) -> dict:
+    """points grouped by key, joining the runs of a key in file order."""
+    starts = [0, *compress(range(1, len(keys)),
+                           map(operator.ne, keys[1:], keys)), len(keys)]
+    grouped: dict = {}
+    for i, j in zip(starts, starts[1:]):
+        run = grouped.get(keys[i])
+        if run is None:
+            grouped[keys[i]] = points[i:j]
+        else:
+            run += points[i:j]
+    return {key: tuple(run) for key, run in grouped.items()}
 
 
 def _csv_rows(text: str, header: Tuple[str, ...]):

@@ -185,6 +185,24 @@ def test_golden_digest(name):
     assert sim_digest(SCENARIOS[name]()) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("traces", [
+    lambda: group_traces(12, encounters=True),
+    lambda: sparse_traces(12),
+], ids=["mobile12", "sparse12"])
+def test_noncooperative_run_ignores_encounters_and_filter(traces):
+    """A noncooperative user streams alone over its own link: toggled
+    encounters and the participation filter leave the run bit for bit as
+    it is in a full mesh with the filter off."""
+    capacity, toggled = traces()
+    cfg = SimConfig(users=tuple(standard_profile(u) for u in capacity.users),
+                    mechanism="noncooperative", video_length_s=GROUP_VIDEO_S)
+    alone = run_simulation(cfg, capacity, EncounterTrace())
+    assert alone.events  # the users do stream
+    filtered = run_simulation(replace(cfg, participation_enabled=True),
+                              capacity, toggled)
+    assert sim_digest(filtered) == sim_digest(alone)
+
+
 def trace_digest(capacity, encounters) -> str:
     """Hash every breakpoint and toggle as ``float.hex()``: the 6-digit CSV
     form would hide a change in the last bits."""

@@ -9,14 +9,15 @@ time. A single run is strictly sequential and reproducible: identical
 Every mechanism runs one path: build the bids, resolve them, then book and
 log the outcome. Every bidder bids optimally, at true utility (floored at 0
 in momd); under a baseline adaptation policy its ladder holds only the rate
-``baseline_bitrate`` picks. momd caps the rows at the bidder's headroom,
-and in noncooperative the auctioneer bids alone:
+``baseline_bitrate`` picks. momd caps the rows at the bidder's headroom.
+noncooperative runs over self-only neighbourhoods with the participation
+filter off, so the auctioneer is its auction's one bidder:
 
     mechanism       bid                      resolver               score
     momd            build_momd_bid, capped   resolve_vickrey_score  efficient
     somd            optimal_somd_bid         resolve_second_score   efficient
     vickrey_1d      optimal_somd_bid         resolve_second_score   zero
-    noncooperative  optimal_somd_bid, alone  resolve_second_score   efficient
+    noncooperative  optimal_somd_bid, self   resolve_second_score   efficient
 
 The resolvers price every bid, a lone one too (its second score is 0); the
 engine keeps one rule: the auctioneer's own lone single-bitrate bid is free.
@@ -222,24 +223,85 @@ class _UserSim:
                          prev_bitrate=self.prev_bitrate)
 
 
-class _ShareSums(dict):
-    """The share sums of one trace epoch, each user's summed when it is
-    first read, from the epoch's shares (one per user, in user order) and
-    that user's neighbourhood mask. A trace change applied to the masks
-    retires the mapping: the rows it has summed stay, and reading any other
-    raises RuntimeError, so that no row mixes two epochs."""
+class _HeldTrace:
+    """The traces as they stand at the instant of the last seek: every
+    user's neighbourhood (the users it encounters, itself included) as a
+    mask over the users in user order, and every user's capacity when
+    built with a capacity trace. A heap of cursors holds the changes still
+    to come, one per pair over its toggles and one per user over its
+    breakpoints. A seek back in time starts over."""
 
-    __slots__ = ("shares", "nbrs")
+    def __init__(self, place: Dict[str, int], encounters: EncounterTrace,
+                 capacity: Optional[CapacityTrace] = None):
+        self._built_from = place, encounters, capacity
+        self._now = -math.inf
+        if encounters.default_connected:
+            nbrs = {i: bytearray(b"\1") * len(place) for i in place}
+        else:
+            nbrs = {i: bytearray(len(place)) for i in place}
+            for i, k in place.items():
+                nbrs[i][k] = 1
+        # (time of the next change, unique tiebreak, the changes, index of
+        # the next one, user or pair (a, b)); b is None for a capacity
+        cursors = []
+        for (a, b), events in encounters.toggles.items():
+            # a toggled pair is out of range before its first toggle
+            nbrs[a][place[b]] = nbrs[b][place[a]] = 0
+            if events:
+                cursors.append((events[0][0], len(cursors), events, 0, a, b))
+        self.caps = None
+        if capacity is not None:
+            self.caps = {}
+            for i in place:
+                points = capacity.breakpoints[i]
+                self.caps[i] = points[0][1]
+                if len(points) > 1:
+                    cursors.append((points[1][0], len(cursors), points, 1,
+                                    i, None))
+        heapq.heapify(cursors)
+        self.nbrs, self._cursors = nbrs, cursors
+        # the epoch's shares, one per user in user order, and its rows
+        self._shares, self._sums = None, {}
 
-    def __init__(self, shares: List[float], nbrs: Dict[str, bytearray]):
-        self.shares = shares
-        self.nbrs = nbrs
+    def seek(self, t: float) -> None:
+        """Bring the held state to t: apply every trace change at or before
+        t, each in force from its own time on."""
+        if t < self._now:
+            self.__init__(*self._built_from)
+        self._now = t
+        cursors = self._cursors
+        if not cursors or cursors[0][0] > t:
+            return
+        self._shares, self._sums = None, {}
+        nbrs, caps, place = self.nbrs, self.caps, self._built_from[0]
+        while cursors and cursors[0][0] <= t:
+            _, n, events, k, a, b = cursors[0]
+            value = events[k][1]
+            if b is None:
+                caps[a] = value
+            else:
+                nbrs[a][place[b]] = nbrs[b][place[a]] = value
+            k += 1
+            if k < len(events):
+                heapq.heapreplace(cursors, (events[k][0], n, events, k, a, b))
+            else:
+                heapq.heappop(cursors)
 
-    def __missing__(self, uid: str) -> float:
-        if self.shares is None:
-            raise RuntimeError(f"share sum of user {uid} read after a "
-                               f"trace change retired its epoch")
-        row = self[uid] = lsum(compress(self.shares, self.nbrs[uid]))
+    def share_sum(self, uid: str) -> float:
+        """The sum over the users uid encounters, in user order, of the
+        capacity each would allot it under an even split across that
+        user's own neighbourhood. The shares are taken once per trace
+        epoch, and a user's sum when it is first read."""
+        row = self._sums.get(uid)
+        if row is None:
+            if self._shares is None:
+                if self.caps is None:
+                    raise RuntimeError(f"share sum of user {uid} read from "
+                                       f"a trace held without capacities")
+                self._shares = [h / mask.count(1) for h, mask in
+                                zip(self.caps.values(), self.nbrs.values())]
+            row = self._sums[uid] = lsum(compress(self._shares,
+                                                  self.nbrs[uid]))
         return row
 
 
@@ -248,7 +310,6 @@ class _Simulation:
                  encounters: EncounterTrace):
         self.cfg = cfg
         self.capacity = capacity
-        self.encounters = encounters
         self.events: List[SimEvent] = []
         self.queue: List[Tuple[float, int, str, tuple]] = []
         self._seq = 0
@@ -268,7 +329,15 @@ class _Simulation:
         self._open = bytearray(u.remaining_to_assign > 0
                                for u in self.users.values())
         self.horizon_guard = cfg.video_length_s * 100 + 1000.0
-        self._rewind()
+        # a noncooperative user bids alone, over a self-only neighbourhood;
+        # only the participation filter reads capacities
+        self._cooperative = cfg.mechanism != "noncooperative"
+        self._filtering = self._cooperative and cfg.participation_enabled
+        self._held = _HeldTrace(
+            self._place,
+            encounters if self._cooperative
+            else EncounterTrace(default_connected=False),
+            capacity if self._filtering else None)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -326,125 +395,27 @@ class _Simulation:
 
     # -- auctions ----------------------------------------------------------
 
-    def _rewind(self) -> None:
-        """Hold every user's neighbourhood (the users it encounters, itself
-        included) as it stands before any trace change, with a heap of
-        cursors over the changes still to come, one per pair over its
-        toggles. A neighbourhood is a mask over the users in user order.
-        Capacities join on the first share-sum build."""
-        place = self._place
-        self._now = -math.inf
-        if self.encounters.default_connected:
-            self._nbrs = {i: bytearray(b"\1") * len(place) for i in place}
-        else:
-            self._nbrs = {i: bytearray(len(place)) for i in place}
-            for i, k in place.items():
-                self._nbrs[i][k] = 1
-        self._caps: Optional[Dict[str, float]] = None
-        # a mapping from before a rewind keeps masks that no change touches
-        # again, so it still answers for its own epoch
-        self._sums: Optional[_ShareSums] = None
-        # (time of the next change, unique tiebreak, the changes, index of
-        # the next one, user or pair (a, b)); b is None for a capacity
-        cursors = []
-        for (a, b), events in self.encounters.toggles.items():
-            # a toggled pair is out of range before its first toggle
-            self._nbrs[a][place[b]] = self._nbrs[b][place[a]] = 0
-            if events:
-                cursors.append((events[0][0], len(cursors), events, 0, a, b))
-        heapq.heapify(cursors)
-        self._cursors = cursors
-
-    def _hold_capacities(self) -> None:
-        """Hold every user's capacity from now on, with one cursor per user
-        over its breakpoints. Only the participation filter reads
-        capacities, so a run without it never pays for crossing them."""
-        self._caps = {}
-        for i in self.users:
-            points = self.capacity.breakpoints[i]
-            self._caps[i] = points[0][1]
-            if len(points) > 1:
-                # negative tiebreaks stay apart from the pairs' ones
-                heapq.heappush(self._cursors, (points[1][0], -len(self._caps),
-                                               points, 1, i, None))
-        self._seek(self._now)
-
-    def _seek(self, t: float) -> None:
-        """Bring the held neighbourhoods and capacities to t: apply every
-        trace change at or before t, each in force from its own time on."""
-        if t < self._now:
-            self._rewind()
-        self._now = t
-        cursors = self._cursors
-        if not cursors or cursors[0][0] > t:
-            return
-        if self._sums is not None:
-            self._sums.shares = None  # the masks it reads change below
-            self._sums = None
-        nbrs, caps, place = self._nbrs, self._caps, self._place
-        while cursors and cursors[0][0] <= t:
-            _, n, events, k, a, b = cursors[0]
-            value = events[k][1]
-            if b is None:
-                caps[a] = value
-            else:
-                nbrs[a][place[b]] = nbrs[b][place[a]] = value
-            k += 1
-            if k < len(events):
-                heapq.heapreplace(cursors, (events[k][0], n, events, k, a, b))
-            else:
-                heapq.heappop(cursors)
-
-    def _share_sums(self, t: float) -> _ShareSums:
-        """For every user, the sum over the users it encounters, in user
-        order, of the capacity each would allot it under an even split
-        across that user's own neighborhood.
-
-        The shares are taken from the held state once per trace epoch, and
-        a user's sum only when a filter test first reads it. The mapping
-        answers for t's epoch alone: the next trace change the held state
-        crosses retires it, and it then raises RuntimeError on a row it has
-        not summed (see _ShareSums)."""
-        self._seek(t)
-        if self._caps is None:
-            self._hold_capacities()
-        if self._sums is None:
-            shares = [h / mask.count(1)
-                      for h, mask in zip(self._caps.values(),
-                                         self._nbrs.values())]
-            self._sums = _ShareSums(shares, self._nbrs)
-        return self._sums
-
     def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
         """The users that bid in an auction the auctioneer runs at t, in
         user order: those it encounters that have segments to assign and
         room to buffer one, and that pass the participation filter when
         it is on."""
-        cfg = self.cfg
-        if cfg.mechanism == "noncooperative":
-            # the auctioneer bids alone on its own link, unfiltered
-            k = self._place[auctioneer]
-            nearby = self._members[k:k + 1] if self._open[k] else ()
-            filtering = False
-        else:
-            self._seek(t)
-            nearby = compress(self._members, map(
-                operator.and_, self._nbrs[auctioneer], self._open))
-            filtering = cfg.participation_enabled
-        sums = None
+        held = self._held
+        held.seek(t)
+        nearby = compress(self._members, map(
+            operator.and_, held.nbrs[auctioneer], self._open))
+        if self._filtering:
+            h_n = held.caps[auctioneer]
         out = []
         for uid, u in nearby:
             self._advance(uid, t)
             if u.headroom_segments() <= 0:
                 continue
-            if filtering:
-                if sums is None:
-                    sums = self._share_sums(t)
-                    h_n = self._caps[auctioneer]
-                if not participates(u.profile.ladder.segment_length_s,
-                                    u.buffer_s, u.prev_bitrate, h_n,
-                                    sums[uid], cfg.participation):
-                    continue
+            if self._filtering and not participates(
+                    u.profile.ladder.segment_length_s, u.buffer_s,
+                    u.prev_bitrate, h_n, held.share_sum(uid),
+                    self.cfg.participation):
+                continue
             out.append(uid)
         return out
 
@@ -495,7 +466,7 @@ class _Simulation:
         pairs and books utilities and payments."""
         cfg = self.cfg
         auc = self.users[auctioneer]
-        cooperative = cfg.mechanism != "noncooperative"
+        cooperative = self._cooperative
         if cooperative:
             self.auction_count += 1
             auc.auctions_initiated += 1

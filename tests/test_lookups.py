@@ -1,5 +1,5 @@
-"""The bisecting trace lookups and the engine's epoch-held neighbourhood
-against the linear scans and per-instant builds they replace."""
+"""The bisecting trace lookups and the engine's held trace state against
+the linear scans and per-instant builds they replace."""
 
 import itertools
 import math
@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmstream.engine import SimConfig, _Simulation
-from cmstream.experiments import standard_profile
+from cmstream.engine import _HeldTrace
 from cmstream.model import lsum
 from cmstream.traceio import CapacityTrace, EncounterTrace, TraceUnderrunError
 
@@ -65,16 +64,20 @@ def ref_connected(trace, a, b, t):
     return bool(state)
 
 
-def ref_neighbor_shares(sim, uid, t):
+def ref_neighbor_shares(capacity, encounters, uid, t):
     """The per-bidder O(N^2) definition, O(N^3) per auction."""
-    ids = list(sim.users)
+    ids = capacity.users
     shares = []
     for i in ids:
-        if not sim.encounters.connected(uid, i, t):
+        if not encounters.connected(uid, i, t):
             continue
-        n_i = sum(1 for j in ids if sim.encounters.connected(i, j, t))
-        shares.append(sim.capacity.capacity_at(i, t) / n_i)
+        n_i = sum(1 for j in ids if encounters.connected(i, j, t))
+        shares.append(capacity.capacity_at(i, t) / n_i)
     return shares
+
+
+def ref_share_sum_bits(capacity, encounters, uid, t):
+    return lsum(ref_neighbor_shares(capacity, encounters, uid, t)).hex()
 
 
 # -- strategies ----------------------------------------------------------------
@@ -158,7 +161,15 @@ def test_connected_matches_linear_scan(events, default, data):
         assert trace.connected(a, b, t) == ref_connected(trace, a, b, t)
 
 
-# -- engine neighbourhood ------------------------------------------------------
+# -- engine held trace state ---------------------------------------------------
+
+def held_trace(capacity, encounters, with_capacities=True):
+    """The engine's held state over the capacity trace's users, in its
+    order."""
+    place = {uid: k for k, uid in enumerate(capacity.users)}
+    return _HeldTrace(place, encounters,
+                      capacity if with_capacities else None)
+
 
 def random_group(rng, n):
     ids = [f"u{i}" for i in range(n)]
@@ -176,110 +187,91 @@ def random_group(rng, n):
                                 for k, t in enumerate(times))
     encounters = EncounterTrace(toggles,
                                 default_connected=bool(rng.integers(0, 2)))
-    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids),
-                    participation_enabled=True)
-    return _Simulation(cfg, capacity, encounters), toggles
+    return capacity, encounters
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_neighbor_shares_match_per_bidder_definition(seed, n):
     rng = np.random.default_rng(seed)
-    sim, toggles = random_group(rng, n)
-    instants = [float(t) for ev in toggles.values() for t, _ in ev[:3]]
+    capacity, encounters = random_group(rng, n)
+    held = held_trace(capacity, encounters)
+    instants = [float(t) for ev in encounters.toggles.values()
+                for t, _ in ev[:3]]
     instants += [-1.0, 0.0, 7.5, 10.0, 250.0]
     rng.shuffle(instants)
-    for t in instants + instants[:3]:  # revisits cross the memo
-        sums = sim._share_sums(t)
-        for uid in sim.users:
-            assert sums[uid] == lsum(ref_neighbor_shares(sim, uid, t))
+    for t in instants + instants[:3]:  # revisits seek back and start over
+        held.seek(t)
+        for uid in capacity.users:
+            assert held.share_sum(uid).hex() == ref_share_sum_bits(
+                capacity, encounters, uid, t)
 
 
 def test_neighbor_shares_full_mesh():
     capacity = CapacityTrace({"a": ((0.0, 3.0),), "b": ((0.0, 1.5),),
                               "c": ((0.0, 0.0), (10.0, 6.0))})
-    cfg = SimConfig(users=tuple(standard_profile(u) for u in "abc"))
-    sim = _Simulation(cfg, capacity, EncounterTrace())
+    encounters = EncounterTrace()
+    held = held_trace(capacity, encounters)
     for t, uid, shares in ((0.0, "b", [1.0, 0.5, 0.0]),
                            (10.0, "a", [1.0, 0.5, 2.0]),
                            (0.0, "c", [1.0, 0.5, 0.0])):
-        assert ref_neighbor_shares(sim, uid, t) == shares
-        assert sim._share_sums(t)[uid] == lsum(shares)
+        assert ref_neighbor_shares(capacity, encounters, uid, t) == shares
+        held.seek(t)
+        assert held.share_sum(uid).hex() == lsum(shares).hex()
 
 
 @st.composite
 def traced_group(draw):
-    """A simulation over random capacity breakpoints and encounter toggles,
-    and its change times."""
+    """Random capacity breakpoints and encounter toggles, and their change
+    times."""
     ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
     capacity = CapacityTrace({uid: draw(capacity_points()) for uid in ids})
     toggles = {pair: draw(toggle_events())
                for pair in itertools.combinations(ids, 2)
                if draw(st.booleans())}
     encounters = EncounterTrace(toggles, default_connected=draw(st.booleans()))
-    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids),
-                    participation_enabled=True)
     changes = sorted({t for points in capacity.breakpoints.values()
                       for t, _ in points}
                      | {t for events in toggles.values() for t, _ in events})
-    return _Simulation(cfg, capacity, encounters), changes
+    return capacity, encounters, changes
 
 
 @settings(max_examples=150, deadline=None)
 @given(traced_group(), st.data())
 def test_epoch_held_neighborhood_matches_fresh_build(group, data):
-    sim, changes = group
+    capacity, encounters, changes = group
+    held = held_trace(capacity, encounters)
     edges = [e for c in changes for e in (c, math.nextafter(c, -math.inf))]
     inside = data.draw(st.lists(st.floats(-10.0, changes[-1] + 20.0),
                                 max_size=6))
     monotone = sorted(edges + inside)
     revisits = data.draw(st.permutations(monotone))
     for t in monotone + monotone[::-1] + revisits:
-        sums = sim._share_sums(t)
-        for uid in sim.users:
-            assert sums[uid] == lsum(ref_neighbor_shares(sim, uid, t))
+        held.seek(t)
+        for uid in capacity.users:
+            assert held.share_sum(uid).hex() == ref_share_sum_bits(
+                capacity, encounters, uid, t)
 
 
 @settings(max_examples=150, deadline=None)
 @given(traced_group(), st.data())
 def test_share_sum_rows_read_in_any_order_and_epoch(group, data):
-    """Rows read in any order and subset are the per-bidder sums, bit for
-    bit. A mapping a later _seek has carried past a trace change raises on
-    a row it has not summed; one left behind by a rewind, or with no
-    change crossed, still gives its own time's rows."""
-    sim, _ = group
-    users = list(sim.users)
-    # the instants the held state changes at: each toggle, and each
-    # capacity breakpoint after a user's first
-    changes = [t for points in sim.capacity.breakpoints.values()
-               for t, _ in points[1:]]
-    changes += [t for events in sim.encounters.toggles.values()
-                for t, _ in events]
-    instants = st.one_of(st.sampled_from(changes or [0.0]),
-                         st.floats(-10.0, max(changes, default=0.0) + 20.0))
-
-    def bits(uid, t):
-        return lsum(ref_neighbor_shares(sim, uid, t)).hex()
-
-    t = data.draw(instants)
-    sums, summed = sim._share_sums(t), set()
+    """Rows read in any order, subset and repetition are the per-bidder
+    sums at the last seek's instant, bit for bit: a row read again after a
+    seek past a trace change is the new epoch's, a seek that crosses none
+    leaves it as it was, and a seek back in time starts over."""
+    capacity, encounters, changes = group
+    held = held_trace(capacity, encounters)
+    users = capacity.users
+    instants = st.one_of(st.sampled_from(changes),
+                         st.floats(-10.0, changes[-1] + 20.0))
     for _ in range(data.draw(st.integers(1, 4))):
-        for uid in data.draw(st.lists(st.sampled_from(users), unique=True)):
-            assert sums[uid].hex() == bits(uid, t)
-            summed.add(uid)
-        later = data.draw(instants)
-        sim._seek(later)
-        crossed = later >= t and any(t < c <= later for c in changes)
-        for uid in data.draw(st.permutations(users)):
-            if crossed and uid not in summed:
-                with pytest.raises(RuntimeError, match="retired"):
-                    sums[uid]
-            else:
-                assert sums[uid].hex() == bits(uid, t)
-                summed.add(uid)
-        if sim._share_sums(later) is not sums:
-            sums, summed = sim._share_sums(later), set()
-        t = later
+        t = data.draw(instants)
+        held.seek(t)
+        rows = data.draw(st.lists(st.sampled_from(users)))
+        for uid in rows + data.draw(st.permutations(users)):
+            assert held.share_sum(uid).hex() == ref_share_sum_bits(
+                capacity, encounters, uid, t)
 
 
 # -- held neighbourhoods and capacities ----------------------------------------
@@ -289,10 +281,9 @@ half_seconds = st.integers(-4, 40).map(lambda k: k / 2)
 
 @st.composite
 def held_state_group(draw):
-    """Simulated users u0.. with capacity breakpoints and encounter toggles
-    on one half-second grid, so that they often fall on the same instant.
-    A pair may have toggles (some before 0), an empty toggle tuple, or
-    none."""
+    """Users u0.. with capacity breakpoints and encounter toggles on one
+    half-second grid, so that they often fall on the same instant. A pair
+    may have toggles (some before 0), an empty toggle tuple, or none."""
     ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
     capacity = CapacityTrace({
         uid: ((0.0, draw(capacities)),) + tuple(
@@ -311,23 +302,32 @@ def held_state_group(draw):
             toggles[pair] = tuple((t, (first + k) % 2)
                                   for k, t in enumerate(times))
     encounters = EncounterTrace(toggles, default_connected=draw(st.booleans()))
-    cfg = SimConfig(users=tuple(standard_profile(u) for u in ids))
-    return _Simulation(cfg, capacity, encounters)
+    return capacity, encounters
 
 
 @settings(max_examples=150, deadline=None)
-@given(held_state_group(), st.data())
-def test_held_state_matches_point_queries(sim, data):
+@given(held_state_group(), st.booleans(), st.data())
+def test_held_state_matches_point_queries(group, with_capacities, data):
+    """The masks, and the capacities when held, answer as the point
+    queries do after any seek, forwards or back; held without capacities,
+    the state has no share sum to give."""
+    capacity, encounters = group
+    held = held_trace(capacity, encounters, with_capacities)
+    users = capacity.users
     grid = data.draw(st.lists(half_seconds, min_size=1, max_size=8))
     edges = [math.nextafter(t, -math.inf) for t in grid] + [-10.0, 25.0]
     monotone = sorted(grid + edges)
     rewinds = data.draw(st.permutations(monotone))
     for t in monotone + rewinds:
-        sim._seek(t)
-        for i in sim.users:
+        held.seek(t)
+        for i in users:
             # a mask over the users in user order
-            assert list(sim._nbrs[i]) == [sim.encounters.connected(i, j, t)
-                                          for j in sim.users]
-        sim._share_sums(t)  # capacities are held from the first build on
-        for i in sim.users:
-            assert sim._caps[i] == sim.capacity.capacity_at(i, t)
+            assert list(held.nbrs[i]) == [encounters.connected(i, j, t)
+                                          for j in users]
+        if with_capacities:
+            assert held.caps == {i: capacity.capacity_at(i, t)
+                                 for i in users}
+        else:
+            assert held.caps is None
+            with pytest.raises(RuntimeError, match="without capacities"):
+                held.share_sum(users[0])

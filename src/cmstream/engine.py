@@ -441,12 +441,16 @@ class _Simulation:
         for uid, bitrate in allocation:
             receiver = self.users[uid]
             beta = receiver.profile.ladder.segment_length_s
-            start = cursor
-            cursor = self.capacity.finish_time(auctioneer, start, bitrate * beta)
+            start, volume = cursor, bitrate * beta
+            cursor = self.capacity.finish_time(auctioneer, start, volume)
+            if cursor == start:
+                raise TraceUnderrunError(
+                    f"auctioneer {auctioneer} at t={t}: a download of "
+                    f"{volume!r} Mbit from t={start} ends at its start time")
             realized_cost = (auc.profile.cost_per_mbit * bitrate * beta
                             + auc.profile.link_cost_per_s * (cursor - start))
             auc.cost += realized_cost
-            avg_capacity = bitrate * beta / (cursor - start)
+            avg_capacity = volume / (cursor - start)
             auc.capacity_window.append(avg_capacity)
             seq_no = receiver.next_seq
             receiver.next_seq += 1

@@ -574,6 +574,37 @@ def test_simulate_welfare_overflow(tmp_path, capsys, field, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("repro", ["capacity", "segment_length"])
+def test_simulate_zero_time_download(tmp_path, capsys, repro):
+    """A download so small against A's link that it ends at its start time
+    on the shipped two-user run: exit 3 naming the auctioneer, t and the
+    volume, no --out left. Both used to end in a ZeroDivisionError
+    traceback."""
+    traces = tmp_path / "traces"
+    assert main(["gen-traces", "--config", str(CONFIGS / "two_user.yaml"),
+                 "--out", str(traces)]) == EXIT_OK
+    capsys.readouterr()
+    config = copy.deepcopy(TWO_USER)
+    if repro == "capacity":
+        path = traces / "capacity.csv"
+        rows = [row.rsplit(",", 1)[0] + ",1e300" if ",A," in row else row
+                for row in path.read_text().splitlines()]
+        path.write_text("\n".join(rows) + "\n")
+    else:
+        config["users"][0]["ladder"]["segment_length_s"] = 1e-300
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(config))
+    code = main(["simulate", "--config", str(bad),
+                 "--traces", str(traces), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    err = _trace_error(capsys)
+    assert err["error"] == "trace"
+    assert err["message"].startswith("auctioneer A at t=")
+    assert "Mbit from t=" in err["message"]
+    assert "ends at its start time" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_non_finite_toggle_time(tmp_path, config_path, capsys):
     d = tmp_path / "traces"
     d.mkdir()

@@ -85,6 +85,16 @@ def test_tiny_capacity_estimate_is_a_trace_fault():
         run_simulation(cfg, capacity)
 
 
+def test_zero_time_download_is_a_trace_fault():
+    # A fills its buffer by t=1e-298; at t=10, 10 + 23 / 1e300 rounds to 10
+    cfg = SimConfig(users=(make_profile("A"),), mechanism="noncooperative")
+    capacity = CapacityTrace({"A": ((0.0, 1e300),)})
+    with pytest.raises(TraceUnderrunError, match=r"auctioneer A at t=10\.0: "
+                       r"a download of 23\.0 Mbit from t=10\.0 ends at its "
+                       r"start time"):
+        run_simulation(cfg, capacity)
+
+
 @pytest.mark.parametrize("field", ["cost_per_mbit", "link_cost_per_s"])
 def test_cost_overflow_is_a_config_fault(field):
     # 1e308 Mbit-units per Mbit: a 2.3-Mbps, 10-s segment costs inf, on

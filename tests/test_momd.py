@@ -69,6 +69,107 @@ def test_bid_validation_sees_negatives_past_nan():
     assert MomdBid("a", ((nan, 0.0), (1.0, nan)), (nan, nan)).max_segments == 2
 
 
+def ref_bid_check(matrix, prices):
+    """MomdBid's checks as first written, one scan of every row per bid:
+    the bid's max_segments, or the ValueError it raises."""
+    k = len(matrix)
+    if len(prices) != k:
+        raise ValueError("price vector length must match matrix size")
+    n = 0
+    capped = False
+    for kappa, row in enumerate(matrix, start=1):
+        if len(row) != k:
+            raise ValueError("bitrate matrix must be square")
+        if any(row[kappa:]):
+            raise ValueError(f"row {kappa} must be zero beyond column {kappa}")
+        if not any(row[:kappa]):
+            capped = True
+        elif capped:
+            raise ValueError("non-empty row after an all-zero row")
+        else:
+            n = kappa
+        if any(x < 0 for x in row):
+            raise ValueError("bitrates must be >= 0")
+    if any(p < 0 for p in prices):
+        raise ValueError("prices must be >= 0")
+    return n
+
+
+NAN = float("nan")  # one object, so that equal matrices can hold a NaN
+rates = st.sampled_from((0.2, 1.3, 1, True, NAN))
+hostile_entries = st.one_of(
+    st.sampled_from((0.0, -0.0, 0, 0.2, 1, NAN, -1.0)),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def hostile_matrices(draw):
+    """Square-ish bitrate matrices, as tuples or lists, whose entries may
+    be NaN, -0.0, negative or ints, with ragged rows, entries above the
+    diagonal and all-zero rows before non-empty ones."""
+    k = draw(st.integers(0, 4))
+    rows = []
+    for kappa in range(1, k + 1):
+        width = draw(st.sampled_from((k,) * 12 + (k - 1, k + 1)))
+        row = [0.0] * max(width, 0)
+        # most rows hold rates, some are empty and cap the bid
+        entries = draw(st.sampled_from((rates,) * 4 + (hostile_entries,
+                                                       st.just(0.0))))
+        for j in range(min(kappa, len(row))):
+            row[j] = draw(entries)
+        if draw(st.integers(0, 9)) == 0 and kappa < len(row):
+            row[draw(st.integers(kappa, len(row) - 1))] = draw(hostile_entries)
+        rows.append(tuple(row) if draw(st.integers(0, 3)) else row)
+    return tuple(rows) if draw(st.integers(0, 3)) else rows
+
+
+def hostile_prices(k):
+    """Price vectors, mostly of the matrix's length, that may be
+    negative or NaN."""
+    return st.one_of(
+        st.lists(st.sampled_from((0.0, -0.0, 2.5, 40.0)), min_size=k,
+                 max_size=k),
+        st.lists(hostile_entries, min_size=k, max_size=k),
+        st.lists(hostile_entries, min_size=max(k - 1, 0), max_size=k + 1),
+    ).map(tuple)
+
+
+def zeros_flipped(matrix):
+    """An equal matrix of new rows, with 0.0 and -0.0 swapped."""
+    return type(matrix)(type(row)(-x if x == 0 else x for x in row)
+                        for row in matrix)
+
+
+def bid_check(matrix, prices):
+    try:
+        return MomdBid("a", matrix, prices).max_segments
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def ref_check(matrix, prices):
+    try:
+        return ref_bid_check(matrix, prices)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.data())
+def test_bid_check_equals_the_first_scan(data):
+    """Every bid gets the first scan's max_segments or its error, also
+    when its matrix, or one equal to it, was checked before: each input is
+    built twice, then its matrix again with other prices, then an equal
+    matrix with its zeros' signs flipped."""
+    matrix = data.draw(hostile_matrices())
+    k = len(matrix)
+    prices, other = data.draw(hostile_prices(k)), data.draw(hostile_prices(k))
+    twin = zeros_flipped(matrix)
+    for m, p in ((matrix, prices), (matrix, prices), (matrix, other),
+                 (matrix, other), (twin, prices), (twin, other)):
+        assert bid_check(m, p) == ref_check(m, p)
+
+
 def test_bid_rows_and_cap():
     bid = MomdBid("a", ((1.3, 0.0, 0.0), (0.7, 0.7, 0.0), (0.0, 0.0, 0.0)),
                   (5.0, 8.0, 0.0))

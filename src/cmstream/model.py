@@ -7,18 +7,25 @@ Bitrates are in Mbps, times in playback seconds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 
 def lsum(values: Iterable[float]):
-    """Builtin ``sum()`` as Python <= 3.11 computes it over floats: one
-    left-to-right addition per value, where 3.12+ compensates. Every float
-    sum goes through here, so a run is bit-identical on every version."""
+    """``total += v`` for each value in turn, from the int 0: one
+    left-to-right addition per value. Every float sum goes through here,
+    so a run is bit-identical on every version. On Python <= 3.11 this is
+    builtin ``sum()``, which makes the same additions in C; 3.12+
+    compensates its float sums, so there the loop runs."""
     total = 0
     for v in values:
         total += v
     return total
+
+
+if sys.version_info < (3, 12):
+    lsum = sum  # noqa: F811  the same additions, with the same types
 
 
 @dataclass(frozen=True)

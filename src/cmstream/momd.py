@@ -54,35 +54,63 @@ class MomdBid:
 
     def __post_init__(self):
         matrix, prices = self.bitrate_matrix, self.price_vector
-        k = len(matrix)
-        if len(prices) != k:
+        if len(prices) != len(matrix):
             raise ValueError("price vector length must match matrix size")
-        n = 0
-        capped = False
-        # any(x < 0 for x in xs) is any(map(lt, xs, zeros)), scanned in C;
-        # a NaN is not negative
-        lt, zeros = operator.lt, itertools.repeat(0)
-        # a truthy entry is one != 0
-        for kappa, row in enumerate(matrix, start=1):
-            if len(row) != k:
-                raise ValueError("bitrate matrix must be square")
-            if any(row[kappa:]):
-                raise ValueError(f"row {kappa} must be zero beyond column {kappa}")
-            if not any(row[:kappa]):
-                capped = True
-            elif capped:
-                raise ValueError("non-empty row after an all-zero row")
-            else:
-                n = kappa
-            if any(map(lt, row, zeros)):
-                raise ValueError("bitrates must be >= 0")
-        if any(map(lt, prices, zeros)):
+        try:
+            n = _checked_matrices[matrix]
+        except (KeyError, TypeError):  # not checked yet, or unhashable
+            n = None
+        if n is None:  # scanned outside the handler: no chained KeyError
+            n = _check_matrix(matrix)
+        # any(p < 0 for p in prices), scanned in C; a NaN is not negative
+        if any(map(operator.lt, prices, itertools.repeat(0))):
             raise ValueError("prices must be >= 0")
         object.__setattr__(self, "max_segments", n)
 
     def row(self, kappa: int) -> Tuple[float, ...]:
         """Non-zero bitrates of row kappa (1-based)."""
         return self.bitrate_matrix[kappa - 1][:kappa]
+
+
+# matrix -> max_segments of every matrix _check_matrix has passed, so that
+# a bidder's repeated matrix is scanned once. The scan reads entries only
+# through == 0 and < 0, so a matrix equal to a checked one gets its
+# verdict: -0.0 is 0.0, and a NaN equals only itself. Emptied when full.
+_checked_matrices: Dict[Tuple[Tuple[float, ...], ...], int] = {}
+_CHECKED_MATRICES_MAX = 256
+
+
+def _check_matrix(matrix) -> int:
+    """The number of leading non-empty rows of a bid's square, lower-
+    triangular bitrate matrix, whose entries are >= 0 and whose empty rows
+    all trail; any other matrix is a ValueError."""
+    k = len(matrix)
+    n = 0
+    capped = False
+    # any(x < 0 for x in xs) is any(map(lt, xs, zeros)), scanned in C;
+    # a NaN is not negative
+    lt, zeros = operator.lt, itertools.repeat(0)
+    # a truthy entry is one != 0
+    for kappa, row in enumerate(matrix, start=1):
+        if len(row) != k:
+            raise ValueError("bitrate matrix must be square")
+        if any(row[kappa:]):
+            raise ValueError(f"row {kappa} must be zero beyond column {kappa}")
+        if not any(row[:kappa]):
+            capped = True
+        elif capped:
+            raise ValueError("non-empty row after an all-zero row")
+        else:
+            n = kappa
+        if any(map(lt, row, zeros)):
+            raise ValueError("bitrates must be >= 0")
+    if len(_checked_matrices) >= _CHECKED_MATRICES_MAX:
+        _checked_matrices.clear()
+    try:
+        _checked_matrices[matrix] = n
+    except TypeError:  # a list, or a tuple that holds one
+        pass
+    return n
 
 
 @dataclass(frozen=True)

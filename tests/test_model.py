@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,19 +56,40 @@ def ref_lsum(values):
 
 lsum_values = st.lists(st.one_of(
     st.integers(-10**6, 10**6),
+    # past a C long, and past 2**53, where int -> float rounds
+    st.integers(2**53 - 2, 2**70), st.integers(-2**70, -2**63 + 2),
+    st.booleans(),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 1.0))))
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 1.0,
+                     2**63, -2**63 - 1, 2**64 + 1))))
 
 
-@settings(max_examples=500, deadline=None)
+def lsum_outcome(values, as_generator=False):
+    """lsum's value and type, or the type of its exception."""
+    try:
+        total = lsum((v for v in values) if as_generator else values)
+    except OverflowError as exc:  # an int too large to convert to float
+        return type(exc)
+    return type(total), float_bits(total)
+
+
+def ref_outcome(values):
+    try:
+        total = ref_lsum(values)
+    except OverflowError as exc:
+        return type(exc)
+    return type(total), float_bits(total)
+
+
+@settings(max_examples=1000, deadline=None)
 @given(lsum_values, st.booleans())
 def test_lsum_equals_the_plus_equals_loop(values, as_generator):
     """Same value, bits and type as the loop, on lists (the empty one
-    included) and on generators."""
-    got = lsum((v for v in values) if as_generator else values)
-    want = ref_lsum(values)
-    assert type(got) is type(want)
-    assert float_bits(got) == float_bits(want)
+    included) and on generators, over floats, numpy.float64, bools, ints
+    past 2**63 and mixes of them."""
+    with np.errstate(all="ignore"):  # numpy warns where a float is NaN or inf
+        assert lsum_outcome(values, as_generator) == ref_outcome(values)
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12),

@@ -90,6 +90,11 @@ def auction_score(profile: UserProfile, h_est: float,
     return ScoreFunction.per_mbit(eff_cost, beta)
 
 
+def horizon_guard(video_length_s: float) -> float:
+    """The simulated time past which a run is refused as never ending."""
+    return video_length_s * 100 + 1000.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     users: Tuple[UserProfile, ...]
@@ -115,6 +120,10 @@ class SimConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        guard = horizon_guard(self.video_length_s)
+        if not math.isfinite(guard):
+            raise ValueError(f"video_length_s {self.video_length_s!r} makes "
+                             f"the run's horizon guard {guard}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         ids = [u.user_id for u in self.users]
@@ -123,6 +132,10 @@ class SimConfig:
         for u in self.users:
             beta = u.ladder.segment_length_s
             n = self.video_length_s / beta
+            if not math.isfinite(n):
+                raise ValueError(
+                    f"user {u.user_id}: video_length_s {self.video_length_s!r}"
+                    f" over segment_length_s {beta!r} makes {n} segments")
             if abs(n - round(n)) > 1e-9:
                 raise ValueError(
                     f"video_length_s must be a multiple of user {u.user_id}'s "
@@ -328,7 +341,7 @@ class _Simulation:
         self._place = {uid: k for k, uid in enumerate(self.users)}
         self._open = bytearray(u.remaining_to_assign > 0
                                for u in self.users.values())
-        self.horizon_guard = cfg.video_length_s * 100 + 1000.0
+        self.horizon_guard = horizon_guard(cfg.video_length_s)
         # a noncooperative user bids alone, over a self-only neighbourhood;
         # only the participation filter reads capacities
         self._cooperative = cfg.mechanism != "noncooperative"

@@ -51,6 +51,24 @@ def test_config_validation():
             SimConfig(users=(user,), **{name: bad})
 
 
+def test_config_refuses_segment_count_past_floats():
+    # 1e10 s of 1e-300-s segments is an infinite segment count, which
+    # round() cannot turn into an int
+    tiny = make_profile("A", ladder=BitrateLadder(segment_length_s=1e-300,
+                                                  max_buffer_s=40.0))
+    with pytest.raises(ValueError, match="user A: video_length_s"):
+        SimConfig(users=(make_profile("B"), tiny), video_length_s=1e10)
+
+
+def test_config_refuses_horizon_guard_past_floats():
+    # a finite video length whose horizon guard overflows: a run would
+    # never be refused as never ending
+    with pytest.raises(ValueError, match="video_length_s 1e\\+308"):
+        SimConfig(users=(make_profile("A"),), video_length_s=1e308)
+    assert SimConfig(users=(make_profile("A"),),
+                     video_length_s=1e306).video_length_s == 1e306
+
+
 def test_single_user_noncooperative():
     user = make_profile("A", link_cost_per_s=0.0)
     cfg = SimConfig(users=(user,), mechanism="noncooperative",

@@ -25,7 +25,7 @@ def lsum(values: Iterable[float]):
 
 
 if sys.version_info < (3, 12):
-    lsum = sum  # noqa: F811  the same additions, with the same types
+    lsum = sum  # the same additions, with the same types
 
 
 @dataclass(frozen=True)

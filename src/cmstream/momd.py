@@ -72,12 +72,15 @@ class MomdBid:
         return self.bitrate_matrix[kappa - 1][:kappa]
 
 
-# matrix -> max_segments of every matrix _check_matrix has passed, so that
+# matrix -> max_segments of the matrices _check_matrix has passed, so that
 # a bidder's repeated matrix is scanned once. The scan reads entries only
 # through == 0 and < 0, so a matrix equal to a checked one gets its
-# verdict: -0.0 is 0.0, and a NaN equals only itself. Emptied when full.
+# verdict: -0.0 is 0.0, and a NaN equals only itself. It holds matrices of
+# up to 16 rows and is emptied when full, so it never holds more than
+# 256 * 16 * 16 entries.
 _checked_matrices: Dict[Tuple[Tuple[float, ...], ...], int] = {}
 _CHECKED_MATRICES_MAX = 256
+_CHECKED_ROWS_MAX = 16
 
 
 def _check_matrix(matrix) -> int:
@@ -104,12 +107,13 @@ def _check_matrix(matrix) -> int:
             n = kappa
         if any(map(lt, row, zeros)):
             raise ValueError("bitrates must be >= 0")
-    if len(_checked_matrices) >= _CHECKED_MATRICES_MAX:
-        _checked_matrices.clear()
-    try:
-        _checked_matrices[matrix] = n
-    except TypeError:  # a list, or a tuple that holds one
-        pass
+    if k <= _CHECKED_ROWS_MAX:
+        if len(_checked_matrices) >= _CHECKED_MATRICES_MAX:
+            _checked_matrices.clear()
+        try:
+            _checked_matrices[matrix] = n
+        except TypeError:  # a list, or a tuple that holds one
+            pass
     return n
 
 

@@ -65,18 +65,11 @@ lsum_values = st.lists(st.one_of(
                      2**63, -2**63 - 1, 2**64 + 1))))
 
 
-def lsum_outcome(values, as_generator=False):
-    """lsum's value and type, or the type of its exception."""
+def sum_outcome(add, values):
+    """The type and bits of add(values), or OverflowError, which an int
+    too large to convert to float raises."""
     try:
-        total = lsum((v for v in values) if as_generator else values)
-    except OverflowError as exc:  # an int too large to convert to float
-        return type(exc)
-    return type(total), float_bits(total)
-
-
-def ref_outcome(values):
-    try:
-        total = ref_lsum(values)
+        total = add(values)
     except OverflowError as exc:
         return type(exc)
     return type(total), float_bits(total)
@@ -89,7 +82,9 @@ def test_lsum_equals_the_plus_equals_loop(values, as_generator):
     included) and on generators, over floats, numpy.float64, bools, ints
     past 2**63 and mixes of them."""
     with np.errstate(all="ignore"):  # numpy warns where a float is NaN or inf
-        assert lsum_outcome(values, as_generator) == ref_outcome(values)
+        got = sum_outcome(lsum, (v for v in values) if as_generator
+                          else values)
+        assert got == sum_outcome(ref_lsum, values)
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12),

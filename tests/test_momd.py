@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmstream import momd
 from cmstream.momd import (
     InstanceTooLargeError,
     InsufficientMarginalScoresError,
@@ -141,15 +142,13 @@ def zeros_flipped(matrix):
 
 
 def bid_check(matrix, prices):
-    try:
-        return MomdBid("a", matrix, prices).max_segments
-    except ValueError as exc:
-        return type(exc), str(exc)
+    return MomdBid("a", matrix, prices).max_segments
 
 
-def ref_check(matrix, prices):
+def outcome(check, matrix, prices):
+    """check's result, or the type and message of its ValueError."""
     try:
-        return ref_bid_check(matrix, prices)
+        return check(matrix, prices)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -167,7 +166,19 @@ def test_bid_check_equals_the_first_scan(data):
     twin = zeros_flipped(matrix)
     for m, p in ((matrix, prices), (matrix, prices), (matrix, other),
                  (matrix, other), (twin, prices), (twin, other)):
-        assert bid_check(m, p) == ref_check(m, p)
+        assert outcome(bid_check, m, p) == outcome(ref_bid_check, m, p)
+
+
+def test_checked_matrices_stay_bounded():
+    """The record of checked matrices never outgrows its bound, and holds
+    no matrix of more than 16 rows."""
+    for n in range(1, 600):
+        assert MomdBid("a", ((float(n),),), (1.0,)).max_segments == 1
+        assert len(momd._checked_matrices) <= momd._CHECKED_MATRICES_MAX
+    for n in (16, 17, 40):
+        assert unit_bid("a", (1.0,) * n).max_segments == n
+    assert all(len(m) <= 16 for m in momd._checked_matrices)
+    assert any(len(m) == 16 for m in momd._checked_matrices)
 
 
 def test_bid_rows_and_cap():

@@ -28,6 +28,7 @@ from cmstream.model import (
 
 from conftest import (
     LADDER,
+    bidder_draws,
     float_bits,
     make_profile,
     random_profile,
@@ -254,3 +255,28 @@ def test_welfare_breakdown():
         utility_total(recv, state, (2.3,)) - 2.3)
     assert w.welfare == pytest.approx(
         w.quality_gain + w.buffer_gain - w.degradation_loss - w.cost)
+
+
+def ref_welfare(downloader, receiver, state, rates):
+    """welfare's total as first written: its four terms, added as
+    ``q + b - d - c``."""
+    q = quality_gain(receiver, rates)
+    b = buffer_gain(receiver, len(rates), state.buffer_s)
+    d = degradation_loss(receiver, state.prev_bitrate, rates)
+    c = cost_total(downloader, rates)
+    return q + b - d - c
+
+
+@settings(max_examples=500, deadline=None)
+@given(bidder_draws("r"), st.floats(0.0, 1.0), st.data())
+def test_welfare_matches_frozen_copy(receiver, cost_per_mbit, data):
+    """The same float, bit for bit, as the four terms added in their
+    first order, over ladder rates, other rates and the empty vector."""
+    profile, state = receiver
+    downloader = make_profile("d", ladder=profile.ladder,
+                              cost_per_mbit=cost_per_mbit)
+    rates = tuple(data.draw(st.lists(
+        st.one_of(st.sampled_from(profile.ladder.rates),
+                  st.floats(0.0, 10.0)), max_size=5)))
+    got = welfare(downloader, profile, state, rates).welfare
+    assert got.hex() == ref_welfare(downloader, profile, state, rates).hex()

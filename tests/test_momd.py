@@ -540,3 +540,41 @@ def test_vickrey_score_equals_reference(auction):
     for f in fields(MomdOutcome):
         assert float_bits(getattr(got, f.name)) == float_bits(
             getattr(want, f.name)), f.name
+
+
+def ref_marginal_scores(bid, sf):
+    """marginal_scores as first written: the differences of the row
+    scores, each a row's price less sf.of_vector of its rates."""
+    out = []
+    prev = 0.0
+    for kappa in range(1, bid.max_segments + 1):
+        phi = bid.price_vector[kappa - 1] - sf.of_vector(bid.row(kappa))
+        out.append(phi - prev)
+        prev = phi
+    return tuple(out)
+
+
+def ref_validate_assumption1(s):
+    """validate_assumption1 as first written, on the scores themselves."""
+    for kappa in range(1, len(s) + 1):
+        if s[kappa - 1] < 0:
+            return False, kappa
+        if kappa < len(s) and s[kappa - 1] < s[kappa]:
+            return False, kappa
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_auctions(), st.lists(hostile_entries, max_size=6))
+def test_marginal_scores_match_frozen_copy(auction, scores):
+    """Every bid's marginal scores, bit for bit, and the Assumption 1
+    verdict on them; and the verdict on sequences that may hold NaN,
+    infinities, -0.0 and negatives."""
+    bids, sf, _ = auction
+    for bid in bids:
+        got = marginal_scores(bid, sf)
+        want = ref_marginal_scores(bid, sf)
+        assert float_bits(got.scores) == float_bits(want)
+        assert validate_assumption1(got) == ref_validate_assumption1(want)
+    assert (validate_assumption1(MarginalScoreSeq("a", tuple(scores)))
+            == ref_validate_assumption1(scores))

@@ -10,14 +10,18 @@ Run with e.g.:  python demos/overhead_sweep.py --replications 50
 
 import argparse
 
-from cmstream.experiments import cooperation_comparison, overhead_sweep
+from cmstream.engine import run_comparison
+from cmstream.experiments import heterogeneous_scenario
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--replications", type=int, default=50)
 args = parser.parse_args()
 
 print("Cooperative vs noncooperative downloading (three-user scenario):")
-table = cooperation_comparison(args.replications)
+coop, gen = heterogeneous_scenario("momd")
+solo, _ = heterogeneous_scenario("noncooperative")
+table = run_comparison([("momd", coop), ("noncooperative", solo)], gen,
+                       args.replications)
 for row in table.rows:
     print(f"  {row['cell']:>16}: welfare {row['social_welfare']:.2f}, "
           f"rebuffer ratio {row['rebuffer_ratio']:.4f}")
@@ -28,7 +32,11 @@ print()
 
 overheads = (0.0, 0.2, 1.0)
 ks = (1, 2, 4)
-table = overhead_sweep(overheads, ks, args.replications)
+# every cell runs on the same seeded traces
+cells = [(f"overhead={oh:g},K={k}",
+          heterogeneous_scenario("momd", K=k, overhead_energy=oh)[0])
+         for oh in overheads for k in ks]
+table = run_comparison(cells, gen, args.replications)
 welfare = {row["cell"]: row["social_welfare"] for row in table.rows}
 
 print("Mean social welfare by per-auction overhead and K:")

@@ -13,7 +13,8 @@ Run with e.g.:  python demos/participation_filter_study.py --replications 50
 
 import argparse
 
-from cmstream.experiments import modification_comparison
+from cmstream.engine import run_comparison
+from cmstream.experiments import two_user_scenario
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--replications", type=int, default=50)
@@ -24,7 +25,10 @@ print(f"{'B mean (Mbps)':>14} | {'variant':>10} | {'welfare':>8} | "
 print("-" * 64)
 
 for mean_b in (0.15, 0.3, 0.45, 1.5, 3.0):
-    table = modification_comparison(mean_b, args.replications)
+    plain, gen = two_user_scenario(mean_b, modified=False)
+    filtered, _ = two_user_scenario(mean_b, modified=True)
+    table = run_comparison([("unmodified", plain), ("modified", filtered)],
+                           gen, args.replications)
     rows = {row["cell"]: row for row in table.rows}
     for variant in ("unmodified", "modified"):
         row = rows[variant]

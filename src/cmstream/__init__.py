@@ -7,7 +7,6 @@ from .model import (
     BitrateLadder,
     UserProfile,
     UserState,
-    WelfareBreakdown,
     buffer_gain,
     buffer_gain_gap,
     cost_total,
@@ -30,7 +29,6 @@ from .momd import (
     ConditionReport,
     InstanceTooLargeError,
     InsufficientMarginalScoresError,
-    MarginalScoreSeq,
     MomdBid,
     MomdOutcome,
     brute_force_momd_optimum,

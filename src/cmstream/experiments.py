@@ -1,5 +1,7 @@
-"""Reusable experiment scenarios: the two-user participation-filter study,
-the heterogeneous cooperation comparison, and the auction-overhead sweep.
+"""Reusable experiment scenarios: the two-user participation-filter study
+and the heterogeneous three-user scenario behind the cooperation
+comparison and the auction-overhead sweep. Each returns a config and a
+seeded trace generator for ``run_comparison``.
 
 Trace statistics are illustrative (the original measurement traces are not
 public); every scenario is driven by seeded synthetic traces so results are
@@ -12,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import ComparisonTable, SimConfig, run_comparison
+from .engine import SimConfig
 from .model import UserProfile
 from .strategy import ParticipationConfig
 from .traceio import CapacityTrace, EncounterTrace
@@ -107,34 +109,3 @@ def heterogeneous_scenario(
         return CapacityTrace(points), EncounterTrace()
 
     return cfg, gen
-
-
-def modification_comparison(mean_b: float,
-                            replications: int) -> ComparisonTable:
-    """Unmodified vs modified mechanism on the two-user scenario."""
-    cfg_plain, gen = two_user_scenario(mean_b, modified=False)
-    cfg_mod, _ = two_user_scenario(mean_b, modified=True)
-    return run_comparison(
-        [("unmodified", cfg_plain), ("modified", cfg_mod)], gen, replications)
-
-
-def cooperation_comparison(replications: int) -> ComparisonTable:
-    """Cooperative Vickrey-score auction vs noncooperative downloading."""
-    cfg_coop, gen = heterogeneous_scenario("momd")
-    cfg_solo, _ = heterogeneous_scenario("noncooperative")
-    return run_comparison(
-        [("momd", cfg_coop), ("noncooperative", cfg_solo)], gen, replications)
-
-
-def overhead_sweep(overheads: Sequence[float], ks: Sequence[int],
-                   replications: int) -> ComparisonTable:
-    """Mean social welfare per (overhead energy, K) cell, common traces."""
-    cells = []
-    gen = None
-    for overhead in overheads:
-        for k in ks:
-            cfg, g = heterogeneous_scenario("momd", K=k,
-                                            overhead_energy=overhead)
-            gen = gen or g
-            cells.append((f"overhead={overhead:g},K={k}", cfg))
-    return run_comparison(cells, gen, replications)

@@ -114,15 +114,6 @@ class UserState:
             raise ValueError("prev_bitrate must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class WelfareBreakdown:
-    quality_gain: float
-    buffer_gain: float
-    degradation_loss: float
-    cost: float
-    welfare: float
-
-
 def cost_single(profile: UserProfile, rate: float) -> float:
     """Downloading cost of one segment at the given bitrate (linear, c(0)=0)."""
     return profile.cost_per_mbit * rate * profile.ladder.segment_length_s
@@ -194,16 +185,6 @@ def utility_total(profile: UserProfile, state: UserState,
 
 
 def welfare(downloader: UserProfile, receiver: UserProfile, state: UserState,
-            rates: Sequence[float]) -> WelfareBreakdown:
+            rates: Sequence[float]) -> float:
     """Welfare of one downloading operation: receiver utility minus downloader cost."""
-    q = quality_gain(receiver, rates)
-    b = buffer_gain(receiver, len(rates), state.buffer_s)
-    d = degradation_loss(receiver, state.prev_bitrate, rates)
-    c = cost_total(downloader, rates)
-    return WelfareBreakdown(
-        quality_gain=q,
-        buffer_gain=b,
-        degradation_loss=d,
-        cost=c,
-        welfare=q + b - d - c,
-    )
+    return utility_total(receiver, state, rates) - cost_total(downloader, rates)

@@ -118,14 +118,6 @@ def _check_matrix(matrix) -> int:
 
 
 @dataclass(frozen=True)
-class MarginalScoreSeq:
-    """Per-segment score increments; their prefix sums recover the row scores."""
-
-    bidder_id: str
-    scores: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MomdOutcome:
     per_segment_winners: Tuple[str, ...]
     revised_allocation: Dict[str, int]
@@ -144,27 +136,24 @@ def row_scores(bid: MomdBid, sf: ScoreFunction) -> List[float]:
             for kappa in range(1, bid.max_segments + 1)]
 
 
-def marginal_scores(bid: MomdBid, sf: ScoreFunction) -> MarginalScoreSeq:
+def marginal_scores(bid: MomdBid, sf: ScoreFunction) -> Tuple[float, ...]:
     """Telescoped row-score differences; entry kappa is the score increase
-    when the bidder's allocation grows from kappa-1 to kappa segments."""
+    when the bidder's allocation grows from kappa-1 to kappa segments, and
+    the prefix sums recover the row scores."""
     phis = row_scores(bid, sf)
     out = []
     prev = 0.0
     for phi in phis:
         out.append(phi - prev)
         prev = phi
-    return MarginalScoreSeq(bidder_id=bid.bidder_id, scores=tuple(out))
+    return tuple(out)
 
 
-def validate_assumption1(seq: MarginalScoreSeq) -> Tuple[bool, Optional[int]]:
+def validate_assumption1(s: Sequence[float]) -> Tuple[bool, Optional[int]]:
     """Check that the marginal scores are non-negative and non-increasing.
 
     Returns (ok, first violating 1-based index or None).
     """
-    return _assumption1(seq.scores)
-
-
-def _assumption1(s: Sequence[float]) -> Tuple[bool, Optional[int]]:
     for kappa in range(1, len(s) + 1):
         if s[kappa - 1] < 0:
             return False, kappa
@@ -199,7 +188,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
     for bid in bids:
         scores, penalties = [], []
         prev = 0.0
-        # _assumption1(scores)[0], checked as the scores are made
+        # validate_assumption1(scores)[0], checked as the scores are made
         ok, above = True, math.inf
         for kappa in range(1, bid.max_segments + 1):
             penalty = 0.0
@@ -331,7 +320,7 @@ def brute_force_momd_optimum(
         for kappa in range(1, K + 1):
             top = None
             for vec in itertools.product(profile.ladder.rates, repeat=kappa):
-                w = welfare(downloader, profile, state, vec).welfare
+                w = welfare(downloader, profile, state, vec)
                 if top is None or w > top[0]:
                     top = (w, vec)
             per_kappa.append(top)
@@ -366,7 +355,7 @@ def brute_force_restricted_optimum(
                 per_kappa.append(None)
             else:
                 per_kappa.append(
-                    welfare(downloader, profile, state, bid.row(kappa)).welfare)
+                    welfare(downloader, profile, state, bid.row(kappa)))
         values.append(per_kappa)
 
     alloc, w = _best_split(values, K)

@@ -135,7 +135,7 @@ def brute_force_somd_optimum(
     best = None
     for profile, state in bidders:
         for r in profile.ladder.rates:
-            w = welfare(downloader, profile, state, (r,)).welfare
+            w = welfare(downloader, profile, state, (r,))
             key = (-w, profile.user_id, r)
             if best is None or key < best[0]:
                 best = (key, (profile.user_id, r, w))

@@ -284,7 +284,7 @@ def test_criterion_3_efficiency():
         out = resolve_second_score(bids, sf)
         by_id = {p.user_id: (p, s) for p, s in bidders}
         wp, ws = by_id[out.winner_id]
-        mech = welfare(downloader, wp, ws, (out.winning_bitrate,)).welfare
+        mech = welfare(downloader, wp, ws, (out.winning_bitrate,))
         _, _, oracle = brute_force_somd_optimum(bidders, downloader)
         if mech != oracle:
             somd_bad += 1
@@ -296,7 +296,7 @@ def test_criterion_3_efficiency():
         for (p, s), bid in zip(bidders, bids):
             rates = out.winning_bitrates[bid.bidder_id]
             if rates:
-                mech += welfare(downloader, p, s, rates).welfare
+                mech += welfare(downloader, p, s, rates)
         _, _, oracle = brute_force_momd_optimum(bidders, downloader, k)
         if mech != oracle:
             momd_bad += 1
@@ -308,7 +308,7 @@ def test_criterion_3_efficiency():
         for (p, s), bid in zip(bidders, bids):
             kappa = out.revised_allocation[bid.bidder_id]
             if kappa:
-                mech += welfare(downloader, p, s, bid.row(kappa)).welfare
+                mech += welfare(downloader, p, s, bid.row(kappa))
         _, oracle = brute_force_restricted_optimum(
             bids, bidders, downloader, k)
         if mech != oracle:

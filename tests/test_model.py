@@ -242,19 +242,14 @@ def test_welfare_breakdown():
                         buffer_gain_decay=0.5)
     dl = make_profile("d", cost_per_mbit=0.1)
     state = UserState()
-    empty = welfare(dl, recv, state, ())
-    assert empty.welfare == 0.0 and empty.cost == 0.0
+    assert welfare(dl, recv, state, ()) == 0.0
 
     free = make_profile("d0", cost_per_mbit=0.0)
     w = welfare(free, recv, state, (1.3, 0.7))
-    assert w.welfare == pytest.approx(utility_total(recv, state, (1.3, 0.7)))
+    assert w == pytest.approx(utility_total(recv, state, (1.3, 0.7)))
 
     w = welfare(dl, recv, state, (2.3,))
-    assert w.cost == pytest.approx(2.3)
-    assert w.welfare == pytest.approx(
-        utility_total(recv, state, (2.3,)) - 2.3)
-    assert w.welfare == pytest.approx(
-        w.quality_gain + w.buffer_gain - w.degradation_loss - w.cost)
+    assert w == pytest.approx(utility_total(recv, state, (2.3,)) - 2.3)
 
 
 def ref_welfare(downloader, receiver, state, rates):
@@ -278,5 +273,5 @@ def test_welfare_matches_frozen_copy(receiver, cost_per_mbit, data):
     rates = tuple(data.draw(st.lists(
         st.one_of(st.sampled_from(profile.ladder.rates),
                   st.floats(0.0, 10.0)), max_size=5)))
-    got = welfare(downloader, profile, state, rates).welfare
+    got = welfare(downloader, profile, state, rates)
     assert got.hex() == ref_welfare(downloader, profile, state, rates).hex()

@@ -11,7 +11,6 @@ from cmstream import momd
 from cmstream.momd import (
     InstanceTooLargeError,
     InsufficientMarginalScoresError,
-    MarginalScoreSeq,
     MomdBid,
     MomdOutcome,
     brute_force_momd_optimum,
@@ -204,24 +203,20 @@ def test_marginal_scores_telescoping():
     zero = ScoreFunction.zero()
     bid = unit_bid("1", (8.0, 15.0, 20.0, 22.0))
     assert row_scores(bid, zero) == pytest.approx([8.0, 15.0, 20.0, 22.0])
-    seq = marginal_scores(bid, zero)
-    assert seq.scores == pytest.approx((8.0, 7.0, 5.0, 2.0))
+    assert marginal_scores(bid, zero) == pytest.approx((8.0, 7.0, 5.0, 2.0))
 
     flat = unit_bid("2", (4.0, 4.0, 4.0))
-    assert marginal_scores(flat, zero).scores == pytest.approx((4.0, 0.0, 0.0))
+    assert marginal_scores(flat, zero) == pytest.approx((4.0, 0.0, 0.0))
 
     single = unit_bid("3", (6.0,))
-    assert marginal_scores(single, zero).scores == pytest.approx((6.0,))
+    assert marginal_scores(single, zero) == pytest.approx((6.0,))
 
 
 def test_validate_assumption1():
-    assert validate_assumption1(
-        MarginalScoreSeq("a", (8.0, 7.0, 5.0, 2.0))) == (True, None)
-    assert validate_assumption1(
-        MarginalScoreSeq("a", (3.0, 5.0))) == (False, 1)
-    assert validate_assumption1(
-        MarginalScoreSeq("a", (1.0, -1.0))) == (False, 2)
-    assert validate_assumption1(MarginalScoreSeq("a", ())) == (True, None)
+    assert validate_assumption1((8.0, 7.0, 5.0, 2.0)) == (True, None)
+    assert validate_assumption1((3.0, 5.0)) == (False, 1)
+    assert validate_assumption1((1.0, -1.0)) == (False, 2)
+    assert validate_assumption1(()) == (True, None)
 
 
 def test_worked_allocation_and_payments():
@@ -278,7 +273,7 @@ def test_payment_includes_score_penalty():
     out = resolve_vickrey_score([winner, loser], sf, 2)
     assert out.revised_allocation == {"a": 2, "b": 0}
     # damage: b's two best marginals; payment adds s of a's winning row
-    seq_b = marginal_scores(loser, sf).scores
+    seq_b = marginal_scores(loser, sf)
     assert out.payments["a"] == pytest.approx(
         sf.of_vector((1.3, 1.3)) + seq_b[0] + seq_b[1])
 
@@ -442,9 +437,9 @@ def ref_resolve_vickrey_score(bids, sf, K):
         raise InsufficientMarginalScoresError(
             "insufficient marginal scores: no bids")
     seqs = {bid.bidder_id: marginal_scores(bid, sf) for bid in bids}
-    entries = [(s, seq.bidder_id, kappa)
-               for seq in seqs.values()
-               for kappa, s in enumerate(seq.scores, start=1)]
+    entries = [(s, bidder_id, kappa)
+               for bidder_id, seq in seqs.items()
+               for kappa, s in enumerate(seq, start=1)]
     if len(entries) < K:
         raise InsufficientMarginalScoresError(
             f"insufficient marginal scores: {len(entries)} < {K}")
@@ -574,7 +569,6 @@ def test_marginal_scores_match_frozen_copy(auction, scores):
     for bid in bids:
         got = marginal_scores(bid, sf)
         want = ref_marginal_scores(bid, sf)
-        assert float_bits(got.scores) == float_bits(want)
+        assert float_bits(got) == float_bits(want)
         assert validate_assumption1(got) == ref_validate_assumption1(want)
-    assert (validate_assumption1(MarginalScoreSeq("a", tuple(scores)))
-            == ref_validate_assumption1(scores))
+    assert validate_assumption1(scores) == ref_validate_assumption1(scores)

@@ -123,8 +123,8 @@ def test_brute_force_single_pair():
     uid, rate, w = brute_force_somd_optimum([(p, state)], dl)
     assert uid == "u"
     assert w == pytest.approx(
-        max(welfare(dl, p, state, (r,)).welfare for r in LADDER.rates))
-    assert welfare(dl, p, state, (rate,)).welfare == pytest.approx(w)
+        max(welfare(dl, p, state, (r,)) for r in LADDER.rates))
+    assert welfare(dl, p, state, (rate,)) == pytest.approx(w)
 
 
 def test_brute_force_needs_bidders():

@@ -404,7 +404,7 @@ def _write_table(rows: Iterable[Mapping[str, object]],
                  columns: Sequence[str], path: Path, fmt: str) -> Path:
     rows = list(rows)
     if fmt == "csv":
-        lines = [",".join(columns)]
+        lines = [",".join([_fmt(c) for c in columns])]
         for row in rows:
             lines.append(",".join([_fmt(row.get(c, "")) for c in columns]))
         path.write_text("\n".join(lines) + "\n")
@@ -417,9 +417,15 @@ def _write_table(rows: Iterable[Mapping[str, object]],
 
 
 def _fmt(value) -> str:
+    """value as one CSV cell: a float to 6 significant digits, anything
+    else as its text, which is quoted with its quotes doubled when it holds
+    a comma, a quote, CR or LF, as csv.writer quotes it."""
     if isinstance(value, float):
         return f"{value:.6g}"
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _round(value):

@@ -1,6 +1,7 @@
 """End-to-end tests for the cmstream command line."""
 
 import copy
+import csv
 import json
 import math
 from pathlib import Path
@@ -239,6 +240,46 @@ def test_compare_grid(tmp_path, config_path, capsys):
     assert lines[0].startswith("cell,social_welfare")
     assert len(lines) == 3  # header + two cells
     assert "mechanism=momd" in capsys.readouterr().out
+
+
+def test_csv_outputs_read_back_through_csv_reader(tmp_path, capsys):
+    """events.csv and comparison.csv parse as CSV: every row has the
+    header's width, each payload cell holds its event's JSON payload, and
+    each cell label, commas and all, is one cell."""
+    from cmstream.cli import _read_traces
+    from cmstream.config import load_config
+    from cmstream.engine import run_simulation
+
+    traces, run, cmp = tmp_path / "traces", tmp_path / "run", tmp_path / "cmp"
+    two_user = str(CONFIGS / "two_user.yaml")
+    assert main(["gen-traces", "--config", two_user,
+                 "--out", str(traces)]) == EXIT_OK
+    assert main(["simulate", "--config", two_user, "--traces", str(traces),
+                 "--out", str(run), "--events"]) == EXIT_OK
+    assert main(["compare", "--config", str(CONFIGS / "three_user.yaml"),
+                 "--out", str(cmp), "--replications", "2",
+                 "--k-values", "1,2"]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[-4:]
+
+    events = run_simulation(load_config(two_user)[0],
+                            *_read_traces(str(traces))).events
+    with open(run / "events.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["time_s", "kind", "payload"]
+    assert len(rows) == len(events) > 0
+    for row, event in zip(rows, events):
+        assert len(row) == len(header)
+        assert row[1] == event.kind
+        # through JSON once, so that tuples compare as lists
+        assert json.loads(row[2]) == json.loads(json.dumps(event.payload))
+
+    with open(cmp / "comparison.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header[0] == "cell" and len(rows) == 4
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == [
+        line.split(": social_welfare=")[0] for line in printed]
+    assert rows[0][0] == "mechanism=momd,K=1,overhead=0"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -273,9 +273,9 @@ CLI_GOLDEN = {
     "traces/encounter.csv": "5fd762ece7f4746aa6048ba35a26a583d87ef005c4f27650586c2ca82aae189f",
     "run/metrics.csv": "6b5e6e2e0057be7a0e4c49f1613b3902a58442efcabb55e5581c685db25b72ba",
     "run/summary.csv": "c7d94cc426c114a028a154fad189545ffbfc25d61d2f8a7f6f77401946ff8f3a",
-    "run/events.csv": "da9f4e664650f5bce38fa234c2ae46c247cc47075c2b94cdd9a8109097f3a4b4",
+    "run/events.csv": "9ac9b2669c28915c09ddb03bbf25c9f64b721e12cf41e1cea2893780a05119de",
     "run/config_snapshot.yaml": "225c5258a7484b8a41cd84dcc8877176ed792dd99735c08a6209516eeb2d9a76",
-    "cmp/comparison.csv": "79583cb6a0a4b11eb604eee223e60a3844bbe62e10b85b12f9edc42caed933ca",
+    "cmp/comparison.csv": "2912852e55e1cf5ca0a145c57f1db78b1a3230b3175d93a7178814597f079e70",
     "cmp/config_snapshot.yaml": "82a650ec4b860f305d9bd56b27fc4a95e1e0dd67191f7c83e5dc7afcf28d5c80",
 }
 

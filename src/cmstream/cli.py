@@ -26,7 +26,7 @@ from .momd import (
     resolve_from_marginal_scores,
 )
 from .somd import ScoreFunction, brute_force_somd_optimum
-from .strategy import brute_force_bitrate_rows, optimal_bitrate_matrix
+from .strategy import brute_force_bitrate_rows, build_momd_bid
 from .traceio import (
     EncounterTrace,
     TraceParseError,
@@ -199,7 +199,7 @@ def cmd_oracle(args) -> int:
         profile, state = bidders[0]
         sf = ScoreFunction.efficient(downloader)
         rows = brute_force_bitrate_rows(profile, state, sf, K)
-        fast = optimal_bitrate_matrix(profile, state, sf, K)
+        fast = build_momd_bid(profile, state, sf, K).bitrate_matrix
         print(f"brute-force rows: {[list(r) for r in rows]}")
         print(f"reduced-solver rows: "
               f"{[list(r[:k + 1]) for k, r in enumerate(fast)]}")

@@ -54,6 +54,7 @@ from .traceio import (
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
+    degradation_volume,
 )
 
 MECHANISMS = ("somd", "momd", "vickrey_1d", "noncooperative")
@@ -581,7 +582,7 @@ class _Simulation:
             if not math.isfinite(w):
                 raise ValueError(f"user {uid}: welfare {w} over the run is "
                                  "not finite; the config's values overflow")
-            drops = lsum(max(a - b, 0.0) for a, b in zip(rates, rates[1:]))
+            drops = degradation_volume(rates)
             per_user[uid] = UserResult(
                 user_id=uid,
                 welfare=w,

@@ -346,13 +346,17 @@ def generate_synthetic_traces(
     return CapacityTrace(points)
 
 
+def degradation_volume(bitrates: Sequence[float]) -> float:
+    """The sum of the bitrate drops between consecutive segments."""
+    return lsum(max(a - b, 0.0) for a, b in zip(bitrates, bitrates[1:]))
+
+
 def degradation_ratio(bitrates: Sequence[float]) -> float:
     """Bitrate-drop volume over the sum of all received segment bitrates."""
     total = lsum(bitrates)
     if total == 0:
         return 0.0
-    drops = lsum(max(a - b, 0.0) for a, b in zip(bitrates, bitrates[1:]))
-    return drops / total
+    return degradation_volume(bitrates) / total
 
 
 # Stable column order for the per-user metrics table.

@@ -26,6 +26,7 @@ from cmstream.traceio import (
     TraceParseError,
     TraceUnderrunError,
     degradation_ratio,
+    degradation_volume,
     emit_capacity_trace,
     emit_encounter_trace,
     emit_results,
@@ -181,6 +182,8 @@ def test_degradation_ratio_values():
     got = degradation_ratio((1.3, 0.7, 1.3))
     assert got == pytest.approx(0.6 / 3.3)
     assert round(100 * got, 1) == 18.2
+    assert degradation_volume(()) == 0
+    assert degradation_volume((2.3, 0.7, 1.3, 0.4)) == pytest.approx(2.5)
 
 
 def test_user_config_roundtrip():

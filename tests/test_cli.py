@@ -105,6 +105,25 @@ def test_simulate_snapshot_reproduces(tmp_path, config_path, traces_dir):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
+def test_simulate_mechanism_and_k_flags(tmp_path, config_path, traces_dir):
+    """--mechanism and --K override the config's values, the run uses
+    them, and the snapshot records them."""
+    summaries = {}
+    for name, flags in (("config", []),
+                        ("mechanism", ["--mechanism", "noncooperative"]),
+                        ("k", ["--K", "4"])):
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(config_path), "--traces",
+                     str(traces_dir), "--out", str(out)] + flags) == EXIT_OK
+        snapshot = yaml.safe_load((out / "config_snapshot.yaml").read_text())
+        summaries[name] = (snapshot["mechanism"], snapshot["K"],
+                           (out / "summary.csv").read_text())
+    assert summaries["config"][:2] == ("momd", 1)
+    assert summaries["mechanism"][:2] == ("noncooperative", 1)
+    assert summaries["k"][:2] == ("momd", 4)
+    assert len({summary for _, _, summary in summaries.values()}) == 3
+
+
 def test_simulate_adaptation_key(tmp_path, traces_dir, capsys):
     """``adaptation: hybrid`` is shorthand for ``adaptation: {kind:
     hybrid}``; a baseline policy changes the results; an unknown one is a
@@ -299,6 +318,16 @@ def test_compare_bad_grid(tmp_path, config_path, capsys, flag, value):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_needs_trace_stats(tmp_path, capsys):
+    path = tmp_path / "bare.yaml"
+    path.write_text(yaml.safe_dump({"users": [{"user_id": "A"}]}))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "trace_stats" in _trace_error(capsys)["message"]
+    assert not out.exists()
+
+
 def test_compare_no_cell_left(tmp_path, capsys):
     config = (Path(__file__).resolve().parent.parent / "configs"
               / "three_user.yaml")
@@ -356,6 +385,22 @@ def test_verify_reports_pairs(config_path, capsys):
     assert "downloader=A bidder=B" in out
 
 
+def test_verify_reports_failing_pairs(tmp_path, capsys):
+    """A pair that fails both conditions prints FAIL with both details,
+    and the summary counts it; verify still exits 0."""
+    path = tmp_path / "weak.yaml"
+    path.write_text(yaml.safe_dump({
+        "users": [{"user_id": "A", "theta": 0.1, "cost_per_mbit": 1.0}],
+        "K": 2}))
+    assert main(["verify", "--config", str(path)]) == EXIT_OK
+    first, summary = capsys.readouterr().out.splitlines()
+    assert first.startswith("downloader=A bidder=A: FAIL quality-vs-cost "
+                            "fails at rate 0.2 (gain ")
+    assert "; concavity margin fails (" in first
+    assert summary == ("summary: 0/1 pairs satisfy the marginal-score "
+                       "conditions")
+
+
 def test_oracle_marginal_scores(tmp_path, capsys):
     inst = tmp_path / "ex.yaml"
     inst.write_text(yaml.safe_dump({
@@ -393,6 +438,35 @@ def test_oracle_somd_equality(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "optimum: bidder=" in out
     assert "EQUAL" in out
+
+
+@pytest.mark.parametrize("offset,verdict", [(0.0, "EQUAL"),
+                                            (1.0, "DIFFERENT")])
+def test_oracle_momd_profiles(tmp_path, capsys, offset, verdict):
+    """The momd oracle on profiles prints the optimal split and each
+    winner's bitrates, and compares a claimed mechanism welfare."""
+    from cmstream.config import user_from_dict
+    from cmstream.model import UserState
+    from cmstream.momd import brute_force_momd_optimum
+
+    downloader = {"user_id": "d", "cost_per_mbit": 0.05}
+    bidders = [{"profile": {"user_id": "u1", "theta": 1.5}},
+               {"profile": {"user_id": "u2", "theta": 0.5},
+                "state": {"buffer_s": 20.0, "prev_bitrate": 0.4}}]
+    alloc, vectors, w = brute_force_momd_optimum(
+        [(user_from_dict(b["profile"]), UserState(**b.get("state", {})))
+         for b in bidders], user_from_dict(downloader), 2)
+    inst = tmp_path / "momd.yaml"
+    inst.write_text(yaml.safe_dump({
+        "K": 2, "downloader": downloader, "bidders": bidders,
+        "mechanism_welfare": float(w) + offset}))
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"optimum: allocation={list(alloc)} welfare={w:.6g}"
+    assert out[1:-1] == [f"bitrates[{uid}] = {list(vec)}"
+                         for uid, vec in sorted(vectors.items()) if vec]
+    assert out[-1].endswith(f": {verdict}")
 
 
 def test_oracle_size_guard(tmp_path):

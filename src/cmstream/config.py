@@ -182,8 +182,9 @@ def load_config(path) -> Tuple[SimConfig, Optional[TraceSpec]]:
     """The SimConfig in a config file (or a run's config_snapshot.yaml),
     plus its synthetic-trace spec when it has a ``trace_stats`` section.
 
-    The ``trace`` section is checked even without one. Its horizon defaults
-    to ``video_length_s * 12 + 400`` and its step to 5 s.
+    The ``trace`` section is checked even without one, step count
+    (``horizon_s / step_s``) included. Its horizon defaults to
+    ``video_length_s * 12 + 400`` and its step to 5 s.
     """
     data = read_yaml(path)
     for key in ("traces_dir", "compare"):  # snapshot bookkeeping
@@ -197,6 +198,10 @@ def load_config(path) -> Tuple[SimConfig, Optional[TraceSpec]]:
         _positive(trace.get("horizon_s", cfg.video_length_s * 12 + 400.0),
                   "trace.horizon_s"),
         _positive(trace.get("step_s", 5.0), "trace.step_s"))
+    steps = spec.horizon_s / spec.step_s
+    if not math.isfinite(steps):
+        raise ConfigError(f"trace: horizon_s {spec.horizon_s!r} over step_s "
+                          f"{spec.step_s!r} makes {steps} steps")
     return cfg, spec if stats else None
 
 

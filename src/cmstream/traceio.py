@@ -10,11 +10,11 @@ horizon. Numbers in emitted result files carry 6 significant digits.
 
 Parsing reads a plain file (the header on line 1, then rows of exactly its
 field count: no blank line, quote, CR or NUL) in bulk passes over whole
-columns, and a valid one never goes row by row. Anything else, and any
-file that fails one of those passes, goes through the row scan, which
-alone words a row's fault, so every message and line number is what the
-row scan gives. The trace classes word the faults of a user's or a pair's
-whole list, for both.
+columns, and a valid one never goes row by row. Every other file, and any
+that fails a bulk pass, goes through the row scan: the plain per-row
+parser, which alone words a row's fault. The trace classes word the faults
+of a user's or a pair's whole list, for both. The emitters quote an id
+holding a comma or a quote, so its file takes the row scan and reads back.
 """
 
 from __future__ import annotations
@@ -184,25 +184,17 @@ def parse_capacity_trace(text: str) -> CapacityTrace:
 
 def _scan_capacity_trace(text: str) -> CapacityTrace:
     rows: Dict[str, List[Tuple[float, float]]] = {}
-    inf = math.inf
     for lineno, (t, user, h) in _csv_rows(text, _CAPACITY_HEADER):
-        try:
-            t = float(t)
-            h = float(h)
-        except ValueError:
-            raise TraceParseError(f"line {lineno}: malformed number")
-        if not (-inf < t < inf and 0 <= h < inf):
-            if not math.isfinite(t) or math.isnan(h) or h == inf:
-                raise TraceParseError(f"line {lineno}: non-finite number")
+        t, h = _row_numbers(lineno, t, h, float)
+        if math.isnan(h) or h == math.inf:
+            raise TraceParseError(f"line {lineno}: non-finite number")
+        if h < 0:
             raise TraceParseError(f"line {lineno}: negative capacity")
-        prev = rows.get(user)
-        if prev is None:
-            rows[user] = [(t, h)]
-        elif t > prev[-1][0]:
-            prev.append((t, h))
-        else:
+        points = rows.setdefault(user, [])
+        if points and t <= points[-1][0]:
             raise TraceParseError(
                 f"line {lineno}: non-monotone time for user {user}")
+        points.append((t, h))
     for user, points in rows.items():
         if points[0][0] != 0.0:
             raise TraceParseError(f"user {user}: missing breakpoint at time 0")
@@ -210,10 +202,11 @@ def _scan_capacity_trace(text: str) -> CapacityTrace:
 
 
 def emit_capacity_trace(trace: CapacityTrace) -> str:
-    out = ["time_s,user_id,capacity_mbps"]
+    out = [",".join(_CAPACITY_HEADER)]
     for user in trace.users:
+        cell = _fmt(user)
         for t, h in trace.breakpoints[user]:
-            out.append(f"{_fmt(t)},{user},{_fmt(h)}")
+            out.append(f"{_fmt(t)},{cell},{_fmt(h)}")
     return "\n".join(out) + "\n"
 
 
@@ -241,29 +234,18 @@ def parse_encounter_trace(text: str) -> EncounterTrace:
 
 def _scan_encounter_trace(text: str) -> EncounterTrace:
     toggles: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
-    inf = math.inf
     for lineno, (t, a, b, v) in _csv_rows(text, _ENCOUNTER_HEADER):
-        try:
-            t = float(t)
-            v = int(v)
-        except ValueError:
-            raise TraceParseError(f"line {lineno}: malformed number")
-        if not -inf < t < inf:
-            raise TraceParseError(f"line {lineno}: non-finite number")
         pair = (a, b) if a <= b else (b, a)
-        events = toggles.get(pair)
-        if events is None:
-            toggles[pair] = [(t, v)]
-        else:
-            events.append((t, v))
+        toggles.setdefault(pair, []).append(_row_numbers(lineno, t, v, int))
     return EncounterTrace({p: tuple(e) for p, e in toggles.items()})
 
 
 def emit_encounter_trace(trace: EncounterTrace) -> str:
-    out = ["time_s,user_a,user_b,connected"]
+    out = [",".join(_ENCOUNTER_HEADER)]
     for pair in sorted(trace.toggles):
+        cells = f"{_fmt(pair[0])},{_fmt(pair[1])}"
         for t, v in trace.toggles[pair]:
-            out.append(f"{_fmt(t)},{pair[0]},{pair[1]},{v}")
+            out.append(f"{_fmt(t)},{cells},{v}")
     return "\n".join(out) + "\n"
 
 
@@ -303,26 +285,33 @@ def _group_runs(keys: list, points: list) -> dict:
 
 def _csv_rows(text: str, header: Tuple[str, ...]):
     """(line number, row) for each row after the header, blank lines left
-    out. The rows before the first one with a wrong field count come out
-    before that row's error is raised."""
-    rows = list(csv.reader(io.StringIO(text)))
-    n = len(header)
-    bad = len(rows)  # the first row neither blank nor n fields wide, if any
-    if not {0, n}.issuperset(map(len, rows)):
-        bad = next(k for k, row in enumerate(rows) if len(row) not in (0, n))
-    lines = filter(_second, enumerate(rows[:bad], 1))
-    first = next(lines, None)
-    if first is None or tuple(first[1]) != header:
-        raise TraceParseError(f"line 1: expected header {','.join(header)}")
-    if bad == len(rows):
-        return lines
-    return _then_raise(lines, TraceParseError(
-        f"line {bad + 1}: expected {n} fields"))
+    out. A wrong header, a row of the wrong field count and text the csv
+    module refuses raise a TraceParseError when the scan reaches them."""
+    reader = csv.reader(io.StringIO(text))
+    rows = ((lineno, row) for lineno, row in enumerate(reader, 1) if row)
+    try:
+        first = next(rows, None)
+        if first is None or tuple(first[1]) != header:
+            raise TraceParseError(
+                f"line 1: expected header {','.join(header)}")
+        for lineno, row in rows:
+            if len(row) != len(header):
+                raise TraceParseError(
+                    f"line {lineno}: expected {len(header)} fields")
+            yield lineno, row
+    except csv.Error as exc:
+        raise TraceParseError(f"line {reader.line_num}: {exc}") from None
 
 
-def _then_raise(items, exc: Exception):
-    yield from items
-    raise exc
+def _row_numbers(lineno: int, t: str, value: str, kind) -> tuple:
+    """A row's time as a finite float and its value as ``kind``."""
+    try:
+        t, value = float(t), kind(value)
+    except ValueError:
+        raise TraceParseError(f"line {lineno}: malformed number") from None
+    if not math.isfinite(t):
+        raise TraceParseError(f"line {lineno}: non-finite number")
+    return t, value
 
 
 def generate_synthetic_traces(

@@ -733,6 +733,40 @@ def test_simulate_non_finite_toggle_time(tmp_path, config_path, capsys):
     assert _trace_error(capsys)["error"] == "trace"
 
 
+def test_simulate_over_long_cell(tmp_path, config_path, capsys):
+    """A cell past the csv module's field limit is a trace fault on its
+    line; it used to end in a raw csv.Error (exit 1)."""
+    d = tmp_path / "traces"
+    d.mkdir()
+    (d / "capacity.csv").write_text(
+        "time_s,user_id,capacity_mbps\n0,A," + "1" * 200_000 + "\n")
+    code = main(["simulate", "--config", str(config_path),
+                 "--traces", str(d), "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    err = _trace_error(capsys)
+    assert err["error"] == "trace"
+    assert err["message"].startswith("line 2: field larger than field limit")
+
+
+def test_ids_holding_a_comma_read_back(tmp_path, capsys):
+    """gen-traces quotes an id holding a comma, so simulate reads back the
+    traces it wrote; they used to fail with 'line 2: expected 3 fields'."""
+    config = copy.deepcopy(TWO_USER)
+    config["users"][0]["user_id"] = "A,1"
+    config["trace_stats"] = {"A,1" if user == "A" else user: stats
+                             for user, stats in config["trace_stats"].items()}
+    cfg = tmp_path / "comma.yaml"
+    cfg.write_text(yaml.safe_dump(config, sort_keys=False))
+    traces = tmp_path / "traces"
+    assert main(["gen-traces", "--config", str(cfg),
+                 "--out", str(traces)]) == EXIT_OK
+    assert (traces / "capacity.csv").read_text().splitlines()[1].startswith(
+        '0,"A,1",')
+    assert main(["simulate", "--config", str(cfg), "--traces", str(traces),
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert "social_welfare=265.663 " in capsys.readouterr().out
+
+
 def test_simulate_traces_not_a_directory(tmp_path, config_path, capsys):
     not_dir = tmp_path / "traces.csv"
     not_dir.write_text("time_s,user_id,capacity_mbps\n0,A,3.0\n")
@@ -847,6 +881,7 @@ HOSTILE = [
     ("gen-traces", ("trace", "step_s"), float("nan")),
     ("gen-traces", ("trace", "horizon_s"), float("inf")),
     ("gen-traces", ("trace",), [1, 2]),
+    ("verify", ("trace",), {"horizon_s": 1.0e308, "step_s": 1.0e-10}),
     ("compare", ("trace_stats", "A", "mean"), -1),
     ("compare", ("trace", "step_s"), 0),
     ("compare", ("mechansim",), "somd"),

@@ -94,6 +94,66 @@ def test_capacity_roundtrip():
     assert again.breakpoints == trace.breakpoints
 
 
+@pytest.mark.parametrize("parse, header", [
+    (parse_capacity_trace, "time_s,user_id,capacity_mbps"),
+    (parse_encounter_trace, "time_s,user_a,user_b,connected"),
+], ids=["capacity", "encounter"])
+@pytest.mark.parametrize("row, message", [
+    ("0,A," + "1" * 200_000, "line 2: field larger than field limit"),
+    ("0,A\r,1", "line 2: new-line character seen in unquoted field"),
+], ids=["over-long cell", "bare CR"])
+def test_csv_module_refusal_is_a_parse_error(parse, header, row, message):
+    """Text the csv module refuses is a TraceParseError on its line, not a
+    raw csv.Error."""
+    with pytest.raises(TraceParseError, match=message):
+        parse(f"{header}\n{row}\n")
+
+
+# ids as a config may give them, CR aside (reading a file translates it);
+# times and capacities that read back exactly from 6 significant digits
+ids = st.text(alphabet='A1 ,"\n', max_size=4)
+six_digits = st.integers(0, 999_999).map(lambda n: n / 1000)
+
+
+@st.composite
+def capacity_traces(draw):
+    breakpoints = {}
+    for user in draw(st.lists(ids, min_size=1, max_size=3, unique=True)):
+        times = sorted(draw(st.lists(six_digits.filter(bool), max_size=3,
+                                     unique=True)))
+        breakpoints[user] = tuple((t, draw(six_digits))
+                                  for t in [0.0] + times)
+    return CapacityTrace(breakpoints)
+
+
+@st.composite
+def encounter_traces(draw):
+    pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1]).map(
+        lambda p: tuple(sorted(p)))
+    toggles = {}
+    for pair in draw(st.lists(pairs, max_size=3, unique=True)):
+        first = draw(st.integers(0, 1))
+        times = sorted(draw(st.lists(six_digits, min_size=1, max_size=4,
+                                     unique=True)))
+        toggles[pair] = tuple((t, (first + k) % 2)
+                              for k, t in enumerate(times))
+    return EncounterTrace(toggles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity_traces())
+@example(CapacityTrace({"A,1": ((0.0, 3.0),), "B": ((0.0, 0.3),)}))
+def test_capacity_trace_round_trips(trace):
+    assert parse_capacity_trace(emit_capacity_trace(trace)) == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(encounter_traces())
+@example(EncounterTrace({("A,1", 'B"'): ((0.0, 1), (5.0, 0))}))
+def test_encounter_trace_round_trips(trace):
+    assert parse_encounter_trace(emit_encounter_trace(trace)) == trace
+
+
 def test_finish_time_constant():
     trace = CapacityTrace({"A": ((0.0, 4.6),)})
     assert trace.finish_time("A", 0.0, 23.0) == pytest.approx(5.0)
@@ -512,6 +572,9 @@ def encounter_texts(draw):
 @given(capacity_texts())
 @example("time_s,user_id,capacity_mbps\n0,A,-inf\n")
 @example("time_s,user_id,capacity_mbps\n\n0,A,1\n5,B,1\n2,A,-0.0\n")
+@example("time_s,user_id,capacity_mbps\n0,A,x\n0,A\n")
+@example("time_s,user_id,capacity_mbps\n")
+@example("\ntime_s,user_id,capacity_mbps\n0,A,1\n")
 def test_capacity_parser_matches_frozen_copy(text):
     assert (outcome(lambda s: parse_capacity_trace(s).breakpoints, text)
             == outcome(ref_parse_capacity, text))
@@ -523,6 +586,9 @@ def test_capacity_parser_matches_frozen_copy(text):
 @example("time_s,user_a,user_b,connected\n0,A,A,1\n")
 @example("time_s,user_a,user_b,connected\n0,B,A,1\n3,A,B,0\n1,c,A,1\n")
 @example("time_s,user_a,user_b,connected\n0,A,B,1\n0,B,A,0\n")
+@example("time_s,user_a,user_b,connected\n0,A,B,x\n1,A,B\n")
+@example("time_s,user_a,user_b,connected\n")
+@example("\ntime_s,user_a,user_b,connected\n0,A,B,1\n")
 def test_encounter_parser_matches_frozen_copy(text):
     assert (outcome(lambda s: parse_encounter_trace(s).toggles, text)
             == outcome(ref_parse_encounter, text))

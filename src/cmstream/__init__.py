@@ -8,7 +8,6 @@ from .model import (
     UserProfile,
     UserState,
     buffer_gain,
-    buffer_gain_gap,
     cost_total,
     degradation_loss,
     quality_gain,
@@ -32,7 +31,6 @@ from .momd import (
     MomdBid,
     MomdOutcome,
     brute_force_momd_optimum,
-    brute_force_restricted_optimum,
     check_sufficient_conditions,
     marginal_scores,
     momd_score,
@@ -46,9 +44,7 @@ from .strategy import (
     baseline_bitrate,
     brute_force_bitrate_rows,
     build_momd_bid,
-    optimal_bitrate_matrix,
     should_participate,
-    truthful_price_vector,
 )
 from .engine import (
     SimConfig,

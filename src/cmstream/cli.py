@@ -26,7 +26,7 @@ from .momd import (
     resolve_from_marginal_scores,
 )
 from .somd import ScoreFunction, brute_force_somd_optimum
-from .strategy import brute_force_bitrate_rows, build_momd_bid
+from .strategy import brute_force_bitrate_rows, build_momd_bid, row_objective
 from .traceio import (
     EncounterTrace,
     TraceParseError,
@@ -72,14 +72,17 @@ def _out_dir(path: str):
 
 
 def _read_traces(traces_dir: str):
-    """The capacity and encounter traces in ``traces_dir``; a file that
+    """The capacity and encounter traces in ``traces_dir``, with their line
+    endings as written, so a quoted CR in an id reads back; a file that
     cannot be read is a TraceParseError, like one that does not parse."""
     d = Path(traces_dir)
     try:
-        capacity = parse_capacity_trace((d / "capacity.csv").read_text())
+        with open(d / "capacity.csv", newline="") as f:
+            capacity = parse_capacity_trace(f.read())
         enc_path = d / "encounter.csv"
         if enc_path.exists():
-            encounters = parse_encounter_trace(enc_path.read_text())
+            with open(enc_path, newline="") as f:
+                encounters = parse_encounter_trace(f.read())
         else:
             encounters = EncounterTrace()
     except (OSError, UnicodeDecodeError) as exc:
@@ -199,10 +202,14 @@ def cmd_oracle(args) -> int:
         profile, state = bidders[0]
         sf = ScoreFunction.efficient(downloader)
         rows = brute_force_bitrate_rows(profile, state, sf, K)
-        fast = build_momd_bid(profile, state, sf, K).bitrate_matrix
+        bid = build_momd_bid(profile, state, sf, K)
+        fast = [bid.row(kappa) for kappa in range(1, K + 1)]
         print(f"brute-force rows: {[list(r) for r in rows]}")
-        print(f"reduced-solver rows: "
-              f"{[list(r[:k + 1]) for k, r in enumerate(fast)]}")
+        print(f"reduced-solver rows: {[list(r) for r in fast]}")
+        same = all(abs(row_objective(profile, state, sf, a)
+                       - row_objective(profile, state, sf, b)) <= 1e-9
+                   for a, b in zip(rows, fast))
+        print(f"rows: {'EQUAL' if same else 'DIFFERENT'}")
     if "claimed" in inputs:
         claimed = inputs["claimed"]
         verdict = "EQUAL" if abs(claimed - welf) <= 1e-9 else "DIFFERENT"

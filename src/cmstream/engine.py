@@ -54,6 +54,7 @@ from .traceio import (
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
+    degradation_ratio,
     degradation_volume,
 )
 
@@ -596,7 +597,7 @@ class _Simulation:
                 rebuffer_ratio=(u.stall_s / cfg.video_length_s
                                 if u.total_segments else 0.0),
                 degradation_volume_mbps=drops,
-                degradation_ratio=drops / volume if volume else 0.0,
+                degradation_ratio=degradation_ratio(rates),
             )
             social += w
             total_stall += u.stall_s

@@ -17,7 +17,7 @@ import numpy as np
 from .engine import SimConfig
 from .model import UserProfile
 from .strategy import ParticipationConfig
-from .traceio import CapacityTrace, EncounterTrace
+from .traceio import CapacityTrace, EncounterTrace, generate_synthetic_traces
 
 
 def standard_profile(user_id: str, **overrides) -> UserProfile:
@@ -82,30 +82,21 @@ def heterogeneous_scenario(
     K: int = 1,
     overhead_energy: float = 0.0,
 ) -> Tuple[SimConfig, "TraceGen"]:
-    """One high-capacity and two low-capacity users watching 100 s videos."""
+    """One high-capacity and two low-capacity users watching 100 s videos:
+    ``configs/three_user.yaml``, with its traces drawn as ``compare`` does."""
     video_length_s = 100.0
-    high_mean, low_mean, rel_std, step_s = 4.0, 0.18, 0.5, 5.0
-    users = (standard_profile("A"), standard_profile("B"),
-             standard_profile("C"))
     cfg = SimConfig(
-        users=users,
+        users=tuple(map(standard_profile, "ABC")),
         K=K,
         mechanism=mechanism,
         video_length_s=video_length_s,
         overhead_energy_per_auction=overhead_energy,
     )
 
+    stats = {"A": (4.0, 2.0), "B": (0.18, 0.09), "C": (0.18, 0.09)}
+
     def gen(seed: int) -> Tuple[CapacityTrace, EncounterTrace]:
-        rng = np.random.default_rng(seed)
-        horizon = video_length_s * 12 + 400.0
-        points = {
-            "A": phased_capacity([(horizon, high_mean, high_mean * rel_std)],
-                                 step_s, rng),
-            "B": phased_capacity([(horizon, low_mean, low_mean * rel_std)],
-                                 step_s, rng),
-            "C": phased_capacity([(horizon, low_mean, low_mean * rel_std)],
-                                 step_s, rng),
-        }
-        return CapacityTrace(points), EncounterTrace()
+        return (generate_synthetic_traces(
+            stats, video_length_s * 12 + 400.0, 5.0, seed), EncounterTrace())
 
     return cfg, gen

@@ -151,13 +151,6 @@ def buffer_gain(profile: UserProfile, kappa: int, buffer_s: float) -> float:
     return gamma * lsum(rho ** (base + j) for j in range(kappa))
 
 
-def buffer_gain_gap(profile: UserProfile, kappa: int, buffer_s: float) -> float:
-    """Gain of the (kappa+1)-th segment: closed form gamma * rho^(B/beta + kappa)."""
-    gamma = profile.buffer_gain_scale
-    rho = profile.buffer_gain_decay
-    return gamma * rho ** (buffer_s / profile.ladder.segment_length_s + kappa)
-
-
 def degradation_single(profile: UserProfile, prev_rate: float, rate: float) -> float:
     """Loss for one transition: zero on upgrade or no change, else slope * drop."""
     if prev_rate <= rate:

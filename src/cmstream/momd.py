@@ -332,39 +332,6 @@ def brute_force_momd_optimum(
     return alloc, vectors, w
 
 
-def brute_force_restricted_optimum(
-    bids: Sequence[MomdBid],
-    bidders: Sequence[Tuple[UserProfile, UserState]],
-    downloader: UserProfile,
-    K: int,
-) -> Tuple[Tuple[int, ...], float]:
-    """Welfare maximum when each bidder's bitrates are pinned to its matrix rows.
-
-    Oracle for the conditional-efficiency claim: allocating kappa segments to
-    bidder m forces row kappa of its submitted matrix.
-    """
-    if len(bids) != len(bidders):
-        raise ValueError("bids and bidders must align")
-    _guard_instance(len(bidders), K,
-                    max(p.ladder.num_rates for p, _ in bidders))
-    values = []
-    for bid, (profile, state) in zip(bids, bidders):
-        per_kappa = [0.0]
-        for kappa in range(1, K + 1):
-            if kappa > bid.max_segments:
-                per_kappa.append(None)
-            else:
-                per_kappa.append(
-                    welfare(downloader, profile, state, bid.row(kappa)))
-        values.append(per_kappa)
-
-    alloc, w = _best_split(values, K)
-    if alloc is None:
-        raise InsufficientMarginalScoresError(
-            "insufficient marginal scores: bids cannot cover K segments")
-    return alloc, w
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the sufficient-condition checks for well-behaved marginal scores."""

@@ -15,10 +15,8 @@ from .model import (
     UserProfile,
     UserState,
     degradation_loss,
-    degradation_single,
     lsum,
     quality_gain_single,
-    utility_total,
 )
 from .momd import MomdBid, _guard_instance
 from .somd import ScoreFunction
@@ -53,41 +51,12 @@ class AdaptationPolicy:
             raise ValueError(f"unknown adaptation policy {self.kind!r}")
 
 
-def optimal_row_rate(profile: UserProfile, state: UserState,
-                     cost_of_rate: CostOfRate, kappa: int) -> float:
-    """Best common bitrate for a row of kappa segments.
-
-    Scalar reduction of the per-row problem: maximize
-    kappa * g(r) - loss(prev, r) with g(r) = quality gain - cost.
-    Ties go to the lowest rate.
-    """
-    best_rate = None
-    best_obj = None
-    for r in profile.ladder.rates:
-        g = quality_gain_single(profile, r) - cost_of_rate(r)
-        obj = kappa * g - degradation_single(profile, state.prev_bitrate, r)
-        if best_obj is None or obj > best_obj:
-            best_rate, best_obj = r, obj
-    return best_rate
-
-
-def optimal_bitrate_matrix(profile: UserProfile, state: UserState,
-                           cost_of_rate: CostOfRate, K: int,
-                           max_segments: int | None = None,
-                           ) -> Tuple[Tuple[float, ...], ...]:
-    """Optimal K x K lower-triangular bitrate matrix for a bidder.
-
-    Every row uses one common rate (the per-row optimum), and rates are
-    non-increasing down the rows. max_segments caps the non-empty rows,
-    e.g. to the bidder's remaining buffer headroom.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    cap = K if max_segments is None else max(0, min(max_segments, K))
-    return tuple((optimal_row_rate(profile, state, cost_of_rate, kappa),)
-                 * kappa + (0.0,) * (K - kappa)
-                 if kappa <= cap else (0.0,) * K
-                 for kappa in range(1, K + 1))
+def row_objective(profile: UserProfile, state: UserState,
+                  cost_of_rate: CostOfRate, vec: Sequence[float]) -> float:
+    """A row's quality gain net of cost, minus its degradation loss."""
+    return (lsum(quality_gain_single(profile, r) - cost_of_rate(r)
+                 for r in vec)
+            - degradation_loss(profile, state.prev_bitrate, vec))
 
 
 def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
@@ -105,32 +74,20 @@ def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
         best_vec = None
         best_obj = None
         for vec in itertools.product(profile.ladder.rates, repeat=kappa):
-            obj = (lsum(quality_gain_single(profile, r) - cost_of_rate(r)
-                        for r in vec)
-                   - degradation_loss(profile, state.prev_bitrate, vec))
+            obj = row_objective(profile, state, cost_of_rate, vec)
             if best_obj is None or obj > best_obj:
                 best_vec, best_obj = vec, obj
         rows.append(best_vec)
     return tuple(rows)
 
 
-def truthful_price_vector(profile: UserProfile, state: UserState,
-                          matrix: Sequence[Sequence[float]],
-                          ) -> Tuple[float, ...]:
-    """Per-row true utility: the dominant-strategy price for each segment count."""
-    prices = []
-    for kappa, row in enumerate(matrix, start=1):
-        rates = tuple(r for r in row[:kappa] if r != 0)
-        prices.append(utility_total(profile, state, rates) if rates else 0.0)
-    return tuple(prices)
-
-
 def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
                    K: int, max_segments: int | None = None) -> MomdBid:
     """Optimal bitrate matrix plus truthful prices, packaged as a bid.
 
-    Equals ``_priced_bid(profile, state, optimal_bitrate_matrix(...))`` bit
-    for bit with no ``utility_total`` call. The per-rate terms are computed
+    Equals the plain reference in ``tests/conftest.py``,
+    ``_priced_bid(profile, state, optimal_bitrate_matrix(...))``, bit for
+    bit with no ``utility_total`` call. The per-rate terms are computed
     once; a row repeats one rate, so its degradation loss is a single
     ``degradation_single(prev, r)``, and its quality gain and the buffer
     gain prefix add left to right, as ``lsum`` does.
@@ -161,7 +118,7 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
             matrix.append((0.0,) * K)
             prices.append(0.0)
             continue
-        # optimal_row_rate's argmax; ties go to the lowest rate
+        # the reference optimal_row_rate's argmax; ties go to the lowest rate
         best = best_obj = None
         for term in per_rate:
             obj = kappa * term[2] - term[3]
@@ -174,18 +131,6 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
         matrix.append((rate,) * kappa + (0.0,) * (K - kappa))
         prices.append(price if price > 0.0 else 0.0)
     return MomdBid(profile.user_id, tuple(matrix), tuple(prices))
-
-
-def _priced_bid(profile: UserProfile, state: UserState,
-                matrix: Tuple[Tuple[float, ...], ...]) -> MomdBid:
-    """Prices are floored at zero: a row whose true utility is negative is
-    never worth winning, and bids carry non-negative willingness-to-pay."""
-    prices = truthful_price_vector(profile, state, matrix)
-    return MomdBid(
-        bidder_id=profile.user_id,
-        bitrate_matrix=matrix,
-        price_vector=tuple(max(0.0, p) for p in prices),
-    )
 
 
 def should_participate(profile: UserProfile, state: UserState,

@@ -30,8 +30,6 @@ from itertools import compress, repeat
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from .model import lsum
 
 
@@ -322,6 +320,8 @@ def generate_synthetic_traces(
 ) -> CapacityTrace:
     """Piecewise-constant capacities drawn per step from a normal truncated
     at zero; deterministic for a given seed."""
+    import numpy as np  # here alone: a CLI run that draws no traces skips it
+
     rng = np.random.default_rng(seed)
     steps = int(np.ceil(horizon_s / step_s))
     points: Dict[str, Tuple[Tuple[float, float], ...]] = {}

@@ -1,14 +1,30 @@
 """Shared fixtures and instance generators for the test suite."""
 
 import random
+from typing import Sequence, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
-from cmstream.model import BitrateLadder, UserProfile, UserState
-from cmstream.momd import marginal_scores, validate_assumption1
+from cmstream.model import (
+    BitrateLadder,
+    UserProfile,
+    UserState,
+    degradation_single,
+    quality_gain_single,
+    utility_total,
+    welfare,
+)
+from cmstream.momd import (
+    InsufficientMarginalScoresError,
+    MomdBid,
+    _best_split,
+    _guard_instance,
+    marginal_scores,
+    validate_assumption1,
+)
 from cmstream.somd import ScoreFunction
-from cmstream.strategy import build_momd_bid
+from cmstream.strategy import CostOfRate, build_momd_bid
 
 LADDER = BitrateLadder(rates=(0.2, 0.4, 0.7, 1.3, 2.3),
                        segment_length_s=10.0, max_buffer_s=40.0)
@@ -75,6 +91,110 @@ def float_bits(x):
     if isinstance(x, (tuple, list)):
         return [float_bits(v) for v in x]
     return x
+
+
+# -- reference forms: the plain statements of the rules that the library's
+# fast code is pinned to, and the oracles the acceptance suite compares
+# against; nothing outside the tests runs them
+
+def optimal_row_rate(profile: UserProfile, state: UserState,
+                     cost_of_rate: CostOfRate, kappa: int) -> float:
+    """Best common bitrate for a row of kappa segments.
+
+    Scalar reduction of the per-row problem: maximize
+    kappa * g(r) - loss(prev, r) with g(r) = quality gain - cost.
+    Ties go to the lowest rate.
+    """
+    best_rate = None
+    best_obj = None
+    for r in profile.ladder.rates:
+        g = quality_gain_single(profile, r) - cost_of_rate(r)
+        obj = kappa * g - degradation_single(profile, state.prev_bitrate, r)
+        if best_obj is None or obj > best_obj:
+            best_rate, best_obj = r, obj
+    return best_rate
+
+
+def optimal_bitrate_matrix(profile: UserProfile, state: UserState,
+                           cost_of_rate: CostOfRate, K: int,
+                           max_segments: int | None = None,
+                           ) -> Tuple[Tuple[float, ...], ...]:
+    """Optimal K x K lower-triangular bitrate matrix for a bidder.
+
+    Every row uses one common rate (the per-row optimum), and rates are
+    non-increasing down the rows. max_segments caps the non-empty rows,
+    e.g. to the bidder's remaining buffer headroom.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    cap = K if max_segments is None else max(0, min(max_segments, K))
+    return tuple((optimal_row_rate(profile, state, cost_of_rate, kappa),)
+                 * kappa + (0.0,) * (K - kappa)
+                 if kappa <= cap else (0.0,) * K
+                 for kappa in range(1, K + 1))
+
+
+def truthful_price_vector(profile: UserProfile, state: UserState,
+                          matrix: Sequence[Sequence[float]],
+                          ) -> Tuple[float, ...]:
+    """Per-row true utility: the dominant-strategy price for each segment count."""
+    prices = []
+    for kappa, row in enumerate(matrix, start=1):
+        rates = tuple(r for r in row[:kappa] if r != 0)
+        prices.append(utility_total(profile, state, rates) if rates else 0.0)
+    return tuple(prices)
+
+
+def _priced_bid(profile: UserProfile, state: UserState,
+                matrix: Tuple[Tuple[float, ...], ...]) -> MomdBid:
+    """Prices are floored at zero: a row whose true utility is negative is
+    never worth winning, and bids carry non-negative willingness-to-pay."""
+    prices = truthful_price_vector(profile, state, matrix)
+    return MomdBid(
+        bidder_id=profile.user_id,
+        bitrate_matrix=matrix,
+        price_vector=tuple(max(0.0, p) for p in prices),
+    )
+
+
+def buffer_gain_gap(profile: UserProfile, kappa: int, buffer_s: float) -> float:
+    """Gain of the (kappa+1)-th segment: closed form gamma * rho^(B/beta + kappa)."""
+    gamma = profile.buffer_gain_scale
+    rho = profile.buffer_gain_decay
+    return gamma * rho ** (buffer_s / profile.ladder.segment_length_s + kappa)
+
+
+def brute_force_restricted_optimum(
+    bids: Sequence[MomdBid],
+    bidders: Sequence[Tuple[UserProfile, UserState]],
+    downloader: UserProfile,
+    K: int,
+) -> Tuple[Tuple[int, ...], float]:
+    """Welfare maximum when each bidder's bitrates are pinned to its matrix rows.
+
+    Oracle for the conditional-efficiency claim: allocating kappa segments to
+    bidder m forces row kappa of its submitted matrix.
+    """
+    if len(bids) != len(bidders):
+        raise ValueError("bids and bidders must align")
+    _guard_instance(len(bidders), K,
+                    max(p.ladder.num_rates for p, _ in bidders))
+    values = []
+    for bid, (profile, state) in zip(bids, bidders):
+        per_kappa = [0.0]
+        for kappa in range(1, K + 1):
+            if kappa > bid.max_segments:
+                per_kappa.append(None)
+            else:
+                per_kappa.append(
+                    welfare(downloader, profile, state, bid.row(kappa)))
+        values.append(per_kappa)
+
+    alloc, w = _best_split(values, K)
+    if alloc is None:
+        raise InsufficientMarginalScoresError(
+            "insufficient marginal scores: bids cannot cover K segments")
+    return alloc, w
 
 
 @st.composite

@@ -19,7 +19,6 @@ from cmstream.model import utility_total, welfare
 from cmstream.momd import (
     MomdBid,
     brute_force_momd_optimum,
-    brute_force_restricted_optimum,
     marginal_scores,
     resolve_vickrey_score,
     validate_assumption1,
@@ -31,19 +30,17 @@ from cmstream.somd import (
     optimal_somd_bid,
     resolve_second_score,
 )
-from cmstream.strategy import (
-    brute_force_bitrate_rows,
-    build_momd_bid,
-    optimal_bitrate_matrix,
-    truthful_price_vector,
-)
+from cmstream.strategy import brute_force_bitrate_rows, build_momd_bid
 from cmstream.traceio import degradation_ratio
 
 from conftest import (
     LADDER,
     assumption1_momd_instance,
+    brute_force_restricted_optimum,
+    optimal_bitrate_matrix,
     random_profile,
     random_state,
+    truthful_price_vector,
 )
 
 GRID_POINTS = 21

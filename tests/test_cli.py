@@ -4,11 +4,15 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+from cmstream import cli
 from cmstream.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,6 +20,7 @@ from cmstream.cli import (
     EXIT_TRACE,
     main,
 )
+from cmstream.momd import MomdBid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TWO_USER = yaml.safe_load((CONFIGS / "two_user.yaml").read_text())
@@ -502,6 +507,36 @@ def test_oracle_matrix_kind(tmp_path, capsys):
     assert "reduced-solver rows:" in out
 
 
+@pytest.mark.parametrize("solver", ["optimal", "lowest-rate"])
+def test_oracle_matrix_compares_rows(tmp_path, capsys, monkeypatch, solver):
+    """The matrix oracle compares each row's objective and prints a
+    verdict, as the somd and momd oracles do; it used to print both row
+    lists and leave the comparison to the eye."""
+    if solver == "lowest-rate":
+        def lowest_rate_bid(profile, state, sf, K):
+            low = profile.ladder.rates[0]
+            return MomdBid(profile.user_id,
+                           tuple((low,) * k + (0.0,) * (K - k)
+                                 for k in range(1, K + 1)), (0.0,) * K)
+        monkeypatch.setattr(cli, "build_momd_bid", lowest_rate_bid)
+    inst = tmp_path / "m.yaml"
+    inst.write_text(yaml.safe_dump({
+        "K": 2,
+        "downloader": {"user_id": "d", "cost_per_mbit": 0.45},
+        "bidders": [{"profile": {"user_id": "u"},
+                     "state": {"prev_bitrate": 2.3}}],
+    }))
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "matrix"]) == EXIT_OK
+    fast, verdict = {"optimal": ("[[2.3], [1.3, 1.3]]", "EQUAL"),
+                     "lowest-rate": ("[[0.2], [0.2, 0.2]]", "DIFFERENT")
+                     }[solver]
+    assert capsys.readouterr().out.splitlines() == [
+        "brute-force rows: [[2.3], [1.3, 1.3]]",
+        f"reduced-solver rows: {fast}",
+        f"rows: {verdict}"]
+
+
 # id: (kind, instance with a misspelt key, what the error names)
 MISSPELT = {
     "bidder-stat": ("momd", {
@@ -748,23 +783,73 @@ def test_simulate_over_long_cell(tmp_path, config_path, capsys):
     assert err["message"].startswith("line 2: field larger than field limit")
 
 
-def test_ids_holding_a_comma_read_back(tmp_path, capsys):
-    """gen-traces quotes an id holding a comma, so simulate reads back the
-    traces it wrote; they used to fail with 'line 2: expected 3 fields'."""
+def _two_user_renaming_a(tmp_path, uid):
+    """configs/two_user.yaml with user A renamed uid, and its traces as
+    gen-traces writes them."""
     config = copy.deepcopy(TWO_USER)
-    config["users"][0]["user_id"] = "A,1"
-    config["trace_stats"] = {"A,1" if user == "A" else user: stats
+    config["users"][0]["user_id"] = uid
+    config["trace_stats"] = {uid if user == "A" else user: stats
                              for user, stats in config["trace_stats"].items()}
-    cfg = tmp_path / "comma.yaml"
+    cfg = tmp_path / "renamed.yaml"
     cfg.write_text(yaml.safe_dump(config, sort_keys=False))
     traces = tmp_path / "traces"
     assert main(["gen-traces", "--config", str(cfg),
                  "--out", str(traces)]) == EXIT_OK
+    return cfg, traces
+
+
+def test_ids_holding_a_comma_read_back(tmp_path, capsys):
+    """gen-traces quotes an id holding a comma, so simulate reads back the
+    traces it wrote; they used to fail with 'line 2: expected 3 fields'."""
+    cfg, traces = _two_user_renaming_a(tmp_path, "A,1")
     assert (traces / "capacity.csv").read_text().splitlines()[1].startswith(
         '0,"A,1",')
     assert main(["simulate", "--config", str(cfg), "--traces", str(traces),
                  "--out", str(tmp_path / "run")]) == EXIT_OK
     assert "social_welfare=265.663 " in capsys.readouterr().out
+
+
+def test_ids_holding_a_cr_read_back(tmp_path, capsys):
+    """simulate reads the traces with their line endings as written, so a
+    quoted CR in an id reads back; read as text, it became LF, and simulate
+    failed with 'no capacity trace for user A\\r1'."""
+    cfg, traces = _two_user_renaming_a(tmp_path, "A\r1")
+    assert (traces / "capacity.csv").read_bytes().split(b"\n")[1].startswith(
+        b'0,"A\r1",')
+    assert main(["simulate", "--config", str(cfg), "--traces", str(traces),
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert "social_welfare=265.663 " in capsys.readouterr().out
+
+
+def test_simulate_reads_crlf_traces(tmp_path, config_path, traces_dir):
+    """Trace files with CRLF line endings, which simulate now reads as
+    written, give the same results as their LF form."""
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for name in ("capacity.csv", "encounter.csv"):
+        (crlf / name).write_bytes(
+            (traces_dir / name).read_bytes().replace(b"\n", b"\r\n"))
+    for traces, out in ((traces_dir, "lf"), (crlf, "crlf")):
+        assert main(["simulate", "--config", str(config_path), "--traces",
+                     str(traces), "--out", str(tmp_path / out),
+                     "--events"]) == EXIT_OK
+    for name in ("metrics.csv", "events.csv"):
+        assert ((tmp_path / "lf" / name).read_bytes()
+                == (tmp_path / "crlf" / name).read_bytes())
+
+
+def test_cli_starts_without_numpy():
+    """Importing the CLI leaves numpy unloaded: only the synthetic trace
+    generator uses it, and its import was most of a run's start-up time."""
+    import cmstream
+
+    src = str(Path(cmstream.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cmstream.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 def test_simulate_traces_not_a_directory(tmp_path, config_path, capsys):

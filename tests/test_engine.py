@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,16 +19,28 @@ from cmstream.engine import (
 )
 from cmstream.model import BitrateLadder, UserProfile, utility_total
 from cmstream.somd import ScoreFunction, SomdBid
-from cmstream.strategy import AdaptationPolicy, _priced_bid, baseline_bitrate
-from cmstream.experiments import standard_profile, two_user_scenario
+from cmstream.strategy import AdaptationPolicy, baseline_bitrate
+from cmstream.config import load_config
+from cmstream.experiments import (
+    heterogeneous_scenario,
+    standard_profile,
+    two_user_scenario,
+)
 from cmstream.traceio import (
     CapacityTrace,
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
+    generate_synthetic_traces,
 )
 
-from conftest import bidder_draws, float_bits, make_profile, score_functions
+from conftest import (
+    _priced_bid,
+    bidder_draws,
+    float_bits,
+    make_profile,
+    score_functions,
+)
 
 
 def test_config_validation():
@@ -327,6 +340,25 @@ def test_two_user_modified_protects_user_a():
     a = result.per_user["A"]
     assert a.rebuffer_s == 0.0
     assert a.degradation_volume_mbps == 0.0
+
+
+@pytest.mark.parametrize("mechanism,K", [("momd", 1), ("momd", 4),
+                                         ("somd", 1), ("noncooperative", 1)])
+def test_heterogeneous_scenario_is_the_three_user_config(mechanism, K):
+    """The scenario behind criteria 6 and 7 is configs/three_user.yaml,
+    and its traces are the ones `cmstream compare` draws from that file."""
+    cfg, spec = load_config(Path(__file__).resolve().parent.parent
+                            / "configs" / "three_user.yaml")
+    got, gen = heterogeneous_scenario(mechanism, K, 0.2)
+    assert got == replace(cfg, mechanism=mechanism, K=K,
+                          overhead_energy_per_auction=0.2)
+    for seed in (0, 1, 7, 2024):
+        capacity, encounters = gen(seed)
+        want = generate_synthetic_traces(spec.stats, spec.horizon_s,
+                                         spec.step_s, seed)
+        assert float_bits(capacity.breakpoints) == float_bits(
+            want.breakpoints)
+        assert encounters == EncounterTrace()
 
 
 def test_comparison_common_random_numbers():

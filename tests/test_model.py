@@ -14,7 +14,6 @@ from cmstream.model import (
     UserProfile,
     UserState,
     buffer_gain,
-    buffer_gain_gap,
     cost_single,
     cost_total,
     degradation_loss,
@@ -29,6 +28,7 @@ from cmstream.model import (
 from conftest import (
     LADDER,
     bidder_draws,
+    buffer_gain_gap,
     float_bits,
     make_profile,
     random_profile,

@@ -4,7 +4,7 @@ import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmstream import momd
@@ -14,7 +14,6 @@ from cmstream.momd import (
     MomdBid,
     MomdOutcome,
     brute_force_momd_optimum,
-    brute_force_restricted_optimum,
     check_sufficient_conditions,
     marginal_scores,
     momd_score,
@@ -23,14 +22,26 @@ from cmstream.momd import (
     row_scores,
     validate_assumption1,
 )
-from cmstream.model import UserState, lsum, utility_total
-from cmstream.somd import ScoreFunction, SomdBid, resolve_second_score
+from cmstream.model import (
+    BitrateLadder,
+    UserProfile,
+    UserState,
+    lsum,
+    utility_total,
+)
+from cmstream.somd import (
+    ScoreFunction,
+    SomdBid,
+    optimal_somd_bid,
+    resolve_second_score,
+)
 from cmstream.strategy import build_momd_bid
 
 from conftest import (
     LADDER,
     assumption1_momd_instance,
     bidder_draws,
+    brute_force_restricted_optimum,
     float_bits,
     make_profile,
     random_momd_instance,
@@ -426,6 +437,46 @@ def test_vickrey_score_at_k1_is_second_score(offers, cost, data):
     assert winner == somd_out.winner_id
     assert momd_out.winning_bitrates[winner] == (somd_out.winning_bitrate,)
     assert momd_out.payments[winner] == somd_out.payment
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *(bidder_draws(f"u{j}") for j in range(n)))), score_functions())
+# a near-tie: the buffer gain 1.0 absorbs both quality gains in
+# optimal_somd_bid's sum, which ties and takes 1.0; build_momd_bid's
+# objective leaves the buffer gain out and takes 2.0
+@example(bidders=((UserProfile(
+    "u0", BitrateLadder((1.0, 2.0), 1.0, 1.0), theta=1.2097377016461048e-131,
+    buffer_gain_scale=1.0, buffer_gain_decay=0.5, degradation_slope=0.0),
+    UserState()),), sf=ScoreFunction.zero())
+def test_somd_is_momd_at_k1(bidders, sf):
+    """With every truthful price >= 0, the single-object auction on optimal
+    SOMD bids and the multi-object one on optimal MOMD bids at K = 1 give
+    the same winner, bitrate and payment, bit for bit, whenever each bidder
+    bids the same rate in both. Below 0 they may not: build_momd_bid floors
+    a price at 0, optimal_somd_bid does not. The two bid builders state one
+    argmax in two float orders, so on a near-tie they can pick different
+    rates; the rates' objectives then differ only by rounding."""
+    somd_bids = [optimal_somd_bid(p, s, sf) for p, s in bidders]
+    assume(all(b.price >= 0 for b in somd_bids))
+    momd_bids = [build_momd_bid(p, s, sf, 1) for p, s in bidders]
+    for (profile, state), somd_bid, momd_bid in zip(bidders, somd_bids,
+                                                    momd_bids):
+        (rate,) = momd_bid.row(1)
+        if rate != somd_bid.bitrate:
+            objective = [utility_total(profile, state, (r,)) - sf(r)
+                         for r in (somd_bid.bitrate, rate)]
+            assert abs(objective[0] - objective[1]) <= 1e-9
+    assume(all(m.row(1) == (s.bitrate,)
+               for s, m in zip(somd_bids, momd_bids)))
+    momd_out = resolve_vickrey_score(momd_bids, sf, 1)
+    somd_out = resolve_second_score(somd_bids, sf)
+    (winner,) = momd_out.per_segment_winners
+    assert winner == somd_out.winner_id
+    assert float_bits(momd_out.winning_bitrates[winner]) == float_bits(
+        (somd_out.winning_bitrate,))
+    assert float_bits(momd_out.payments[winner]) == float_bits(
+        somd_out.payment)
 
 
 def ref_resolve_vickrey_score(bids, sf, K):

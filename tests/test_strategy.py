@@ -21,22 +21,22 @@ from cmstream.strategy import (
     baseline_bitrate,
     brute_force_bitrate_rows,
     build_momd_bid,
-    optimal_bitrate_matrix,
-    optimal_row_rate,
     participates,
-    _priced_bid,
     should_participate,
-    truthful_price_vector,
 )
 
 from conftest import (
     LADDER,
+    _priced_bid,
     bidder_draws,
     float_bits,
     make_profile,
+    optimal_bitrate_matrix,
+    optimal_row_rate,
     random_profile,
     random_state,
     score_functions,
+    truthful_price_vector,
 )
 
 

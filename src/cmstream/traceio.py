@@ -8,13 +8,15 @@ Canonical interchange formats (UTF-8, comma separated, LF endings):
 Capacity traces are piecewise constant; the last value extends to the
 horizon. Numbers in emitted result files carry 6 significant digits.
 
-Parsing reads a plain file (the header on line 1, then rows of exactly its
-field count: no blank line, quote, CR or NUL) in bulk passes over whole
-columns, and a valid one never goes row by row. Every other file, and any
-that fails a bulk pass, goes through the row scan: the plain per-row
-parser, which alone words a row's fault. The trace classes word the faults
-of a user's or a pair's whole list, for both. The emitters quote an id
-holding a comma or a quote, so its file takes the row scan and reads back.
+Both parsers read by one rule. A plain file (the header on line 1, then
+one or more rows of exactly its field count: no blank line, quote, CR or
+NUL) is split into columns in bulk, its raw cells are grouped by user (or
+pair), and the trace class converts and checks them, once. A valid plain
+file never goes row by row. Every other file, a header-only one included,
+and any plain file the class refuses, goes through the row scan: the plain
+per-row parser, which alone words a fault, by line or, for a user's or a
+pair's whole list, in the class's words. The emitters quote an id holding
+a comma or a quote, so its file takes the row scan and reads back.
 """
 
 from __future__ import annotations
@@ -173,10 +175,9 @@ def parse_capacity_trace(text: str) -> CapacityTrace:
     if columns is not None:
         t_col, users, h_col = columns
         try:
-            points = list(zip(map(float, t_col), map(float, h_col)))
-            return CapacityTrace(_group_runs(users, points))
+            return CapacityTrace(_group_runs(users, list(zip(t_col, h_col))))
         except ValueError:  # a malformed number or a trace check's
-            pass  # TraceParseError: the row scan words the row's fault
+            pass  # TraceParseError: the row scan words the fault
     return _scan_capacity_trace(text)
 
 
@@ -215,18 +216,10 @@ def parse_encounter_trace(text: str) -> EncounterTrace:
     if columns is not None:
         t_col, a_col, b_col, v_col = columns
         try:
-            times = list(map(float, t_col))
-            points = list(zip(times, map(int, v_col)))
-        except ValueError:  # a malformed number, which the row scan words
-            points = None
-        # finite times, and each pair written with its users in order; the
-        # trace checks word a pair's faults, as they do for the row scan
-        if (points is not None
-                and all(map(operator.lt, repeat(-math.inf), times))
-                and all(map(operator.lt, times, repeat(math.inf)))
-                and not any(map(operator.gt, a_col, b_col))):
-            return EncounterTrace(
-                _group_runs(list(zip(a_col, b_col)), points))
+            return EncounterTrace(_group_runs(list(zip(a_col, b_col)),
+                                              list(zip(t_col, v_col))))
+        except ValueError:  # as for capacity traces
+            pass
     return _scan_encounter_trace(text)
 
 

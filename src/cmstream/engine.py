@@ -65,7 +65,8 @@ CAPACITY_WINDOW = 3  # completed downloads feeding the capacity estimate
 IDLE_RETRY_S = 1.0  # an auctioneer with no bidder polls again after this
 
 
-# json.dumps(payload, sort_keys=True) without a new encoder per event
+# json.dumps(payload, sort_keys=True) without a JSONEncoder.__init__ per
+# event; encode still builds a C encoder on every call, in iterencode
 _encode_payload = json.JSONEncoder(sort_keys=True).encode
 
 

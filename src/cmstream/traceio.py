@@ -6,7 +6,9 @@ Canonical interchange formats (UTF-8, comma separated, LF endings):
   encounter trace:  header ``time_s,user_a,user_b,connected``
 
 Capacity traces are piecewise constant; the last value extends to the
-horizon. Numbers in emitted result files carry 6 significant digits.
+horizon. Numbers in emitted result files carry 6 significant digits, and
+so do the trace emitters' capacities and times, bar a time that 6 digits
+would change, which is written exactly.
 
 Both parsers read by one rule. A plain file (the header on line 1, then
 one or more rows of exactly its field count: no blank line, quote, CR or
@@ -203,9 +205,10 @@ def _scan_capacity_trace(text: str) -> CapacityTrace:
 def emit_capacity_trace(trace: CapacityTrace) -> str:
     out = [",".join(_CAPACITY_HEADER)]
     for user in trace.users:
+        points = trace.breakpoints[user]
         cell = _fmt(user)
-        for t, h in trace.breakpoints[user]:
-            out.append(f"{_fmt(t)},{cell},{_fmt(h)}")
+        for t, h in zip(_time_cells(points), map(_second, points)):
+            out.append(f"{t},{cell},{h:.6g}")  # _fmt's 6 digits
     return "\n".join(out) + "\n"
 
 
@@ -234,10 +237,23 @@ def _scan_encounter_trace(text: str) -> EncounterTrace:
 def emit_encounter_trace(trace: EncounterTrace) -> str:
     out = [",".join(_ENCOUNTER_HEADER)]
     for pair in sorted(trace.toggles):
+        events = trace.toggles[pair]
         cells = f"{_fmt(pair[0])},{_fmt(pair[1])}"
-        for t, v in trace.toggles[pair]:
-            out.append(f"{_fmt(t)},{cells},{v}")
+        for t, v in zip(_time_cells(events), map(_second, events)):
+            out.append(f"{t},{cells},{v}")
     return "\n".join(out) + "\n"
+
+
+def _time_cells(points) -> List[str]:
+    """The times of one user's (or pair's) points as cells: 6 significant
+    digits, as _fmt writes a float, or repr where 6 digits would read back
+    as another time."""
+    times = list(map(_first, points))
+    cells = list(map(format, times, repeat(".6g")))
+    if list(map(float, cells)) != times:
+        cells = [c if float(c) == t else repr(t)
+                 for c, t in zip(cells, times)]
+    return cells
 
 
 def _plain_columns(text: str, header: Tuple[str, ...]):
@@ -313,6 +329,10 @@ def generate_synthetic_traces(
 ) -> CapacityTrace:
     """Piecewise-constant capacities drawn per step from a normal truncated
     at zero; deterministic for a given seed."""
+    for name, value in (("horizon_s", horizon_s), ("step_s", step_s)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name}: need finite {name} > 0, "
+                             f"got {value!r}")
     import numpy as np  # here alone: a CLI run that draws no traces skips it
 
     rng = np.random.default_rng(seed)

@@ -7,11 +7,15 @@ import io
 import itertools
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cmstream import traceio
+from cmstream.cli import main
 from cmstream.config import (
     ConfigError,
     sim_config_from_dict,
@@ -154,6 +158,71 @@ def test_encounter_trace_round_trips(trace):
     assert parse_encounter_trace(emit_encounter_trace(trace)) == trace
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e9, exclude_min=True), max_size=6,
+                unique=True).map(sorted))
+@example([1234.567, 1234.568])
+@example([1234.5671])
+@example([100000.0, 100000.5])
+def test_trace_times_read_back_exactly(times):
+    """A time that 6 significant digits would change is written in full,
+    so every emitted time reads back as itself."""
+    times = [0.0, *times]
+    capacity = CapacityTrace({"A": tuple((t, 1.0) for t in times)})
+    encounters = EncounterTrace(
+        {("A", "B"): tuple((t, k % 2) for k, t in enumerate(times))})
+    assert parse_capacity_trace(emit_capacity_trace(capacity)) == capacity
+    assert parse_encounter_trace(emit_encounter_trace(encounters)) \
+        == encounters
+
+
+def test_trace_times_keep_six_digits_where_exact():
+    trace = CapacityTrace({"A": ((0.0, 1.0), (100000.0, 2.5),
+                                 (100000.5, 1.0))})
+    assert emit_capacity_trace(trace) == ("time_s,user_id,capacity_mbps\n"
+                                         "0,A,1\n100000,A,2.5\n"
+                                         "100000.5,A,1\n")
+
+
+def test_a_plain_file_never_goes_row_by_row(monkeypatch, tmp_path):
+    """Valid plain files are read in bulk alone: the capacity traces that
+    gen-traces writes for the shipped configs, a 24-user group with
+    toggles, and pairs written B,A. (A header-only file is not plain.)"""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    written = []
+    for name in ("two_user", "three_user"):
+        out = tmp_path / name
+        assert main(["gen-traces", "--config", str(configs / f"{name}.yaml"),
+                     "--out", str(out)]) == 0
+        written.append((out / "capacity.csv").read_text())
+    rng = random.Random(7)
+    users = [f"u{i:02d}" for i in range(24)]
+    capacity = generate_synthetic_traces(
+        {u: (3.0, 1.0) for u in users}, 1000.0, 5.0, seed=7)
+    toggles = {}
+    for pair in itertools.combinations(users, 2):
+        gaps_ms = [rng.randint(1, 60_000) for _ in range(rng.randint(0, 8))]
+        first = rng.randint(0, 1)
+        toggles[pair] = tuple(
+            (t_ms / 1000, (first + k) % 2)
+            for k, t_ms in enumerate(itertools.accumulate([0, *gaps_ms])))
+    encounters = EncounterTrace(toggles)
+
+    def row_scan(text):
+        raise AssertionError("a plain file went row by row")
+
+    monkeypatch.setattr(traceio, "_scan_capacity_trace", row_scan)
+    monkeypatch.setattr(traceio, "_scan_encounter_trace", row_scan)
+    for text in [*written, emit_capacity_trace(capacity)]:
+        assert emit_capacity_trace(parse_capacity_trace(text)) == text
+    assert parse_encounter_trace(emit_encounter_trace(encounters)) \
+        == encounters
+    assert parse_encounter_trace("time_s,user_a,user_b,connected\n"
+                                 "0,B,A,1\n5,B,A,0\n2,c,A,1\n") \
+        == EncounterTrace({("A", "B"): ((0.0, 1), (5.0, 0)),
+                           ("A", "c"): ((2.0, 1),)})
+
+
 def test_finish_time_constant():
     trace = CapacityTrace({"A": ((0.0, 4.6),)})
     assert trace.finish_time("A", 0.0, 23.0) == pytest.approx(5.0)
@@ -234,6 +303,19 @@ def test_synthetic_traces_zero_std():
 def test_synthetic_traces_reject_non_finite(mean, std):
     with pytest.raises(ValueError, match="user A: need finite mean"):
         generate_synthetic_traces({"A": (mean, std)}, 50.0, 10.0, seed=1)
+
+
+@pytest.mark.parametrize("horizon_s, step_s, name", [
+    (50.0, 0.0, "step_s"), (50.0, math.inf, "step_s"),
+    (math.inf, 10.0, "horizon_s"), (-5.0, 10.0, "horizon_s"),
+    (math.nan, 10.0, "horizon_s"), (0.0, 10.0, "horizon_s"),
+], ids=["step 0", "step inf", "horizon inf", "horizon -5", "horizon nan",
+        "horizon 0"])
+def test_synthetic_traces_reject_bad_horizon_or_step(horizon_s, step_s,
+                                                     name):
+    with pytest.raises(ValueError, match=f"^{name}: need finite {name} > 0"):
+        generate_synthetic_traces({"A": (1.0, 0.1)}, horizon_s, step_s,
+                                  seed=1)
 
 
 def test_degradation_ratio_values():

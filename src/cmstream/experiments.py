@@ -4,42 +4,27 @@ comparison and the auction-overhead sweep. Each returns a config and a
 seeded trace generator for ``run_comparison``.
 
 Trace statistics are illustrative (the original measurement traces are not
-public); every scenario is driven by seeded synthetic traces so results are
-reproducible.
+public); every scenario draws seeded synthetic capacities with traceio's
+one drawer, ``phased_capacity``, so results are reproducible.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .engine import SimConfig
 from .model import UserProfile
 from .strategy import ParticipationConfig
-from .traceio import CapacityTrace, EncounterTrace, generate_synthetic_traces
+from .traceio import (CapacityTrace, EncounterTrace,
+                      generate_synthetic_traces, phased_capacity)
 
 
 def standard_profile(user_id: str, **overrides) -> UserProfile:
     """The default profile with the link cost used across the shipped
     experiments."""
     return UserProfile(user_id, **{"link_cost_per_s": 0.45, **overrides})
-
-
-def phased_capacity(phases: Sequence[Tuple[float, float, float]],
-                    step_s: float, rng: np.random.Generator,
-                    ) -> Tuple[Tuple[float, float], ...]:
-    """Piecewise capacity from (duration_s, mean, std) phases; each step draws
-    a normal truncated at zero."""
-    points: List[Tuple[float, float]] = []
-    t = 0.0
-    for duration, mean, std in phases:
-        steps = int(round(duration / step_s))
-        draws = np.clip(rng.normal(mean, std, size=steps), 0.0, None)
-        for h in draws:
-            points.append((t, float(h)))
-            t += step_s
-    return tuple(points)
 
 
 def two_user_scenario(

@@ -19,6 +19,9 @@ and any plain file the class refuses, goes through the row scan: the plain
 per-row parser, which alone words a fault, by line or, for a user's or a
 pair's whole list, in the class's words. The emitters quote an id holding
 a comma or a quote, so its file takes the row scan and reads back.
+
+``phased_capacity`` is the one code that draws a capacity: the synthetic
+traces of ``gen-traces`` and ``compare`` and every scenario go through it.
 """
 
 from __future__ import annotations
@@ -321,14 +324,27 @@ def _row_numbers(lineno: int, t: str, value: str, kind) -> tuple:
     return t, value
 
 
+def phased_capacity(phases: Sequence[Tuple[float, float, float]],
+                    step_s: float, rng: "numpy.random.Generator",
+                    ) -> Tuple[Tuple[float, float], ...]:
+    """Capacity points for (duration_s, mean, std) phases, drawn in order
+    from rng: a phase takes ceil(duration_s / step_s) normal draws truncated
+    at zero, and step k, counted across phases, starts at k * step_s."""
+    draws: List[float] = []
+    for duration, mean, std in phases:
+        draws += rng.normal(mean, std, size=math.ceil(duration / step_s)
+                            ).clip(0.0, None).tolist()
+    return tuple([(k * step_s, h) for k, h in enumerate(draws)])
+
+
 def generate_synthetic_traces(
     stats: Mapping[str, Tuple[float, float]],
     horizon_s: float,
     step_s: float,
     seed: int,
 ) -> CapacityTrace:
-    """Piecewise-constant capacities drawn per step from a normal truncated
-    at zero; deterministic for a given seed."""
+    """One phase of ``horizon_s`` per user, drawn by phased_capacity from
+    one generator in the order of stats; deterministic for a given seed."""
     for name, value in (("horizon_s", horizon_s), ("step_s", step_s)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name}: need finite {name} > 0, "
@@ -336,15 +352,12 @@ def generate_synthetic_traces(
     import numpy as np  # here alone: a CLI run that draws no traces skips it
 
     rng = np.random.default_rng(seed)
-    steps = int(np.ceil(horizon_s / step_s))
     points: Dict[str, Tuple[Tuple[float, float], ...]] = {}
-    for user in stats:  # caller-provided order keeps the draw sequence stable
-        mean, std = stats[user]
+    for user, (mean, std) in stats.items():
         if not (0 < mean < math.inf and 0 <= std < math.inf):
             raise ValueError(f"user {user}: need finite mean > 0 and "
                              f"finite std >= 0")
-        draws = np.clip(rng.normal(mean, std, size=steps), 0.0, None)
-        points[user] = tuple((i * step_s, float(h)) for i, h in enumerate(draws))
+        points[user] = phased_capacity([(horizon_s, mean, std)], step_s, rng)
     return CapacityTrace(points)
 
 

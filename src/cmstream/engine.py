@@ -209,7 +209,6 @@ class _UserSim:
         self.played_s = 0.0
         self.stall_s = 0.0
         self.stalling = False
-        self.started = False
         self.completed = total_segments == 0
         self.last_update = 0.0
         self.next_seq = 0        # segments assigned so far
@@ -329,7 +328,6 @@ class _Simulation:
         self.events: List[SimEvent] = []
         self.queue: List[Tuple[float, int, str, tuple]] = []
         self._seq = 0
-        self.auction_count = 0
         self.assumption1_violations = 0
         self.users: Dict[str, _UserSim] = {}
         for profile in cfg.users:
@@ -337,7 +335,6 @@ class _Simulation:
             total = round(cfg.video_length_s / beta)
             self.users[profile.user_id] = _UserSim(
                 profile, total, capacity.capacity_at(profile.user_id, 0.0))
-        self.unassigned = sum(u.total_segments for u in self.users.values())
         # users in user order, each user's place in it, and a mask over it
         # of the users with segments still to assign
         self._members = list(self.users.items())
@@ -370,7 +367,7 @@ class _Simulation:
         u = self.users[uid]
         if t < u.last_update:
             raise AssertionError("time went backwards")
-        if not u.started or u.completed:
+        if not u.received or u.completed:
             u.last_update = t
             return
         elapsed = t - u.last_update
@@ -402,7 +399,6 @@ class _Simulation:
         u.prev_bitrate = bitrate
         u.pending -= 1
         u.received.append((seq_no, bitrate))
-        u.started = True
         if u.stalling:
             u.stalling = False
             self._log(t, "playback_stall_end", user=uid)
@@ -444,7 +440,7 @@ class _Simulation:
         self._advance(auctioneer, t)
         bidders = self._candidate_bidders(auctioneer, t)
         if not bidders:
-            if self.unassigned:
+            if 1 in self._open:
                 self._push(t + IDLE_RETRY_S, "ready", (auctioneer,))
             return
 
@@ -472,7 +468,6 @@ class _Simulation:
             receiver.next_seq += 1
             if receiver.next_seq == receiver.total_segments:
                 self._open[self._place[uid]] = 0
-            self.unassigned -= 1
             receiver.pending += 1
             self._push(cursor, "deliver", (uid, bitrate, seq_no, auctioneer))
             self._log(cursor, "segment_downloaded", downloader=auctioneer,
@@ -488,7 +483,6 @@ class _Simulation:
         auc = self.users[auctioneer]
         cooperative = self._cooperative
         if cooperative:
-            self.auction_count += 1
             auc.auctions_initiated += 1
         self._log(t, "auction_start", auctioneer=auctioneer,
                   mechanism=cfg.mechanism,
@@ -560,7 +554,7 @@ class _Simulation:
                 self._deliver(t, data[0], data[1], data[2], data[3])
         # Flush remaining playback; everything is delivered, so no more stalls.
         for uid, u in self.users.items():
-            if u.started and not u.completed:
+            if u.received and not u.completed:
                 end = u.last_update + (self.cfg.video_length_s - u.played_s)
                 self._advance(uid, end)
         return self._result()
@@ -614,7 +608,8 @@ class _Simulation:
             rebuffer_ratio=total_stall / total_video if total_video else 0.0,
             degradation_ratio=(total_drops / total_rate_volume
                                if total_rate_volume else 0.0),
-            auction_count=self.auction_count,
+            auction_count=sum(u.auctions_initiated
+                              for u in self.users.values()),
             assumption1_violations=self.assumption1_violations,
             events=tuple(self.events),
         )

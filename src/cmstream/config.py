@@ -65,12 +65,33 @@ class TraceSpec:
     step_s: float
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """safe_load's loader, but a key given twice in one mapping is an
+    error where safe_load would keep the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"key {key!r} given twice",
+                        key_node.start_mark)
+                seen.add(key)
+            except TypeError:  # unhashable: SafeLoader words the fault
+                pass
+        return super().construct_mapping(node, deep)
+
+
 def read_yaml(path) -> dict:
-    """The mapping at the top of a YAML file; anything else is a
-    ConfigError."""
+    """The mapping at the top of a YAML file; anything else, a key given
+    twice in one mapping included, is a ConfigError."""
     with open(path) as f:
         try:
-            data = yaml.safe_load(f)
+            data = yaml.load(f, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):

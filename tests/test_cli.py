@@ -20,6 +20,7 @@ from cmstream.cli import (
     EXIT_TRACE,
     main,
 )
+from cmstream.config import ConfigError, read_yaml
 from cmstream.momd import MomdBid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -172,6 +173,20 @@ def test_verify_invalid_yaml(tmp_path, capsys):
     line = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert line["error"] == "config"
     assert "invalid YAML" in line["message"]
+
+
+def test_config_key_given_twice(tmp_path, capsys):
+    """A second trace section is refused, not used in place of the first."""
+    shipped = (CONFIGS / "two_user.yaml").read_text()
+    twice = tmp_path / "twice.yaml"
+    twice.write_text(shipped + "trace: {horizon_s: 100010.0, step_s: 0.5}\n")
+    out = tmp_path / "traces"
+    assert main(["gen-traces", "--config", str(twice),
+                 "--out", str(out)]) == EXIT_CONFIG
+    line = shipped.count("\n") + 1
+    assert f"key 'trace' given twice\n  in \"{twice}\", line {line}," \
+        in _trace_error(capsys)["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -639,6 +654,26 @@ def test_oracle_colliding_score_keys(tmp_path, capsys):
     assert main(["oracle", "--instance", str(inst),
                  "--kind", "momd"]) == EXIT_CONFIG
     assert "key '1' names bidder '1' twice" in _trace_error(capsys)["message"]
+
+
+def test_yaml_merge_override_and_unhashable_key(tmp_path):
+    """A merged key may be given again, as YAML merges allow; an unhashable
+    key stays invalid YAML."""
+    merged = tmp_path / "merged.yaml"
+    merged.write_text("a: &x {b: 1, c: 1}\nd:\n  <<: *x\n  b: 2\n")
+    assert read_yaml(merged) == {"a": {"b": 1, "c": 1}, "d": {"b": 2, "c": 1}}
+    listed = tmp_path / "listed.yaml"
+    listed.write_text("[1, 2]: 3\n")
+    with pytest.raises(ConfigError, match="found unhashable key"):
+        read_yaml(listed)
+
+
+def test_oracle_instance_key_given_twice(tmp_path, capsys):
+    inst = tmp_path / "twice.yaml"
+    inst.write_text('K: 1\nmarginal_scores: {"1": [5], "2": [4]}\nK: 2\n')
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_CONFIG
+    assert "key 'K' given twice\n  in" in _trace_error(capsys)["message"]
 
 
 def _trace_error(capsys):

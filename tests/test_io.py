@@ -10,6 +10,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -287,6 +288,28 @@ def test_synthetic_traces_deterministic():
     assert one.breakpoints == two.breakpoints
     other = generate_synthetic_traces(stats, 100.0, 5.0, seed=43)
     assert one.breakpoints != other.breakpoints
+
+
+@pytest.mark.parametrize("horizon_s, step_s", [(100.0, 5.0), (10.0, 3.0),
+                                               (1.0, 0.1)])
+def test_synthetic_traces_are_one_phase_each(horizon_s, step_s):
+    """Bit for bit the drawer's points, one phase per user from one
+    generator, also where the horizon is no whole number of steps."""
+    stats = {"A": (3.0, 0.5), "B": (0.3, 0.1)}
+    rng = np.random.default_rng(42)
+    want = {user: traceio.phased_capacity([(horizon_s, mean, std)], step_s,
+                                          rng)
+            for user, (mean, std) in stats.items()}
+    got = generate_synthetic_traces(stats, horizon_s, step_s, seed=42)
+    assert got.breakpoints == want
+
+
+def test_phased_capacity_counts_steps_across_phases():
+    """ceil(10 / 3) + ceil(5 / 3) points, step k at k * 3.0."""
+    points = traceio.phased_capacity([(10.0, 2.0, 0.0), (5.0, 1.0, 0.0)],
+                                     3.0, np.random.default_rng(0))
+    assert points == tuple((k * 3.0, 2.0 if k < 4 else 1.0)
+                           for k in range(6))
 
 
 def test_synthetic_traces_zero_std():

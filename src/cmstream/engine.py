@@ -21,6 +21,12 @@ filter off, so the auctioneer is its auction's one bidder:
 
 The resolvers price every bid, a lone one too (its second score is 0); the
 engine keeps one rule: the auctioneer's own lone single-bitrate bid is free.
+
+A winner's utility is booked from its bid: a somd bid's price, and a momd
+row's price above 0, is ``utility_total`` of the won rates bit for bit, so
+only a momd row whose price was floored to 0 is computed again. Each
+auction makes its own score function, so the bid rows that
+``build_momd_bid`` shares between bidders of one key live for one auction.
 """
 
 from __future__ import annotations
@@ -488,7 +494,11 @@ class _Simulation:
                   mechanism=cfg.mechanism,
                   **({"bidders": sorted(bidders)} if cooperative else {}))
         bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
+        bid_of = dict(zip(bidders, bids))
 
+        # won: winner -> (rates, payment, utility of the rates). A bid's
+        # price is its true utility, bit for bit, unless momd floored it
+        # to 0; only then is the utility computed again
         if cfg.mechanism == "momd":
             k_eff = min(cfg.K, sum(b.max_segments for b in bids))
             outcome = resolve_vickrey_score(bids, sf, k_eff)
@@ -497,9 +507,15 @@ class _Simulation:
                           for uid, rates in outcome.winning_bitrates.items()}
             order = [(uid, next(rates_iter[uid]))
                      for uid in outcome.per_segment_winners]
-            won = {uid: (outcome.winning_bitrates[uid], outcome.payments[uid])
-                   for uid, kappa in outcome.revised_allocation.items()
-                   if kappa}
+            won = {}
+            for uid, kappa in outcome.revised_allocation.items():
+                if kappa:
+                    rates = outcome.winning_bitrates[uid]
+                    price = bid_of[uid].price_vector[kappa - 1]
+                    if not price > 0.0:
+                        u = self.users[uid]
+                        price = utility_total(u.profile, u.state(), rates)
+                    won[uid] = (rates, outcome.payments[uid], price)
         else:
             if cfg.mechanism == "vickrey_1d":
                 sf = ScoreFunction.zero()
@@ -508,18 +524,18 @@ class _Simulation:
             # a lone auctioneer downloads over its own link and pays nothing
             payment = 0.0 if bidders == [auctioneer] else outcome.payment
             order = [(winner, bitrate)]
-            won = {winner: ((bitrate,), payment)}
+            won = {winner: ((bitrate,), payment, bid_of[winner].price)}
 
         # bidder order: the float sum into payments_received depends on it
-        for uid, (rates, payment) in won.items():
+        for uid, (_, payment, utility) in won.items():
             u = self.users[uid]
-            u.utility += utility_total(u.profile, u.state(), rates)
+            u.utility += utility
             u.payments_made += payment
             auc.payments_received += payment
         resolved = {"winners": {uid: len(rates)
-                                for uid, (rates, _) in won.items()}}
+                                for uid, (rates, _, _) in won.items()}}
         if cooperative:
-            resolved["payments"] = {uid: p for uid, (_, p) in won.items()}
+            resolved["payments"] = {uid: p for uid, (_, p, _) in won.items()}
         self._log(t, "auction_resolved", auctioneer=auctioneer, **resolved)
         return order
 

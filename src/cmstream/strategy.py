@@ -8,7 +8,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .model import (
     BitrateLadder,
@@ -81,6 +81,30 @@ def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
     return tuple(rows)
 
 
+class _RowTable:
+    """The bid rows of the auction in progress.
+
+    Rows depend on the score function and on (ladder rates, theta * beta,
+    degradation slope, previous bitrate, K), never on the buffer. While one
+    ScoreFunction object keeps arriving, bidders that share that key share
+    the rows, built once; another score function empties the table, so it
+    lasts one auction: the engine makes a score function per auction.
+    ``rows`` maps a key to its per-rate terms, the rows built so far, each
+    as (row tuple, quality gain, degradation loss), and the matrix of each
+    cap asked for. A caller that keeps one score function for good fills
+    at most MAX entries before the table starts over.
+    """
+
+    MAX = 256
+
+    def __init__(self):
+        self.sf: ScoreFunction | None = None
+        self.rows: Dict[tuple, Tuple[list, list, Dict[int, tuple]]] = {}
+
+
+_table = _RowTable()
+
+
 def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
                    K: int, max_segments: int | None = None) -> MomdBid:
     """Optimal bitrate matrix plus truthful prices, packaged as a bid.
@@ -91,33 +115,46 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     once; a row repeats one rate, so its degradation loss is a single
     ``degradation_single(prev, r)``, and its quality gain and the buffer
     gain prefix add left to right, as ``lsum`` does.
+
+    The rows, their quality gains and losses, and the matrix tuples come
+    from a table shared by the bids of one score function object (see
+    ``_RowTable``); a bid adds only its buffer gains, prices and cap.
+    Sharing is exact: every float in a row's terms is a function of the
+    table's key alone. A key may hold 0.0 where an equal key holds -0.0
+    (theta * beta, slope or previous bitrate); that flips only the sign of
+    a zero per-rate gain or loss, which the argmax's comparisons, the
+    quality sum from 0 and the price's floor at 0 do not see. Rows are
+    built no further than a bid's cap asks.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     cap = K if max_segments is None else max(0, min(max_segments, K))
-    # quality_gain_single, sf and degradation_single of each rate, with the
-    # profile's constants bound once; ladder rates are > 0, so sf(r) is
-    # sf.s_of_r(r)
+    table = _table.rows
+    if sf is not _table.sf:
+        table.clear()
+        _table.sf = sf
+    rates = profile.ladder.rates
     gain = profile.theta * profile.ladder.segment_length_s
-    slope = profile.degradation_slope
     prev = state.prev_bitrate
-    penalty = sf.s_of_r
-    log1p = math.log1p
-    per_rate = []  # (rate, quality gain, gain net of sf, degradation loss)
-    for r in profile.ladder.rates:
-        q = gain * log1p(r)
-        per_rate.append((r, q, q - penalty(r),
-                         0.0 if prev <= r else slope * (prev - r)))
-    gamma = profile.buffer_gain_scale
-    rho = profile.buffer_gain_decay
-    base = state.buffer_s / profile.ladder.segment_length_s
-    buffer_sum = 0.0
-    matrix, prices = [], []
-    for kappa in range(1, K + 1):
-        if kappa > cap:
-            matrix.append((0.0,) * K)
-            prices.append(0.0)
-            continue
+    key = (rates, gain, profile.degradation_slope, prev, K)
+    entry = table.get(key)
+    if entry is None:
+        if len(table) >= _table.MAX:
+            table.clear()
+        # quality_gain_single, sf and degradation_single of each rate, with
+        # the profile's constants bound once; ladder rates are > 0, so
+        # sf(r) is sf.s_of_r(r)
+        slope = profile.degradation_slope
+        penalty = sf.s_of_r
+        log1p = math.log1p
+        per_rate = []  # (rate, quality gain, gain net of sf, degradation loss)
+        for r in rates:
+            q = gain * log1p(r)
+            per_rate.append((r, q, q - penalty(r),
+                             0.0 if prev <= r else slope * (prev - r)))
+        entry = table[key] = (per_rate, [], {})
+    per_rate, rows, matrices = entry
+    for kappa in range(len(rows) + 1, cap + 1):
         # the reference optimal_row_rate's argmax; ties go to the lowest rate
         best = best_obj = None
         for term in per_rate:
@@ -125,12 +162,24 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
             if best_obj is None or obj > best_obj:
                 best, best_obj = term, obj
         rate, q, _, loss = best
-        quality = lsum([q] * kappa)
-        buffer_sum += rho ** (base + (kappa - 1))
+        rows.append(((rate,) * kappa + (0.0,) * (K - kappa),
+                     lsum([q] * kappa), loss))
+    matrix = matrices.get(cap)
+    if matrix is None:
+        matrix = matrices[cap] = (tuple(row for row, _, _ in rows[:cap])
+                                  + ((0.0,) * K,) * (K - cap))
+    gamma = profile.buffer_gain_scale
+    rho = profile.buffer_gain_decay
+    base = state.buffer_s / profile.ladder.segment_length_s
+    buffer_sum = 0.0
+    prices = []
+    for kappa in range(cap):
+        _, quality, loss = rows[kappa]
+        buffer_sum += rho ** (base + kappa)
         price = (quality + gamma * buffer_sum) - loss
-        matrix.append((rate,) * kappa + (0.0,) * (K - kappa))
         prices.append(price if price > 0.0 else 0.0)
-    return MomdBid(profile.user_id, tuple(matrix), tuple(prices))
+    prices += [0.0] * (K - cap)
+    return MomdBid(profile.user_id, matrix, tuple(prices))
 
 
 def should_participate(profile: UserProfile, state: UserState,

@@ -18,7 +18,8 @@ from cmstream.engine import (
     run_simulation,
 )
 from cmstream.model import BitrateLadder, UserProfile, utility_total
-from cmstream.somd import ScoreFunction, SomdBid
+from cmstream.momd import resolve_vickrey_score
+from cmstream.somd import ScoreFunction, SomdBid, resolve_second_score
 from cmstream.strategy import AdaptationPolicy, baseline_bitrate
 from cmstream.config import load_config
 from cmstream.experiments import (
@@ -435,3 +436,102 @@ def test_horizon_guard_raises_typed_error():
         run_simulation(cfg, trace)
     assert issubclass(SimulationHorizonError, TraceUnderrunError)
     assert cmstream.SimulationHorizonError is SimulationHorizonError
+
+
+def parent_resolve(self, t, auctioneer, bidders, sf, h_est):
+    """_Simulation._resolve as it was when it booked every winner's utility
+    as utility_total of its rates, not from its bid; frozen here."""
+    cfg = self.cfg
+    auc = self.users[auctioneer]
+    cooperative = self._cooperative
+    if cooperative:
+        auc.auctions_initiated += 1
+    self._log(t, "auction_start", auctioneer=auctioneer,
+              mechanism=cfg.mechanism,
+              **({"bidders": sorted(bidders)} if cooperative else {}))
+    bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
+
+    if cfg.mechanism == "momd":
+        k_eff = min(cfg.K, sum(b.max_segments for b in bids))
+        outcome = resolve_vickrey_score(bids, sf, k_eff)
+        self.assumption1_violations += len(outcome.assumption_violations)
+        rates_iter = {uid: iter(rates)
+                      for uid, rates in outcome.winning_bitrates.items()}
+        order = [(uid, next(rates_iter[uid]))
+                 for uid in outcome.per_segment_winners]
+        won = {uid: (outcome.winning_bitrates[uid], outcome.payments[uid])
+               for uid, kappa in outcome.revised_allocation.items()
+               if kappa}
+    else:
+        if cfg.mechanism == "vickrey_1d":
+            sf = ScoreFunction.zero()
+        outcome = resolve_second_score(bids, sf)
+        winner, bitrate = outcome.winner_id, outcome.winning_bitrate
+        payment = 0.0 if bidders == [auctioneer] else outcome.payment
+        order = [(winner, bitrate)]
+        won = {winner: ((bitrate,), payment)}
+
+    for uid, (rates, payment) in won.items():
+        u = self.users[uid]
+        u.utility += utility_total(u.profile, u.state(), rates)
+        u.payments_made += payment
+        auc.payments_received += payment
+    resolved = {"winners": {uid: len(rates)
+                            for uid, (rates, _) in won.items()}}
+    if cooperative:
+        resolved["payments"] = {uid: p for uid, (_, p) in won.items()}
+    self._log(t, "auction_resolved", auctioneer=auctioneer, **resolved)
+    return order
+
+
+def _no_gain_user(uid):
+    """A user whose every row is worth at most 0: no quality or buffer
+    gain, and a steep loss on each bitrate drop."""
+    return standard_profile(uid, theta=0.0, buffer_gain_scale=0.0,
+                            degradation_slope=5.0)
+
+
+BOOKING_CASES = [
+    (mechanism, K, policy)
+    for mechanism, ks in (("momd", (1, 4)), ("somd", (1,)),
+                          ("vickrey_1d", (1,)), ("noncooperative", (1, 4)))
+    for K in ks
+    for policy in ("optimal", "buffer_based", "bandwidth_based", "hybrid")]
+
+
+@pytest.mark.parametrize("mechanism, K, policy", BOOKING_CASES)
+def test_booking_from_bids_matches_frozen_utility_total(monkeypatch,
+                                                        mechanism, K, policy):
+    """Booking a winner's utility from its bid leaves every per-user
+    figure and the event log as the frozen utility_total booking had them,
+    bit for bit. Users A and C gain nothing from a segment, so their momd
+    rows price at 0 (floored, under a baseline policy, from a negative
+    utility) and take the utility_total branch."""
+    _, gen = heterogeneous_scenario("momd")
+    capacity, encounters = gen(0)
+    cfg = SimConfig(users=(_no_gain_user("A"), standard_profile("B"),
+                           _no_gain_user("C")),
+                    K=K, mechanism=mechanism,
+                    adaptation=AdaptationPolicy(policy), video_length_s=100.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return utility_total(*args)
+
+    monkeypatch.setattr(cmstream.engine, "utility_total", counted)
+    got = run_simulation(cfg, capacity, encounters)
+    monkeypatch.undo()
+    monkeypatch.setattr(_Simulation, "_resolve", parent_resolve)
+    want = run_simulation(cfg, capacity, encounters)
+    assert float_bits(got.per_user_rows()) == float_bits(want.per_user_rows())
+    assert float_bits(got.aggregate_row()) == float_bits(want.aggregate_row())
+    assert got.events == want.events
+    if mechanism == "momd":
+        assert calls, "no floored row won"
+        assert all(p.user_id in "AC" for p, _, _ in calls)
+    else:
+        assert not calls
+    if policy != "optimal" and mechanism == "momd" and K == 1:
+        # a floored price stood for a negative utility
+        assert min(r.utility for r in got.per_user.values()) < 0

@@ -588,6 +588,73 @@ def test_vickrey_score_equals_reference(auction):
             getattr(want, f.name)), f.name
 
 
+def _signed_zero_twin(row):
+    """An equal row, another object, with each zero's sign flipped."""
+    return tuple(-x if x == 0 else x for x in row)
+
+
+@st.composite
+def shared_row_auctions(draw):
+    """Bids whose matrices are built from one pool of row objects: a row
+    sits at every kappa its support allows, so one object (and an equal
+    row with zeros inside row[:kappa]) serves at two kappa, and across
+    bids; each row has a twin whose zeros carry the other sign, and prices
+    include 0.0 and -0.0."""
+    K = draw(st.integers(1, 5))
+    sf = draw(score_functions())
+    rates = st.sampled_from((0.0, -0.0, 0.2, 0.7, 1.3, 2.3))
+    pool = []  # (support, row): zeros beyond the support
+    for _ in range(draw(st.integers(1, 6))):
+        support = draw(st.integers(1, K))
+        head = draw(st.lists(rates, min_size=support, max_size=support)
+                    .filter(any))
+        tail = draw(st.lists(st.sampled_from((0.0, -0.0)),
+                             min_size=K - support, max_size=K - support))
+        row = tuple(head + tail)
+        pool += [(support, row), (support, _signed_zero_twin(row))]
+    pool.append((1, (draw(st.sampled_from((0.2, 2.3))),) + (0.0,) * (K - 1)))
+    zero_rows = [(0.0,) * K, (-0.0,) * K]
+    prices = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 50.0))
+    matrices = []
+    bids = []
+    for i in range(draw(st.integers(1, 6))):
+        if matrices and draw(st.booleans()):
+            matrix = draw(st.sampled_from(matrices))
+        else:
+            cap = draw(st.integers(0, K))
+            matrix = tuple(
+                draw(st.sampled_from([row for support, row in pool
+                                      if support <= kappa]))
+                if kappa <= cap else draw(st.sampled_from(zero_rows))
+                for kappa in range(1, K + 1))
+            matrices.append(matrix)
+        bidder_id = draw(st.sampled_from(("a", "b", f"u{i}")))
+        bids.append(MomdBid(bidder_id, matrix, tuple(
+            draw(st.lists(prices, min_size=K, max_size=K)))))
+    offered = sum(b.max_segments
+                  for b in {b.bidder_id: b for b in bids}.values())
+    return bids, sf, draw(st.one_of(st.just(min(K, offered)),
+                                    st.integers(0, offered + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_row_auctions())
+def test_vickrey_score_on_shared_rows_equals_reference(auction):
+    """Rows shared between bids and between kappas, and rows equal but for
+    the sign of a zero, resolve as the reference does, bit for bit."""
+    bids, sf, K = auction
+    try:
+        want = ref_resolve_vickrey_score(bids, sf, K)
+    except InsufficientMarginalScoresError as exc:
+        with pytest.raises(InsufficientMarginalScoresError, match=str(exc)):
+            resolve_vickrey_score(bids, sf, K)
+        return
+    got = resolve_vickrey_score(bids, sf, K)
+    for f in fields(MomdOutcome):
+        assert float_bits(getattr(got, f.name)) == float_bits(
+            getattr(want, f.name)), f.name
+
+
 def ref_marginal_scores(bid, sf):
     """marginal_scores as first written: the differences of the row
     scores, each a row's price less sf.of_vector of its rates."""

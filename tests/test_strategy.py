@@ -1,5 +1,6 @@
 """Unit tests for bidding strategy, participation, and adaptation policies."""
 
+import operator
 import random
 from dataclasses import replace
 
@@ -184,6 +185,98 @@ def test_build_momd_bid_equals_priced_optimal_matrix(bidder, sf, K, data):
     assert float_bits(fast.bitrate_matrix) == float_bits(ref.bitrate_matrix)
     assert float_bits(fast.price_vector) == float_bits(ref.price_vector)
     assert fast.max_segments == ref.max_segments
+
+
+def _zero_twin(profile):
+    """profile with every zero constant given as -0.0, which equals 0.0."""
+    return replace(profile, theta=-0.0 if profile.theta == 0 else
+                   profile.theta,
+                   degradation_slope=-0.0 if profile.degradation_slope == 0
+                   else profile.degradation_slope)
+
+
+@st.composite
+def bid_sequences(draw):
+    """Bids in the order an engine builds them: bidders that share profile
+    constants and previous bitrates but differ in id, buffer and cap,
+    beside a one-rate ladder, a profile with another theta, a twin whose
+    zero constants are -0.0, and a second score function interleaved with
+    the first."""
+    K = draw(st.integers(1, 6))
+    base, _ = draw(bidder_draws())
+    ladder = base.ladder
+    kinds = [
+        base,
+        replace(base, ladder=replace(
+            ladder, rates=(draw(st.sampled_from(ladder.rates)),))),
+        replace(base, theta=draw(st.floats(0.0, 3.0))),
+        _zero_twin(replace(base, theta=draw(st.sampled_from(
+            (0.0, base.theta))))),
+    ]
+    prevs = draw(st.lists(st.one_of(st.sampled_from((0.0, -0.0)),
+                                    st.sampled_from(ladder.rates),
+                                    st.floats(0.0, 3 * ladder.top_rate)),
+                          min_size=1, max_size=3))
+    sfs = (draw(score_functions()), draw(score_functions()))
+    bids = []
+    for j in range(draw(st.integers(1, 14))):
+        profile = replace(draw(st.sampled_from(kinds)), user_id=f"u{j}")
+        state = UserState(
+            buffer_s=draw(st.one_of(st.just(0.0),
+                                    st.floats(0.0, ladder.max_buffer_s))),
+            prev_bitrate=draw(st.sampled_from(prevs)))
+        bids.append((profile, state, draw(st.sampled_from(sfs)),
+                     draw(segment_caps(K))))
+    return K, bids
+
+
+@settings(max_examples=200, deadline=None)
+@given(bid_sequences())
+def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
+    """Every bid of a sequence that shares the row table equals the plain
+    reference bit for bit, and bidders of one score function with one key
+    and cap share one matrix tuple."""
+    K, bids = sequence
+    last_sf = seen = None
+    for profile, state, sf, cap in bids:
+        fast = build_momd_bid(profile, state, sf, K, max_segments=cap)
+        ref = _priced_bid(profile, state, optimal_bitrate_matrix(
+            profile, state, sf, K, max_segments=cap))
+        assert fast.bidder_id == ref.bidder_id
+        assert float_bits(fast.bitrate_matrix) == float_bits(
+            ref.bitrate_matrix)
+        assert float_bits(fast.price_vector) == float_bits(ref.price_vector)
+        assert fast.max_segments == ref.max_segments
+        if sf is not last_sf:
+            last_sf, seen = sf, {}
+        key = (profile.ladder.rates, profile.theta, profile.degradation_slope,
+               state.prev_bitrate, fast.max_segments)
+        assert seen.setdefault(key, fast.bitrate_matrix) is fast.bitrate_matrix
+
+
+def test_rows_never_cross_score_functions():
+    """A score function's rows are never handed out under another, even
+    one equal to it, and bids of one score function share rows across
+    caps."""
+    p = make_profile(degradation_slope=0.0)
+    state = UserState(buffer_s=10.0, prev_bitrate=1.3)
+    free = ScoreFunction.zero()
+    dear = ScoreFunction.efficient(make_profile("d", cost_per_mbit=1.0))
+    rows = {}
+    for sf in (free, dear, free, ScoreFunction.zero(), dear):
+        bid = build_momd_bid(p, state, sf, 3)
+        capped = build_momd_bid(replace(p, user_id="v"), state, sf, 3,
+                                max_segments=2)
+        assert capped.bitrate_matrix[:2] == bid.bitrate_matrix[:2]
+        assert all(a is b for a, b in zip(capped.bitrate_matrix[:2],
+                                          bid.bitrate_matrix))
+        assert bid.bitrate_matrix == optimal_bitrate_matrix(p, state, sf, 3)
+        for earlier in rows.values():
+            assert not any(map(operator.is_, bid.bitrate_matrix, earlier))
+        rows[len(rows)] = bid.bitrate_matrix
+    # the free score function takes the top rate, the dear one less
+    assert rows[0][0] == (2.3, 0.0, 0.0)
+    assert rows[1][0][0] < 2.3
 
 
 def ref_optimal_somd_bid(profile, state, sf):

@@ -329,7 +329,26 @@ def phased_capacity(phases: Sequence[Tuple[float, float, float]],
                     ) -> Tuple[Tuple[float, float], ...]:
     """Capacity points for (duration_s, mean, std) phases, drawn in order
     from rng: a phase takes ceil(duration_s / step_s) normal draws truncated
-    at zero, and step k, counted across phases, starts at k * step_s."""
+    at zero, and step k, counted across phases, starts at k * step_s.
+
+    Every input is checked before the first draw: step_s must be finite and
+    > 0, and each phase needs a finite duration_s >= 0 that makes a finite
+    step count, a finite mean > 0 and a finite std >= 0. A ValueError names
+    the phase (counted from 0) and the field."""
+    if not 0 < step_s < math.inf:
+        raise ValueError(f"step_s: need finite step_s > 0, got {step_s!r}")
+    for i, (duration, mean, std) in enumerate(phases):
+        if not 0 <= duration < math.inf:
+            raise ValueError(f"phase {i}: need finite duration_s >= 0, "
+                             f"got {duration!r}")
+        if not duration / step_s < math.inf:
+            raise ValueError(f"phase {i}: duration_s {duration!r} over "
+                             f"step_s {step_s!r} is not a finite step count")
+        if not 0 < mean < math.inf:
+            raise ValueError(f"phase {i}: need finite mean > 0, "
+                             f"got {mean!r}")
+        if not 0 <= std < math.inf:
+            raise ValueError(f"phase {i}: need finite std >= 0, got {std!r}")
     draws: List[float] = []
     for duration, mean, std in phases:
         draws += rng.normal(mean, std, size=math.ceil(duration / step_s)

@@ -312,6 +312,42 @@ def test_phased_capacity_counts_steps_across_phases():
                            for k in range(6))
 
 
+class _NoDraws:
+    """A generator stand-in that fails any draw."""
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("drew before checking the inputs")
+
+
+@pytest.mark.parametrize("phase, step_s, match", [
+    ((10.0, 2.0, 0.1), 0.0, "^step_s: need finite step_s > 0"),
+    ((10.0, 2.0, 0.1), -1.0, "^step_s: need finite step_s > 0"),
+    ((10.0, 2.0, 0.1), math.nan, "^step_s: need finite step_s > 0"),
+    ((10.0, 2.0, 0.1), math.inf, "^step_s: need finite step_s > 0"),
+    ((math.nan, 2.0, 0.1), 5.0, "^phase 1: need finite duration_s >= 0"),
+    ((math.inf, 2.0, 0.1), 5.0, "^phase 1: need finite duration_s >= 0"),
+    ((-5.0, 2.0, 0.1), 5.0, "^phase 1: need finite duration_s >= 0"),
+    ((1e300, 2.0, 0.1), 1e-300, "^phase 1: duration_s 1e\\+300 over step_s"),
+    ((10.0, -1.0, 0.1), 5.0, "^phase 1: need finite mean > 0"),
+    ((10.0, 0.0, 0.1), 5.0, "^phase 1: need finite mean > 0"),
+    ((10.0, math.nan, 0.1), 5.0, "^phase 1: need finite mean > 0"),
+    ((10.0, math.inf, 0.1), 5.0, "^phase 1: need finite mean > 0"),
+    ((10.0, 2.0, -0.1), 5.0, "^phase 1: need finite std >= 0"),
+    ((10.0, 2.0, math.nan), 5.0, "^phase 1: need finite std >= 0"),
+    ((10.0, 2.0, math.inf), 5.0, "^phase 1: need finite std >= 0"),
+])
+def test_phased_capacity_checks_before_drawing(phase, step_s, match):
+    """The second phase is bad (or the step); phase 0 is never drawn."""
+    with pytest.raises(ValueError, match=match):
+        traceio.phased_capacity([(10.0, 2.0, 0.1), phase], step_s, _NoDraws())
+
+
+def test_phased_capacity_takes_an_empty_phase():
+    points = traceio.phased_capacity([(0.0, 2.0, 0.0), (5.0, 1.0, 0.0)],
+                                     5.0, np.random.default_rng(0))
+    assert points == ((0.0, 1.0),)
+
+
 def test_synthetic_traces_zero_std():
     trace = generate_synthetic_traces({"A": (2.0, 0.0)}, 50.0, 10.0, seed=1)
     assert all(h == 2.0 for _, h in trace.breakpoints["A"])

@@ -89,17 +89,17 @@ class _RowTable:
     ScoreFunction object keeps arriving, bidders that share that key share
     the rows, built once; another score function empties the table, so it
     lasts one auction: the engine makes a score function per auction.
-    ``rows`` maps a key to its per-rate terms, the rows built so far, each
-    as (row tuple, quality gain, degradation loss), and the matrix of each
-    cap asked for. A caller that keeps one score function for good fills
-    at most MAX entries before the table starts over.
+    ``rows`` maps a key to its per-rate terms, the row tuples built so far
+    and each one's (quality gain, degradation loss). A caller that keeps
+    one score function for good fills at most MAX entries before the
+    table starts over.
     """
 
     MAX = 256
 
     def __init__(self):
         self.sf: ScoreFunction | None = None
-        self.rows: Dict[tuple, Tuple[list, list, Dict[int, tuple]]] = {}
+        self.rows: Dict[tuple, Tuple[list, list, list]] = {}
 
 
 _table = _RowTable()
@@ -116,11 +116,11 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     ``degradation_single(prev, r)``, and its quality gain and the buffer
     gain prefix add left to right, as ``lsum`` does.
 
-    The rows, their quality gains and losses, and the matrix tuples come
-    from a table shared by the bids of one score function object (see
-    ``_RowTable``); a bid adds only its buffer gains, prices and cap.
-    Sharing is exact: every float in a row's terms is a function of the
-    table's key alone. A key may hold 0.0 where an equal key holds -0.0
+    The row tuples, their quality gains and their losses come from a table
+    shared by the bids of one score function object (see ``_RowTable``);
+    a bid adds only its buffer gains, prices and cap. Sharing is exact:
+    every float in a row's terms is a function of the table's key alone.
+    A key may hold 0.0 where an equal key holds -0.0
     (theta * beta, slope or previous bitrate); that flips only the sign of
     a zero per-rate gain or loss, which the argmax's comparisons, the
     quality sum from 0 and the price's floor at 0 do not see. Rows are
@@ -152,34 +152,36 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
             q = gain * log1p(r)
             per_rate.append((r, q, q - penalty(r),
                              0.0 if prev <= r else slope * (prev - r)))
-        entry = table[key] = (per_rate, [], {})
-    per_rate, rows, matrices = entry
-    for kappa in range(len(rows) + 1, cap + 1):
-        # the reference optimal_row_rate's argmax; ties go to the lowest rate
-        best = best_obj = None
-        for term in per_rate:
-            obj = kappa * term[2] - term[3]
-            if best_obj is None or obj > best_obj:
-                best, best_obj = term, obj
-        rate, q, _, loss = best
-        rows.append(((rate,) * kappa + (0.0,) * (K - kappa),
-                     lsum([q] * kappa), loss))
-    matrix = matrices.get(cap)
-    if matrix is None:
-        matrix = matrices[cap] = (tuple(row for row, _, _ in rows[:cap])
-                                  + ((0.0,) * K,) * (K - cap))
+        entry = table[key] = (per_rate, [], [])
+    per_rate, rows, terms = entry
     gamma = profile.buffer_gain_scale
     rho = profile.buffer_gain_decay
     base = state.buffer_s / profile.ladder.segment_length_s
     buffer_sum = 0.0
     prices = []
-    for kappa in range(cap):
-        _, quality, loss = rows[kappa]
-        buffer_sum += rho ** (base + kappa)
+    built = len(terms)
+    for kappa in range(1, cap + 1):
+        if kappa <= built:
+            quality, loss = terms[kappa - 1]
+        else:
+            # the reference optimal_row_rate's argmax; ties go to the
+            # lowest rate
+            best = best_obj = None
+            for term in per_rate:
+                obj = kappa * term[2] - term[3]
+                if best_obj is None or obj > best_obj:
+                    best, best_obj = term, obj
+            rate, q, _, loss = best
+            quality = lsum([q] * kappa)
+            rows.append((rate,) * kappa + (0.0,) * (K - kappa))
+            terms.append((quality, loss))
+        buffer_sum += rho ** (base + (kappa - 1))
         price = (quality + gamma * buffer_sum) - loss
         prices.append(price if price > 0.0 else 0.0)
     prices += [0.0] * (K - cap)
-    return MomdBid(profile.user_id, matrix, tuple(prices))
+    return MomdBid(profile.user_id,
+                   tuple(rows[:cap]) + ((0.0,) * K,) * (K - cap),
+                   tuple(prices))
 
 
 def should_participate(profile: UserProfile, state: UserState,

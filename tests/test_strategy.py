@@ -235,7 +235,7 @@ def bid_sequences(draw):
 def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
     """Every bid of a sequence that shares the row table equals the plain
     reference bit for bit, and bidders of one score function with one key
-    and cap share one matrix tuple."""
+    share their row tuples, whatever their caps."""
     K, bids = sequence
     last_sf = seen = None
     for profile, state, sf, cap in bids:
@@ -250,8 +250,12 @@ def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
         if sf is not last_sf:
             last_sf, seen = sf, {}
         key = (profile.ladder.rates, profile.theta, profile.degradation_slope,
-               state.prev_bitrate, fast.max_segments)
-        assert seen.setdefault(key, fast.bitrate_matrix) is fast.bitrate_matrix
+               state.prev_bitrate)
+        rows = fast.bitrate_matrix[:fast.max_segments]
+        shared = seen.setdefault(key, rows)
+        assert all(map(operator.is_, rows, shared))
+        if len(rows) > len(shared):
+            seen[key] = rows
 
 
 def test_rows_never_cross_score_functions():

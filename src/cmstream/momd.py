@@ -173,11 +173,11 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
     Each bid's marginal scores equal ``marginal_scores(bid, sf)`` and each
     payment's penalty equals ``sf.of_vector(row)`` bit for bit: sf is called
     once per distinct rate, and a row's penalty adds its entries left to
-    right, as ``lsum`` does. A row object at one kappa is summed once per
-    call, however many bids hold it: ``strategy.build_momd_bid`` gives
-    bidders of one auction that share a ladder, theta * beta, slope and
-    previous bitrate the same row tuples. The sum depends only on the
-    row's entries, kappa and sf, so the bids that share it get its bits.
+    right, as ``lsum`` does. A row object is summed once per call, however
+    many bids hold it and at whichever kappa: ``strategy.build_momd_bid``
+    gives bidders of one auction that share a ladder, theta * beta, slope
+    and previous bitrate the same row tuples. The sum depends only on the
+    row's entries and sf, so the bids that share it get its bits.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -185,9 +185,12 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         raise InsufficientMarginalScoresError(
             "insufficient marginal scores: no bids")
     s_of: Dict[float, float] = {}
-    # (kappa, id of a row) -> the row's penalty; every bid, and so every
-    # row, lives until the call returns, so an id names one row
-    penalty_of: Dict[Tuple[int, int], float] = {}
+    # id of a row -> the row's penalty. Every bid, and so every row, lives
+    # until the call returns, so an id names one row. A row held at kappa
+    # and at a larger kappa' differs only by the zeros in row[kappa:kappa'],
+    # each adding sf(0) = 0.0 to a sum that starts at 0.0 and so is never
+    # -0.0: the row's penalty has the same bits at every kappa it sits at
+    penalty_of: Dict[int, float] = {}
     # bidder_id -> (bid, marginal scores, score penalty of each row, whether
     # the scores meet Assumption 1); a repeated bidder_id keeps its last
     # bid, as every outcome field does
@@ -199,7 +202,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         ok, above = True, math.inf
         for kappa in range(1, bid.max_segments + 1):
             row = bid.bitrate_matrix[kappa - 1]
-            penalty = penalty_of.get((kappa, id(row)))
+            penalty = penalty_of.get(id(row))
             if penalty is None:
                 penalty = 0.0
                 for r in row[:kappa]:
@@ -207,7 +210,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
                     if s is None:
                         s = s_of[r] = sf(r)
                     penalty += s
-                penalty_of[kappa, id(row)] = penalty
+                penalty_of[id(row)] = penalty
             phi = bid.price_vector[kappa - 1] - penalty
             marginal = phi - prev
             if marginal < 0 or above < marginal:

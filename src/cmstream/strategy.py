@@ -120,11 +120,11 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     shared by the bids of one score function object (see ``_RowTable``);
     a bid adds only its buffer gains, prices and cap. Sharing is exact:
     every float in a row's terms is a function of the table's key alone.
-    A key may hold 0.0 where an equal key holds -0.0
-    (theta * beta, slope or previous bitrate); that flips only the sign of
-    a zero per-rate gain or loss, which the argmax's comparisons, the
-    quality sum from 0 and the price's floor at 0 do not see. Rows are
-    built no further than a bid's cap asks.
+    A key may hold 0.0 where an equal key holds -0.0 (theta * beta, slope
+    or previous bitrate); that flips only the sign of a zero per-rate gain
+    or loss, which the argmax's comparisons, the quality sum from 0 and
+    the price's floor at 0 do not see. Rows are built no further than a
+    bid's cap asks.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -59,7 +59,6 @@ from .traceio import (
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
-    degradation_ratio,
     emit_capacity_trace,
     emit_encounter_trace,
     emit_results,

@@ -4,7 +4,8 @@ Each user auctions its cellular link's next K segment-download slots whenever
 the link is free; bids, allocations and payments come from the auction
 modules, downloads run against the capacity trace, and buffers drain in real
 time. A single run is strictly sequential and reproducible: identical
-(config, traces, seed) give an identical event log.
+(config, traces, seed) give an identical event log. Its held trace state
+only moves forward, to the time of each auction.
 
 Every mechanism runs one path: build the bids, resolve them, then book and
 log the outcome. Every bidder bids optimally, at true utility (floored at 0
@@ -60,7 +61,6 @@ from .traceio import (
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
-    degradation_ratio,
     degradation_volume,
 )
 
@@ -250,12 +250,12 @@ class _HeldTrace:
     mask over the users in user order, and every user's capacity when
     built with a capacity trace. A heap of cursors holds the changes still
     to come, one per pair over its toggles and one per user over its
-    breakpoints. A seek back in time starts over."""
+    breakpoints. No seek goes back: the engine's events are pushed at or
+    after the current time, and its heap pops them in time order."""
 
     def __init__(self, place: Dict[str, int], encounters: EncounterTrace,
                  capacity: Optional[CapacityTrace] = None):
-        self._built_from = place, encounters, capacity
-        self._now = -math.inf
+        self._place = place
         if encounters.default_connected:
             nbrs = {i: bytearray(b"\1") * len(place) for i in place}
         else:
@@ -285,16 +285,13 @@ class _HeldTrace:
         self._shares, self._sums = None, {}
 
     def seek(self, t: float) -> None:
-        """Bring the held state to t: apply every trace change at or before
-        t, each in force from its own time on."""
-        if t < self._now:
-            self.__init__(*self._built_from)
-        self._now = t
+        """Bring the held state forward to t: apply every trace change at
+        or before t, each in force from its own time on."""
         cursors = self._cursors
         if not cursors or cursors[0][0] > t:
             return
         self._shares, self._sums = None, {}
-        nbrs, caps, place = self.nbrs, self.caps, self._built_from[0]
+        nbrs, caps, place = self.nbrs, self.caps, self._place
         while cursors and cursors[0][0] <= t:
             _, n, events, k, a, b = cursors[0]
             value = events[k][1]
@@ -608,7 +605,7 @@ class _Simulation:
                 rebuffer_ratio=(u.stall_s / cfg.video_length_s
                                 if u.total_segments else 0.0),
                 degradation_volume_mbps=drops,
-                degradation_ratio=degradation_ratio(rates),
+                degradation_ratio=drops / volume if volume else 0.0,
             )
             social += w
             total_stall += u.stall_s

@@ -385,14 +385,6 @@ def degradation_volume(bitrates: Sequence[float]) -> float:
     return lsum(max(a - b, 0.0) for a, b in zip(bitrates, bitrates[1:]))
 
 
-def degradation_ratio(bitrates: Sequence[float]) -> float:
-    """Bitrate-drop volume over the sum of all received segment bitrates."""
-    total = lsum(bitrates)
-    if total == 0:
-        return 0.0
-    return degradation_volume(bitrates) / total
-
-
 # Stable column order for the per-user metrics table.
 METRIC_COLUMNS = (
     "user_id", "welfare", "payments_made", "payments_received",

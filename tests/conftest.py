@@ -11,6 +11,7 @@ from cmstream.model import (
     UserProfile,
     UserState,
     degradation_single,
+    lsum,
     quality_gain_single,
     utility_total,
     welfare,
@@ -25,6 +26,7 @@ from cmstream.momd import (
 )
 from cmstream.somd import ScoreFunction
 from cmstream.strategy import CostOfRate, build_momd_bid
+from cmstream.traceio import degradation_volume
 
 LADDER = BitrateLadder(rates=(0.2, 0.4, 0.7, 1.3, 2.3),
                        segment_length_s=10.0, max_buffer_s=40.0)
@@ -162,6 +164,14 @@ def buffer_gain_gap(profile: UserProfile, kappa: int, buffer_s: float) -> float:
     gamma = profile.buffer_gain_scale
     rho = profile.buffer_gain_decay
     return gamma * rho ** (buffer_s / profile.ladder.segment_length_s + kappa)
+
+
+def degradation_ratio(bitrates: Sequence[float]) -> float:
+    """Bitrate-drop volume over the sum of all received segment bitrates."""
+    total = lsum(bitrates)
+    if total == 0:
+        return 0.0
+    return degradation_volume(bitrates) / total
 
 
 def brute_force_restricted_optimum(

@@ -31,12 +31,12 @@ from cmstream.somd import (
     resolve_second_score,
 )
 from cmstream.strategy import brute_force_bitrate_rows, build_momd_bid
-from cmstream.traceio import degradation_ratio
 
 from conftest import (
     LADDER,
     assumption1_momd_instance,
     brute_force_restricted_optimum,
+    degradation_ratio,
     optimal_bitrate_matrix,
     random_profile,
     random_state,

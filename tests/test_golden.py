@@ -24,6 +24,7 @@ engine.
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import numpy as np
 import pytest
 
 from cmstream.cli import EXIT_OK, main
-from cmstream.engine import SimConfig, run_simulation
+from cmstream.engine import SimConfig, _HeldTrace, run_simulation
 from cmstream.experiments import (
     heterogeneous_scenario,
     phased_capacity,
@@ -201,6 +202,27 @@ def test_noncooperative_run_ignores_encounters_and_filter(traces):
     filtered = run_simulation(replace(cfg, participation_enabled=True),
                               capacity, toggled)
     assert sim_digest(filtered) == sim_digest(alone)
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("traces", [
+    lambda: group_traces(12, encounters=True),
+    lambda: sparse_traces(12),
+], ids=["mobile12", "sparse12"])
+def test_held_trace_only_seeks_forward(monkeypatch, traces, K):
+    """Over the group scenarios with toggling encounters and the filter on,
+    the engine's held trace is never sought back in time."""
+    seen = []
+    seek = _HeldTrace.seek
+
+    def recording_seek(held, t):
+        seen.append(t)
+        seek(held, t)
+
+    monkeypatch.setattr(_HeldTrace, "seek", recording_seek)
+    group_run(12, K, encounters=True, traces=traces())
+    assert seen[-1] > seen[0]  # the run seeks past its start
+    assert all(map(operator.le, seen, seen[1:]))
 
 
 def trace_digest(capacity, encounters) -> str:

@@ -30,7 +30,6 @@ from cmstream.traceio import (
     EncounterTrace,
     TraceParseError,
     TraceUnderrunError,
-    degradation_ratio,
     degradation_volume,
     emit_capacity_trace,
     emit_encounter_trace,
@@ -39,6 +38,8 @@ from cmstream.traceio import (
     parse_capacity_trace,
     parse_encounter_trace,
 )
+
+from conftest import degradation_ratio
 
 
 def test_parse_capacity_single_row():

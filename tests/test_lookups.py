@@ -171,6 +171,22 @@ def held_trace(capacity, encounters, with_capacities=True):
                       capacity if with_capacities else None)
 
 
+def held_at_each(build, instants):
+    """(t, a held state sought to t) for each instant in turn. One held
+    state seeks forward through the instants; an instant before the last
+    one it reached, which no engine seek asks for, gets a fresh build."""
+    held, last = build(), -math.inf
+    for t in instants:
+        if t < last:
+            fresh = build()
+            fresh.seek(t)
+            yield t, fresh
+        else:
+            held.seek(t)
+            last = t
+            yield t, held
+
+
 def random_group(rng, n):
     ids = [f"u{i}" for i in range(n)]
     capacity = CapacityTrace({
@@ -195,13 +211,13 @@ def random_group(rng, n):
 def test_neighbor_shares_match_per_bidder_definition(seed, n):
     rng = np.random.default_rng(seed)
     capacity, encounters = random_group(rng, n)
-    held = held_trace(capacity, encounters)
     instants = [float(t) for ev in encounters.toggles.values()
                 for t, _ in ev[:3]]
     instants += [-1.0, 0.0, 7.5, 10.0, 250.0]
     rng.shuffle(instants)
-    for t in instants + instants[:3]:  # revisits seek back and start over
-        held.seek(t)
+    # forward through every instant, then three revisits on fresh builds
+    for t, held in held_at_each(lambda: held_trace(capacity, encounters),
+                                sorted(instants) + instants[:3]):
         for uid in capacity.users:
             assert held.share_sum(uid).hex() == ref_share_sum_bits(
                 capacity, encounters, uid, t)
@@ -211,12 +227,13 @@ def test_neighbor_shares_full_mesh():
     capacity = CapacityTrace({"a": ((0.0, 3.0),), "b": ((0.0, 1.5),),
                               "c": ((0.0, 0.0), (10.0, 6.0))})
     encounters = EncounterTrace()
-    held = held_trace(capacity, encounters)
-    for t, uid, shares in ((0.0, "b", [1.0, 0.5, 0.0]),
-                           (10.0, "a", [1.0, 0.5, 2.0]),
-                           (0.0, "c", [1.0, 0.5, 0.0])):
+    cases = ((0.0, "b", [1.0, 0.5, 0.0]),
+             (10.0, "a", [1.0, 0.5, 2.0]),
+             (0.0, "c", [1.0, 0.5, 0.0]))
+    held_at = held_at_each(lambda: held_trace(capacity, encounters),
+                           [t for t, _, _ in cases])
+    for (t, uid, shares), (_, held) in zip(cases, held_at):
         assert ref_neighbor_shares(capacity, encounters, uid, t) == shares
-        held.seek(t)
         assert held.share_sum(uid).hex() == lsum(shares).hex()
 
 
@@ -240,14 +257,13 @@ def traced_group(draw):
 @given(traced_group(), st.data())
 def test_epoch_held_neighborhood_matches_fresh_build(group, data):
     capacity, encounters, changes = group
-    held = held_trace(capacity, encounters)
     edges = [e for c in changes for e in (c, math.nextafter(c, -math.inf))]
     inside = data.draw(st.lists(st.floats(-10.0, changes[-1] + 20.0),
                                 max_size=6))
     monotone = sorted(edges + inside)
     revisits = data.draw(st.permutations(monotone))
-    for t in monotone + monotone[::-1] + revisits:
-        held.seek(t)
+    for t, held in held_at_each(lambda: held_trace(capacity, encounters),
+                                monotone + revisits):
         for uid in capacity.users:
             assert held.share_sum(uid).hex() == ref_share_sum_bits(
                 capacity, encounters, uid, t)
@@ -258,16 +274,15 @@ def test_epoch_held_neighborhood_matches_fresh_build(group, data):
 def test_share_sum_rows_read_in_any_order_and_epoch(group, data):
     """Rows read in any order, subset and repetition are the per-bidder
     sums at the last seek's instant, bit for bit: a row read again after a
-    seek past a trace change is the new epoch's, a seek that crosses none
-    leaves it as it was, and a seek back in time starts over."""
+    seek past a trace change is the new epoch's, and a seek that crosses
+    none leaves it as it was."""
     capacity, encounters, changes = group
-    held = held_trace(capacity, encounters)
     users = capacity.users
     instants = st.one_of(st.sampled_from(changes),
                          st.floats(-10.0, changes[-1] + 20.0))
-    for _ in range(data.draw(st.integers(1, 4))):
-        t = data.draw(instants)
-        held.seek(t)
+    drawn = data.draw(st.lists(instants, min_size=1, max_size=4))
+    for t, held in held_at_each(lambda: held_trace(capacity, encounters),
+                                drawn):
         rows = data.draw(st.lists(st.sampled_from(users)))
         for uid in rows + data.draw(st.permutations(users)):
             assert held.share_sum(uid).hex() == ref_share_sum_bits(
@@ -309,17 +324,17 @@ def held_state_group(draw):
 @given(held_state_group(), st.booleans(), st.data())
 def test_held_state_matches_point_queries(group, with_capacities, data):
     """The masks, and the capacities when held, answer as the point
-    queries do after any seek, forwards or back; held without capacities,
-    the state has no share sum to give."""
+    queries do after every seek; held without capacities, the state has no
+    share sum to give."""
     capacity, encounters = group
-    held = held_trace(capacity, encounters, with_capacities)
     users = capacity.users
     grid = data.draw(st.lists(half_seconds, min_size=1, max_size=8))
     edges = [math.nextafter(t, -math.inf) for t in grid] + [-10.0, 25.0]
     monotone = sorted(grid + edges)
-    rewinds = data.draw(st.permutations(monotone))
-    for t in monotone + rewinds:
-        held.seek(t)
+    revisits = data.draw(st.permutations(monotone))
+    for t, held in held_at_each(
+            lambda: held_trace(capacity, encounters, with_capacities),
+            monotone + revisits):
         for i in users:
             # a mask over the users in user order
             assert list(held.nbrs[i]) == [encounters.connected(i, j, t)

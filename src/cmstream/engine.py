@@ -226,6 +226,9 @@ class _UserSim:
         self.payments_made = 0.0
         self.payments_received = 0.0
         self.auctions_initiated = 0
+        # rate -> the profile on a ladder of that rate alone, for the bids
+        # of a baseline policy
+        self.one_rate_profiles: Dict[float, UserProfile] = {}
 
     @property
     def remaining_to_assign(self) -> int:
@@ -242,6 +245,16 @@ class _UserSim:
     def state(self) -> UserState:
         return UserState(buffer_s=self.buffer_s,
                          prev_bitrate=self.prev_bitrate)
+
+    def one_rate_profile(self, rate: float) -> UserProfile:
+        """The profile on a ladder that holds only rate, built at its first
+        bid of the run at that rate."""
+        profile = self.one_rate_profiles.get(rate)
+        if profile is None:
+            profile = self.one_rate_profiles[rate] = replace(
+                self.profile,
+                ladder=replace(self.profile.ladder, rates=(rate,)))
+        return profile
 
 
 class _HeldTrace:
@@ -545,10 +558,8 @@ class _Simulation:
         cfg = self.cfg
         profile, state = u.profile, u.state()
         if cfg.adaptation.kind != "optimal":
-            rate = baseline_bitrate(cfg.adaptation, state, h_est,
-                                    profile.ladder)
-            profile = replace(profile,
-                              ladder=replace(profile.ladder, rates=(rate,)))
+            profile = u.one_rate_profile(baseline_bitrate(
+                cfg.adaptation, state, h_est, profile.ladder))
         if cfg.mechanism == "momd":
             cap = min(u.remaining_to_assign, u.headroom_segments())
             return build_momd_bid(profile, state, sf, cfg.K, max_segments=cap)

@@ -262,6 +262,39 @@ def test_baseline_bid_matches_frozen_construction(bidder, sf, h_est, kind,
     assert float_bits(vars(got)) == float_bits(vars(want))
 
 
+@pytest.mark.parametrize("mechanism,K", [("momd", 4), ("somd", 1)])
+@pytest.mark.parametrize("kind", ["buffer_based", "bandwidth_based", "hybrid"])
+def test_baseline_profile_built_once_per_rate(monkeypatch, mechanism, K,
+                                              kind):
+    """A user's bids at one baseline rate share one one-rate profile,
+    built by one ladder and one profile replace, and each bid still equals
+    the frozen construction bit for bit."""
+    cfg = SimConfig(users=(make_profile("u"),), K=K, mechanism=mechanism,
+                    adaptation=AdaptationPolicy(kind), video_length_s=400.0)
+    sim = _Simulation(cfg, CapacityTrace({"u": ((0.0, 1.0),)}),
+                      EncounterTrace())
+    u = sim.users["u"]
+    built = []
+
+    def counting_replace(obj, **changes):
+        built.append(obj)
+        return replace(obj, **changes)
+
+    monkeypatch.setattr("cmstream.engine.replace", counting_replace)
+    sf = ScoreFunction.efficient(make_profile("d"))
+    rates = set()
+    for _ in range(2):
+        for buffer_s in (0.0, 15.0, 25.0, 39.0):
+            u.buffer_s = buffer_s
+            for h_est in (0.3, 1.0, 5.0):
+                got = sim._bid(u, sf, h_est)
+                want = frozen_baseline_bid(cfg, u, h_est)
+                assert float_bits(vars(got)) == float_bits(vars(want))
+                rates.add(baseline_bitrate(cfg.adaptation, u.state(), h_est,
+                                           u.profile.ladder))
+    assert len(built) == 2 * len(rates) == 2 * len(u.one_rate_profiles)
+
+
 def test_determinism():
     cfg, gen = two_user_scenario(0.3, modified=False, video_length_s=100.0)
     cap, enc = gen(3)

@@ -263,15 +263,24 @@ def resolve_from_marginal_scores(seqs: Mapping[str, Sequence[float]],
     """Run the Vickrey-score allocation directly on marginal-score sequences.
 
     Reconstructs bids with unit bitrates and a zero score penalty, so the
-    payments equal the pure score-damage terms.
+    payments equal the pure score-damage terms. A bid's prices are its
+    running sums, so a sequence whose running sum falls below 0 is a
+    ValueError, raised before any bid is built.
     """
-    bids = []
+    price_vectors = {}
     for bidder_id, scores in seqs.items():
-        n = len(scores)
-        prices = list(itertools.accumulate(scores))
+        prices = price_vectors[bidder_id] = tuple(itertools.accumulate(scores))
+        for entry, total in enumerate(prices, start=1):
+            if total < 0:
+                raise ValueError(
+                    f"marginal scores of bidder {bidder_id}: the running sum "
+                    f"falls below 0 at entry {entry}, to {total!r}")
+    bids = []
+    for bidder_id, prices in price_vectors.items():
+        n = len(prices)
         rows = tuple((1.0,) * kappa + (0.0,) * (n - kappa)
                      for kappa in range(1, n + 1))
-        bids.append(MomdBid(bidder_id, rows, tuple(prices)))
+        bids.append(MomdBid(bidder_id, rows, prices))
     sf = ScoreFunction.zero()
     return resolve_vickrey_score(bids, sf, K)
 

@@ -436,6 +436,26 @@ def test_oracle_marginal_scores(tmp_path, capsys):
     assert "score_damage_payment[2] = 9" in out
 
 
+def test_oracle_marginal_scores_negative_running_sum(tmp_path, capsys):
+    """A running sum below 0 is refused by the bidder, entry and sum it
+    names, not by the prices the instance never gave; one that stays at or
+    above 0 runs."""
+    inst = tmp_path / "neg.yaml"
+    inst.write_text('K: 2\nmarginal_scores: {"1": [2, -3], "2": [2]}\n')
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_CONFIG
+    message = _trace_error(capsys)["message"]
+    assert "bidder 1" in message and "entry 2" in message
+    assert "-1.0" in message and "prices" not in message
+    inst.write_text('K: 2\nmarginal_scores: {"1": [3, -1], "2": [2]}\n')
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        'allocation: {"1": 1, "2": 1}\n'
+        "score_damage_payment[1] = 0\n"
+        "score_damage_payment[2] = -1\n")
+
+
 def test_oracle_somd_equality(tmp_path, capsys):
     from cmstream.model import UserState
     from cmstream.config import user_from_dict

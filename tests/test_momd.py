@@ -1,5 +1,6 @@
 """Unit tests for the multi-object Vickrey-score auction."""
 
+import itertools
 import random
 from dataclasses import fields
 
@@ -258,6 +259,43 @@ def test_identical_sequences_tie_break():
     again = resolve_from_marginal_scores(
         {"b": (5.0, 5.0), "a": (5.0, 5.0)}, K=2)
     assert again.revised_allocation == outcome.revised_allocation
+
+
+def test_marginal_scores_refused_at_first_negative_running_sum(monkeypatch):
+    """A running sum below 0 is refused by name, entry and sum, before
+    any bid is built; a later recovery of the sum does not help."""
+    monkeypatch.setattr(momd, "MomdBid", None)  # building a bid would fail
+    for seqs, named in (
+            ({"1": (2.0, -3.0), "2": (2.0,)}, "bidder 1: the running sum "
+             "falls below 0 at entry 2, to -1.0"),
+            ({"a": (5.0,), "b": (1.0, 1.0, -2.5, 9.0)}, "bidder b: the "
+             "running sum falls below 0 at entry 3, to -0.5"),
+            ({"x": (-0.25,), "y": (-1.0,)}, "bidder x: the running sum "
+             "falls below 0 at entry 1, to -0.25")):
+        with pytest.raises(ValueError) as err:
+            resolve_from_marginal_scores(seqs, K=1)
+        assert named in str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from("abc"),
+                       st.lists(st.integers(-3, 3).map(float), min_size=1,
+                                max_size=4),
+                       min_size=1),
+       st.integers(1, 4))
+def test_marginal_scores_refused_as_the_bids_were(seqs, K):
+    """The sequences refused are those whose bids a negative price would
+    have refused, and no others."""
+    negative = any(any(p < 0 for p in itertools.accumulate(scores))
+                   for scores in seqs.values())
+    try:
+        resolve_from_marginal_scores(seqs, K)
+    except InsufficientMarginalScoresError:
+        assert not negative
+    except ValueError as err:
+        assert negative and "running sum falls below 0" in str(err)
+    else:
+        assert not negative
 
 
 def test_resolve_insufficient_marginals():

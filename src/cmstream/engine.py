@@ -226,8 +226,7 @@ class _UserSim:
         self.payments_made = 0.0
         self.payments_received = 0.0
         self.auctions_initiated = 0
-        # rate -> the profile on a ladder of that rate alone, for the bids
-        # of a baseline policy
+        # a baseline policy's rate -> the profile on a ladder of it alone
         self.one_rate_profiles: Dict[float, UserProfile] = {}
 
     @property
@@ -246,16 +245,6 @@ class _UserSim:
         return UserState(buffer_s=self.buffer_s,
                          prev_bitrate=self.prev_bitrate)
 
-    def one_rate_profile(self, rate: float) -> UserProfile:
-        """The profile on a ladder that holds only rate, built at its first
-        bid of the run at that rate."""
-        profile = self.one_rate_profiles.get(rate)
-        if profile is None:
-            profile = self.one_rate_profiles[rate] = replace(
-                self.profile,
-                ladder=replace(self.profile.ladder, rates=(rate,)))
-        return profile
-
 
 class _HeldTrace:
     """The traces as they stand at the instant of the last seek: every
@@ -268,7 +257,6 @@ class _HeldTrace:
 
     def __init__(self, place: Dict[str, int], encounters: EncounterTrace,
                  capacity: Optional[CapacityTrace] = None):
-        self._place = place
         if encounters.default_connected:
             nbrs = {i: bytearray(b"\1") * len(place) for i in place}
         else:
@@ -293,7 +281,7 @@ class _HeldTrace:
                     cursors.append((points[1][0], len(cursors), points, 1,
                                     i, None))
         heapq.heapify(cursors)
-        self.nbrs, self._cursors = nbrs, cursors
+        self.nbrs, self._cursors, self._place = nbrs, cursors, place
         # the epoch's shares, one per user in user order, and its rows
         self._shares, self._sums = None, {}
 
@@ -558,8 +546,12 @@ class _Simulation:
         cfg = self.cfg
         profile, state = u.profile, u.state()
         if cfg.adaptation.kind != "optimal":
-            profile = u.one_rate_profile(baseline_bitrate(
-                cfg.adaptation, state, h_est, profile.ladder))
+            rate = baseline_bitrate(cfg.adaptation, state, h_est,
+                                    profile.ladder)
+            profile = u.one_rate_profiles.get(rate)
+            if profile is None:  # built once per user and rate in a run
+                profile = u.one_rate_profiles[rate] = replace(
+                    u.profile, ladder=replace(u.profile.ladder, rates=(rate,)))
         if cfg.mechanism == "momd":
             cap = min(u.remaining_to_assign, u.headroom_segments())
             return build_momd_bid(profile, state, sf, cfg.K, max_segments=cap)

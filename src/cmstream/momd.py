@@ -263,9 +263,8 @@ def resolve_from_marginal_scores(seqs: Mapping[str, Sequence[float]],
     """Run the Vickrey-score allocation directly on marginal-score sequences.
 
     Reconstructs bids with unit bitrates and a zero score penalty, so the
-    payments equal the pure score-damage terms. A bid's prices are its
-    running sums, so a sequence whose running sum falls below 0 is a
-    ValueError, raised before any bid is built.
+    payments equal the pure score-damage terms. The prices are the running
+    sums: one below 0 is a ValueError, raised before any bid is built.
     """
     price_vectors = {}
     for bidder_id, scores in seqs.items():

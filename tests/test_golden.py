@@ -9,6 +9,12 @@ before the engine held each user's neighbourhood between trace changes; a
 speed-up or refactor must reproduce them bit for bit. A change that alters
 them on purpose must say why in CHANGES.md.
 
+The per-user digests hash each scenario's ``per_user_rows()``, each row in
+field order, so a change in one user's figures shows even where the
+aggregate row and the event log stay as they were (a user's degradation
+ratio, say). They were recorded before somd, vickrey_1d and
+noncooperative became momd at K = 1 in the engine.
+
 The command-line digests hash the files that ``gen-traces``, ``simulate``
 and ``compare`` write from the shipped configs; they were recorded before
 config loading moved into one module. The two ``config_snapshot.yaml``
@@ -21,6 +27,7 @@ a change in numpy's random stream can be told apart from one in the
 engine.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -52,6 +59,15 @@ def sim_digest(result) -> str:
     for event in result.events:
         h.update(b"\n")
         h.update(json.dumps(event.as_row(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def per_user_digest(result) -> str:
+    """Hash every per-user row, in user order and each in field order."""
+    h = hashlib.sha256()
+    for row in result.per_user_rows():
+        h.update(json.dumps(row).encode())
+        h.update(b"\n")
     return h.hexdigest()
 
 
@@ -181,9 +197,55 @@ GOLDEN = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def scenario_result(name):
+    """Each scenario runs once for both of its digests."""
+    return SCENARIOS[name]()
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digest(name):
-    assert sim_digest(SCENARIOS[name]()) == GOLDEN[name]
+    assert sim_digest(scenario_result(name)) == GOLDEN[name]
+
+
+PER_USER_GOLDEN = {
+    "het_momd_k1": "5d7368315be81b8c3932c63fd66045369c40c4c767b2979f2517ea9b2a5c0fe8",
+    "het_momd_k1_buffer_based": "c3e1dfd202013f9a9be0f49fb24feef50008ca004a4ed7411ba9a1f4dc63266e",
+    "het_momd_k1_hybrid": "8a5c1e955d035f438932255d47d440f15c94f51f2002f6c4f9280b44eb55bdad",
+    "het_momd_k2": "0f573890aa6a6e202143552375b0a12396ab106b62e363e0a7c1257c3921636b",
+    "het_momd_k4": "e5c7609c744508ecea5e37ed15dbf2022e9b2a87edf7fec85c5e234591921d16",
+    "het_momd_k4_buffer_based": "03606d880f4e62964dac0833562fa7ba95b18e4ad0b65179d77bcdb4b08b8b5b",
+    "het_momd_k4_hybrid": "0f5bf7ff260ab0ceb83a37b2a39ba2207e26262613b6304b31b56400e2137ced",
+    "het_noncooperative": "3cc26b7e361e983c320a3687533162e3929b5a4bfa735786f9ca6c4d9b441cc7",
+    "het_noncooperative_buffer_based": "a2c5114ade3540d9697cffcbc82d02062a2d1d18daae5333a98db7d24b4b61d8",
+    "het_noncooperative_hybrid": "a2c5114ade3540d9697cffcbc82d02062a2d1d18daae5333a98db7d24b4b61d8",
+    "het_somd": "d8db33874bc0ec1eac4df1b20099e46126054a1a6ccad645d5f47c1eebc764a7",
+    "het_somd_buffer_based": "5956d96806e91a6f7250f379ee3a8c4906339a14c1b8db389901f7c99cc89b49",
+    "het_somd_hybrid": "9712a314ac62900cee30cfad47c4be339449a5cb883d2b0f1b995fa1fe786e53",
+    "het_vickrey_1d": "6c29639fb7576a7fdd8fcdc95da0d6467052b816668240afcc6a67766dcd74dc",
+    "het_vickrey_1d_buffer_based": "bdfa5029087d6452181716e58863267dbef1f524334b5641d80c521345258caa",
+    "het_vickrey_1d_hybrid": "c83b68cd3a92bdfaf6038e90ca76f81a69dacaa44c36d1ec02a81263dcec4c62",
+    "mesh20_momd_k4_on": "416d95b4c7f007274e7fb1bb34839c9ca7c3563aa0cb010190c9146ae18d2e75",
+    "mobile12_momd_k1_on": "69db32e362363b8582a3dd8bbb5ee38d10b4368da2c25e5ff10cbd65bb49972a",
+    "mobile12_momd_k4_off": "a58be0104d42da093b3fb95cc90da1c3727f0fa2170ff19ab999b1b2150033bb",
+    "sparse12_momd_k1_on": "f6cb85364aa87119f6629bf747353cb711001cc59101b103886c3436fa13ff14",
+    "two_user_b0.15_off": "b800285f4141a852fb13bf63b9ebe559186a3c35d5a19a48f3bfa708928ffbf9",
+    "two_user_b0.15_on": "e8eca34b84f8027b2fe09aaabfad92599b5b8d18a9aa3297b6fffd19017e0f5c",
+    "two_user_b0.3_off": "608198568a050b6024e85ec28aec3a23e4ccc8a40a423bf680aa069a78d047d5",
+    "two_user_b0.3_on": "29fea8aec16eafcfc9cd2444d9925a3bc65cd6231e43e170030dd408090faa89",
+    "two_user_b0.3_on_hybrid": "e7cec1b22f78eb0e5d394a716d9c805ebf73bb1677c75ca5ce48d233cf34b963",
+    "two_user_b0.45_off": "e09f13ce4c2f7e4956bbc2ac75ef465958b64c7d3ad5b3bbc0c0d656dd22b554",
+    "two_user_b0.45_on": "fb4260357bd8317698bc49c5604d35995738c5c7f43b551303fe6397b7b6f83d",
+    "two_user_b1.5_off": "dd16931bba5e0ba3fa43956b5b80dbbfdade6b1688f8b1619492f83677adf348",
+    "two_user_b1.5_on": "dd16931bba5e0ba3fa43956b5b80dbbfdade6b1688f8b1619492f83677adf348",
+    "two_user_b3_off": "272c6cb4d49c4bdd497a6fa395d60e6ab4274c89d579b07f4e2e50f1d04be407",
+    "two_user_b3_on": "272c6cb4d49c4bdd497a6fa395d60e6ab4274c89d579b07f4e2e50f1d04be407",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_per_user_digest(name):
+    assert per_user_digest(scenario_result(name)) == PER_USER_GOLDEN[name]
 
 
 @pytest.mark.parametrize("traces", [

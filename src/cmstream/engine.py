@@ -7,27 +7,22 @@ time. A single run is strictly sequential and reproducible: identical
 (config, traces, seed) give an identical event log. Its held trace state
 only moves forward, to the time of each auction.
 
-Every mechanism runs one path: build the bids, resolve them, then book and
-log the outcome. Every bidder bids optimally, at true utility (floored at 0
-in momd); under a baseline adaptation policy its ladder holds only the rate
-``baseline_bitrate`` picks. momd caps the rows at the bidder's headroom.
-noncooperative runs over self-only neighbourhoods with the participation
-filter off, so the auctioneer is its auction's one bidder:
+Every mechanism runs one path: ``build_momd_bid`` bids, capped at each
+bidder's headroom and priced at true utility floored at 0;
+``resolve_vickrey_score`` resolves; the engine books and logs. somd,
+vickrey_1d and noncooperative are momd at K = 1. vickrey_1d resolves with
+``ScoreFunction.zero()``, the others with the auctioneer's efficient score
+function. Under a baseline adaptation policy a bidder's ladder holds only
+the rate ``baseline_bitrate`` picks. noncooperative runs over self-only
+neighbourhoods with the filter off, so the auctioneer bids alone. Two rules
+stay keyed on the mechanism: only momd counts Assumption-1 violations, and
+only momd charges a lone auctioneer for its own download.
 
-    mechanism       bid                      resolver               score
-    momd            build_momd_bid, capped   resolve_vickrey_score  efficient
-    somd            optimal_somd_bid         resolve_second_score   efficient
-    vickrey_1d      optimal_somd_bid         resolve_second_score   zero
-    noncooperative  optimal_somd_bid, self   resolve_second_score   efficient
-
-The resolvers price every bid, a lone one too (its second score is 0); the
-engine keeps one rule: the auctioneer's own lone single-bitrate bid is free.
-
-A winner's utility is booked from its bid: a somd bid's price, and a momd
-row's price above 0, is ``utility_total`` of the won rates bit for bit, so
-only a momd row whose price was floored to 0 is computed again. Each
-auction makes its own score function, so the bid rows that
-``build_momd_bid`` shares between bidders of one key live for one auction.
+A winner's utility is booked from its bid: a row's price above 0 is
+``utility_total`` of the won rates bit for bit, so only a row whose price
+was floored to 0 is computed again. Each auction makes its own score
+function, so the bid rows that ``build_momd_bid`` shares between bidders
+of one key live for one auction.
 """
 
 from __future__ import annotations
@@ -39,16 +34,11 @@ import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import UserProfile, UserState, lsum, utility_total
 from .momd import MomdBid, resolve_vickrey_score
-from .somd import (
-    ScoreFunction,
-    SomdBid,
-    optimal_somd_bid,
-    resolve_second_score,
-)
+from .somd import ScoreFunction
 from .strategy import (
     AdaptationPolicy,
     ParticipationConfig,
@@ -349,6 +339,8 @@ class _Simulation:
         # a noncooperative user bids alone, over a self-only neighbourhood;
         # only the participation filter reads capacities
         self._cooperative = cfg.mechanism != "noncooperative"
+        self._momd = cfg.mechanism == "momd"
+        self._bid_k = cfg.K if self._momd else 1
         self._filtering = self._cooperative and cfg.participation_enabled
         self._held = _HeldTrace(
             self._place,
@@ -492,37 +484,32 @@ class _Simulation:
                   mechanism=cfg.mechanism,
                   **({"bidders": sorted(bidders)} if cooperative else {}))
         bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
-        bid_of = dict(zip(bidders, bids))
-
-        # won: winner -> (rates, payment, utility of the rates). A bid's
-        # price is its true utility, bit for bit, unless momd floored it
-        # to 0; only then is the utility computed again
-        if cfg.mechanism == "momd":
-            k_eff = min(cfg.K, sum(b.max_segments for b in bids))
-            outcome = resolve_vickrey_score(bids, sf, k_eff)
+        score = ScoreFunction.zero() if cfg.mechanism == "vickrey_1d" else sf
+        outcome = resolve_vickrey_score(
+            bids, score, min(self._bid_k, sum(b.max_segments for b in bids)))
+        if self._momd:
             self.assumption1_violations += len(outcome.assumption_violations)
-            rates_iter = {uid: iter(rates)
-                          for uid, rates in outcome.winning_bitrates.items()}
-            order = [(uid, next(rates_iter[uid]))
-                     for uid in outcome.per_segment_winners]
-            won = {}
-            for uid, kappa in outcome.revised_allocation.items():
-                if kappa:
-                    rates = outcome.winning_bitrates[uid]
-                    price = bid_of[uid].price_vector[kappa - 1]
-                    if not price > 0.0:
-                        u = self.users[uid]
-                        price = utility_total(u.profile, u.state(), rates)
-                    won[uid] = (rates, outcome.payments[uid], price)
-        else:
-            if cfg.mechanism == "vickrey_1d":
-                sf = ScoreFunction.zero()
-            outcome = resolve_second_score(bids, sf)
-            winner, bitrate = outcome.winner_id, outcome.winning_bitrate
-            # a lone auctioneer downloads over its own link and pays nothing
-            payment = 0.0 if bidders == [auctioneer] else outcome.payment
-            order = [(winner, bitrate)]
-            won = {winner: ((bitrate,), payment, bid_of[winner].price)}
+        rates_iter = {uid: iter(rates)
+                      for uid, rates in outcome.winning_bitrates.items()}
+        order = [(uid, next(rates_iter[uid]))
+                 for uid in outcome.per_segment_winners]
+        # a lone auctioneer of a single-segment mechanism downloads over its
+        # own link and pays nothing
+        free = not self._momd and bidders == [auctioneer]
+        # won: winner -> (rates, payment, utility of the rates). A bid's
+        # price is its true utility, bit for bit, unless it was floored to
+        # 0; only then is the utility computed again
+        won = {}
+        for uid, bid in zip(bidders, bids):
+            kappa = outcome.revised_allocation[uid]
+            if kappa:
+                rates = outcome.winning_bitrates[uid]
+                price = bid.price_vector[kappa - 1]
+                if not price > 0.0:
+                    u = self.users[uid]
+                    price = utility_total(u.profile, u.state(), rates)
+                won[uid] = (rates, 0.0 if free else outcome.payments[uid],
+                            price)
 
         # bidder order: the float sum into payments_received depends on it
         for uid, (_, payment, utility) in won.items():
@@ -537,25 +524,22 @@ class _Simulation:
         self._log(t, "auction_resolved", auctioneer=auctioneer, **resolved)
         return order
 
-    def _bid(self, u: _UserSim, sf: ScoreFunction,
-             h_est: float) -> Union[MomdBid, SomdBid]:
-        """u's optimal bid: a segment-capped bitrate matrix for momd, one
-        bitrate for the other mechanisms. Under a baseline policy u bids on
-        a ladder that holds only the rate the policy picks at the
-        auctioneer's capacity estimate h_est."""
-        cfg = self.cfg
+    def _bid(self, u: _UserSim, sf: ScoreFunction, h_est: float) -> MomdBid:
+        """u's optimal bid: a bitrate matrix of K rows for momd and of one
+        row for the other mechanisms, capped at u's headroom. Under a
+        baseline policy u bids on a ladder that holds only the rate the
+        policy picks at the auctioneer's capacity estimate h_est."""
         profile, state = u.profile, u.state()
-        if cfg.adaptation.kind != "optimal":
-            rate = baseline_bitrate(cfg.adaptation, state, h_est,
+        if self.cfg.adaptation.kind != "optimal":
+            rate = baseline_bitrate(self.cfg.adaptation, state, h_est,
                                     profile.ladder)
             profile = u.one_rate_profiles.get(rate)
             if profile is None:  # built once per user and rate in a run
                 profile = u.one_rate_profiles[rate] = replace(
                     u.profile, ladder=replace(u.profile.ladder, rates=(rate,)))
-        if cfg.mechanism == "momd":
-            cap = min(u.remaining_to_assign, u.headroom_segments())
-            return build_momd_bid(profile, state, sf, cfg.K, max_segments=cap)
-        return optimal_somd_bid(profile, state, sf)
+        cap = min(u.remaining_to_assign, u.headroom_segments())
+        return build_momd_bid(profile, state, sf, self._bid_k,
+                              max_segments=cap)
 
     # -- main loop ---------------------------------------------------------
 

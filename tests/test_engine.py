@@ -19,7 +19,7 @@ from cmstream.engine import (
 )
 from cmstream.model import BitrateLadder, UserProfile, utility_total
 from cmstream.momd import resolve_vickrey_score
-from cmstream.somd import ScoreFunction, SomdBid, resolve_second_score
+from cmstream.somd import ScoreFunction
 from cmstream.strategy import AdaptationPolicy, baseline_bitrate
 from cmstream.config import load_config
 from cmstream.experiments import (
@@ -215,14 +215,11 @@ def test_auction_score_equals_efficient_of_the_effective_profile(profile,
 def frozen_baseline_bid(cfg, u, h_est):
     """A baseline policy's bid as the engine built it beside the optimal
     bidders: the policy's rate on every row up to the segment cap, at
-    floored truthful prices, for momd; the rate at its true utility for the
-    single-segment mechanisms."""
+    floored truthful prices, on K rows for momd and on one row for the
+    other mechanisms."""
     profile, state = u.profile, u.state()
     rate = baseline_bitrate(cfg.adaptation, state, h_est, profile.ladder)
-    if cfg.mechanism != "momd":
-        return SomdBid(profile.user_id, rate,
-                       utility_total(profile, state, (rate,)))
-    K = cfg.K
+    K = cfg.K if cfg.mechanism == "momd" else 1
     cap = max(0, min(u.remaining_to_assign, u.headroom_segments(), K))
     rows = tuple((rate,) * kappa + (0.0,) * (K - kappa)
                  if kappa <= cap else (0.0,) * K
@@ -473,7 +470,8 @@ def test_horizon_guard_raises_typed_error():
 
 def parent_resolve(self, t, auctioneer, bidders, sf, h_est):
     """_Simulation._resolve as it was when it booked every winner's utility
-    as utility_total of its rates, not from its bid; frozen here."""
+    as utility_total of its rates, not from its bid; frozen here, with
+    every mechanism on the momd path."""
     cfg = self.cfg
     auc = self.users[auctioneer]
     cooperative = self._cooperative
@@ -484,25 +482,22 @@ def parent_resolve(self, t, auctioneer, bidders, sf, h_est):
               **({"bidders": sorted(bidders)} if cooperative else {}))
     bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
 
+    K = cfg.K if cfg.mechanism == "momd" else 1
+    k_eff = min(K, sum(b.max_segments for b in bids))
+    if cfg.mechanism == "vickrey_1d":
+        sf = ScoreFunction.zero()
+    outcome = resolve_vickrey_score(bids, sf, k_eff)
     if cfg.mechanism == "momd":
-        k_eff = min(cfg.K, sum(b.max_segments for b in bids))
-        outcome = resolve_vickrey_score(bids, sf, k_eff)
         self.assumption1_violations += len(outcome.assumption_violations)
-        rates_iter = {uid: iter(rates)
-                      for uid, rates in outcome.winning_bitrates.items()}
-        order = [(uid, next(rates_iter[uid]))
-                 for uid in outcome.per_segment_winners]
-        won = {uid: (outcome.winning_bitrates[uid], outcome.payments[uid])
-               for uid, kappa in outcome.revised_allocation.items()
-               if kappa}
-    else:
-        if cfg.mechanism == "vickrey_1d":
-            sf = ScoreFunction.zero()
-        outcome = resolve_second_score(bids, sf)
-        winner, bitrate = outcome.winner_id, outcome.winning_bitrate
-        payment = 0.0 if bidders == [auctioneer] else outcome.payment
-        order = [(winner, bitrate)]
-        won = {winner: ((bitrate,), payment)}
+    rates_iter = {uid: iter(rates)
+                  for uid, rates in outcome.winning_bitrates.items()}
+    order = [(uid, next(rates_iter[uid]))
+             for uid in outcome.per_segment_winners]
+    free = cfg.mechanism != "momd" and bidders == [auctioneer]
+    won = {uid: (outcome.winning_bitrates[uid],
+                 0.0 if free else outcome.payments[uid])
+           for uid, kappa in outcome.revised_allocation.items()
+           if kappa}
 
     for uid, (rates, payment) in won.items():
         u = self.users[uid]
@@ -537,9 +532,9 @@ def test_booking_from_bids_matches_frozen_utility_total(monkeypatch,
                                                         mechanism, K, policy):
     """Booking a winner's utility from its bid leaves every per-user
     figure and the event log as the frozen utility_total booking had them,
-    bit for bit. Users A and C gain nothing from a segment, so their momd
-    rows price at 0 (floored, under a baseline policy, from a negative
-    utility) and take the utility_total branch."""
+    bit for bit. Users A and C gain nothing from a segment, so their rows
+    price at 0 (floored, under a baseline policy, from a negative utility)
+    and take the utility_total branch."""
     _, gen = heterogeneous_scenario("momd")
     capacity, encounters = gen(0)
     cfg = SimConfig(users=(_no_gain_user("A"), standard_profile("B"),
@@ -560,11 +555,36 @@ def test_booking_from_bids_matches_frozen_utility_total(monkeypatch,
     assert float_bits(got.per_user_rows()) == float_bits(want.per_user_rows())
     assert float_bits(got.aggregate_row()) == float_bits(want.aggregate_row())
     assert got.events == want.events
-    if mechanism == "momd":
-        assert calls, "no floored row won"
-        assert all(p.user_id in "AC" for p, _, _ in calls)
-    else:
-        assert not calls
-    if policy != "optimal" and mechanism == "momd" and K == 1:
+    # every mechanism bids momd rows: the floored rows of A and C take the
+    # utility_total branch, and no row of B does
+    assert calls, "no floored row won"
+    assert all(p.user_id in "AC" for p, _, _ in calls)
+    if policy != "optimal" and mechanism != "noncooperative" and K == 1:
         # a floored price stood for a negative utility
         assert min(r.utility for r in got.per_user.values()) < 0
+
+
+@pytest.mark.parametrize("policy", AdaptationPolicy.KINDS)
+def test_somd_is_momd_at_k1_in_the_engine(policy):
+    """At K = 1 somd is the one-segment case of momd: on the same traces
+    both download the same segments, and each user's utility, cost,
+    average bitrate and rebuffer time are the same bit for bit. Users A
+    and C gain nothing from a segment, so under a baseline policy their
+    truthful utility is negative and their momd price floored at 0."""
+    _, gen = heterogeneous_scenario("momd")
+    users = (_no_gain_user("A"), standard_profile("B"), _no_gain_user("C"))
+    for seed in range(10):
+        capacity, encounters = gen(seed)
+        runs = [run_simulation(
+            SimConfig(users=users, K=1, mechanism=mechanism,
+                      adaptation=AdaptationPolicy(policy),
+                      video_length_s=100.0), capacity, encounters)
+            for mechanism in ("somd", "momd")]
+        somd, momd = ([(e.time_s, e.payload) for e in r.events
+                       if e.kind == "segment_downloaded"] for r in runs)
+        assert somd == momd
+        for uid in "ABC":
+            one, other = ([getattr(r.per_user[uid], name) for name in
+                           ("utility", "cost", "average_bitrate_mbps",
+                            "rebuffer_s")] for r in runs)
+            assert float_bits(one) == float_bits(other)

@@ -67,6 +67,15 @@ class MomdBid:
             raise ValueError("prices must be >= 0")
         object.__setattr__(self, "max_segments", n)
 
+    @classmethod
+    def _built(cls, bidder_id, matrix, prices, max_segments) -> "MomdBid":
+        """The bid of ``strategy.build_momd_bid``, which builds it to pass
+        ``__post_init__``'s checks with the given cap; they are not run."""
+        bid = object.__new__(cls)
+        bid.__dict__.update(bidder_id=bidder_id, bitrate_matrix=matrix,
+                            price_vector=prices, max_segments=max_segments)
+        return bid
+
     def row(self, kappa: int) -> Tuple[float, ...]:
         """Non-zero bitrates of row kappa (1-based)."""
         return self.bitrate_matrix[kappa - 1][:kappa]
@@ -200,8 +209,8 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         prev = 0.0
         # validate_assumption1(scores)[0], checked as the scores are made
         ok, above = True, math.inf
-        for kappa in range(1, bid.max_segments + 1):
-            row = bid.bitrate_matrix[kappa - 1]
+        for kappa, row in enumerate(bid.bitrate_matrix[:bid.max_segments],
+                                    start=1):
             penalty = penalty_of.get(id(row))
             if penalty is None:
                 penalty = 0.0
@@ -227,10 +236,10 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         raise InsufficientMarginalScoresError(
             f"insufficient marginal scores: {len(entries)} < {K}")
     entries.sort()
-    top = entries[:K]
+    winners = [bidder_id for _, bidder_id, _ in entries[:K]]
 
-    counts = {bid.bidder_id: 0 for bid in bids}
-    for _, bidder_id, _ in top:
+    counts = dict.fromkeys(seqs, 0)
+    for bidder_id in winners:
         counts[bidder_id] += 1
 
     bitrates: Dict[str, Tuple[float, ...]] = {}
@@ -245,12 +254,12 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
             (-s for s, b, _ in entries if b != bidder_id), K))
         others += [0.0] * (K - len(others))  # absent competitors do no damage
         damage = lsum(others[K - kappa:])
-        bitrates[bidder_id] = bid.row(kappa)
+        bitrates[bidder_id] = bid.bitrate_matrix[kappa - 1][:kappa]
         payments[bidder_id] = penalties[kappa - 1] + damage
 
-    violations = tuple(sorted(b for b, seq in seqs.items() if not seq[3]))
+    violations = tuple(sorted([b for b, seq in seqs.items() if not seq[3]]))
     return MomdOutcome(
-        per_segment_winners=tuple(b for _, b, _ in top),
+        per_segment_winners=tuple(winners),
         revised_allocation=counts,
         winning_bitrates=bitrates,
         payments=payments,

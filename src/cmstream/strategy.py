@@ -92,14 +92,14 @@ class _RowTable:
     ``rows`` maps a key to its per-rate terms, the row tuples built so far
     and each one's (quality gain, degradation loss). A caller that keeps
     one score function for good fills at most MAX entries before the
-    table starts over.
+    table starts over. An entry also keeps the bid matrix of each cap.
     """
 
     MAX = 256
 
     def __init__(self):
         self.sf: ScoreFunction | None = None
-        self.rows: Dict[tuple, Tuple[list, list, list]] = {}
+        self.rows: Dict[tuple, Tuple[list, list, list, dict]] = {}
 
 
 _table = _RowTable()
@@ -116,15 +116,15 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     ``degradation_single(prev, r)``, and its quality gain and the buffer
     gain prefix add left to right, as ``lsum`` does.
 
-    The row tuples, their quality gains and their losses come from a table
-    shared by the bids of one score function object (see ``_RowTable``);
-    a bid adds only its buffer gains, prices and cap. Sharing is exact:
-    every float in a row's terms is a function of the table's key alone.
-    A key may hold 0.0 where an equal key holds -0.0 (theta * beta, slope
-    or previous bitrate); that flips only the sign of a zero per-rate gain
-    or loss, which the argmax's comparisons, the quality sum from 0 and
-    the price's floor at 0 do not see. Rows are built no further than a
-    bid's cap asks.
+    The rows, their quality gains and losses, and each cap's matrix come
+    from a table shared by the bids of one score function object (see
+    ``_RowTable``); a bid adds only its buffer gains and prices. Sharing is
+    exact: every float in a row's terms is a function of the table's key
+    alone. A key may hold 0.0 where an equal key holds -0.0 (theta * beta,
+    slope or previous bitrate); that flips only the sign of a zero per-rate
+    gain or loss, which the argmax's comparisons, the quality sum from 0
+    and the price's floor at 0 do not see. Rows are built no further than
+    a bid's cap asks.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -152,8 +152,8 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
             q = gain * log1p(r)
             per_rate.append((r, q, q - penalty(r),
                              0.0 if prev <= r else slope * (prev - r)))
-        entry = table[key] = (per_rate, [], [])
-    per_rate, rows, terms = entry
+        entry = table[key] = (per_rate, [], [], {})
+    per_rate, rows, terms, matrices = entry
     gamma = profile.buffer_gain_scale
     rho = profile.buffer_gain_decay
     base = state.buffer_s / profile.ladder.segment_length_s
@@ -179,9 +179,10 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
         price = (quality + gamma * buffer_sum) - loss
         prices.append(price if price > 0.0 else 0.0)
     prices += [0.0] * (K - cap)
-    return MomdBid(profile.user_id,
-                   tuple(rows[:cap]) + ((0.0,) * K,) * (K - cap),
-                   tuple(prices))
+    matrix = matrices.get(cap)
+    if matrix is None:
+        matrix = matrices[cap] = tuple(rows[:cap]) + ((0.0,) * K,) * (K - cap)
+    return MomdBid._built(profile.user_id, matrix, tuple(prices), cap)
 
 
 def should_participate(profile: UserProfile, state: UserState,

@@ -185,6 +185,9 @@ def cmd_oracle(args) -> int:
             if alloc[uid]:
                 print(f"score_damage_payment[{uid}] = "
                       f"{outcome.payments[uid]:.6g}")
+        if outcome.assumption_violations:
+            print("assumption 1 violated by: "
+                  + ", ".join(outcome.assumption_violations))
         return EXIT_OK
 
     downloader, bidders = inputs["downloader"], inputs["bidders"]

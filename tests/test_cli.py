@@ -453,7 +453,25 @@ def test_oracle_marginal_scores_negative_running_sum(tmp_path, capsys):
     assert capsys.readouterr().out == (
         'allocation: {"1": 1, "2": 1}\n'
         "score_damage_payment[1] = 0\n"
-        "score_damage_payment[2] = -1\n")
+        "score_damage_payment[2] = -1\n"
+        "assumption 1 violated by: 1\n")
+
+
+def test_oracle_prints_assumption1_violators(tmp_path, capsys):
+    """The oracle still resolves marginal scores that break Assumption 1,
+    and names every bidder whose scores do; an instance that meets it
+    prints no such line."""
+    inst = tmp_path / "violated.yaml"
+    inst.write_text('K: 2\nmarginal_scores: {"1": [3, -1], "2": [2], '
+                    '"3": [1, 2]}\n')
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "assumption 1 violated by: 1, 3")
+    inst.write_text('K: 2\nmarginal_scores: {"1": [3, 1], "2": [2]}\n')
+    assert main(["oracle", "--instance", str(inst),
+                 "--kind", "momd"]) == EXIT_OK
+    assert "assumption" not in capsys.readouterr().out
 
 
 def test_oracle_somd_equality(tmp_path, capsys):

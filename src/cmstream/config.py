@@ -45,10 +45,18 @@ def _float(value) -> float:
     return float(value)
 
 
+def _floats(value) -> Tuple[float, ...]:
+    """Floats from a YAML list of numbers; a string, a mapping and the
+    rest fail, where iterating them would read their characters or keys."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return tuple(map(_float, value))
+
+
 # coercions by field type; the dataclass modules use postponed annotations,
 # so each field.type is a string
 _SCALARS = {"bool": _bool, "float": _float, "int": lossless_int, "str": str,
-            "Tuple[float, ...]": lambda v: tuple(map(_float, v))}
+            "Tuple[float, ...]": _floats}
 
 
 class ConfigError(ValueError):
@@ -256,7 +264,9 @@ def _oracle_inputs(data: Mapping, kind: str) -> dict:
             if str(k) in scores:
                 raise ConfigError(f"marginal_scores key {k!r} names bidder "
                                   f"{str(k)!r} twice")
-            scores[str(k)] = [_finite(x, f"marginal_scores.{k}") for x in v]
+            where = f"marginal_scores.{k}"
+            scores[str(k)] = [_finite(x, where) for x in
+                              coerce("Tuple[float, ...]", v, where)]
         return {"scores": scores, "K": lossless_int(data["K"])}
     # the matrix oracle compares no welfare, so a claimed one is unknown
     _reject_unknown(data, {"K", "downloader", "bidders"} if kind == "matrix"

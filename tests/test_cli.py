@@ -651,6 +651,8 @@ MALFORMED = [
     ("momd", {"K": 2, "downloader": {"user_id": "d"},
               "bidders": [{"profile": {"user_id": "u"}},
                           {"profile": {"user_id": "u"}}]}),
+    ("momd", {"K": 1, "marginal_scores": {"1": [5], "2": "34"}}),
+    ("momd", {"K": 1, "marginal_scores": {"1": {5: None}, "2": [3]}}),
 ]
 
 
@@ -663,7 +665,7 @@ MALFORMED = [
          "scores-boolean-k", "scores-boolean-entry", "state-boolean-buffer",
          "welfare-boolean", "scores-nan", "scores-inf", "welfare-nan",
          "state-nan-buffer", "state-inf-prev-bitrate", "repeated-bidder",
-         *MISSPELT])
+         "scores-string-entry", "scores-mapping-entry", *MISSPELT])
 def test_oracle_malformed_instance(tmp_path, capsys, kind, instance, named):
     inst = tmp_path / "bad.yaml"
     inst.write_text(yaml.safe_dump(instance))
@@ -1051,12 +1053,14 @@ HOSTILE = [
     ("gen-traces", ("trace_stats", "A", "mean"), True),
     ("compare", ("trace_stats", "B", "std"), False),
     ("verify", ("overhead_energy_per_auction",), True),
+    ("verify", ("users", 0, "ladder", "rates"), "123"),
+    ("verify", ("users", 0, "ladder", "rates"), {0.2: 1, 0.4: 2}),
 ]
 
 
 @pytest.mark.parametrize(
     "command,path,value", HOSTILE,
-    ids=[f"{c}-{'.'.join(p)}={v}" for c, p, v in HOSTILE])
+    ids=[f"{c}-{'.'.join(map(str, p))}={v}" for c, p, v in HOSTILE])
 def test_hostile_config(tmp_path, capsys, command, path, value):
     data = copy.deepcopy(TWO_USER)
     node = data

@@ -7,8 +7,8 @@ time. A single run is strictly sequential and reproducible: identical
 (config, traces, seed) give an identical event log. Its held trace state
 only moves forward, to the time of each auction.
 
-Every mechanism runs one path: ``build_momd_bid`` bids, capped at each
-bidder's headroom and priced at true utility floored at 0;
+Every mechanism runs one path: ``build_momd_bid`` bids, capped at the
+segments admission allows each bidder and priced at true utility floored at 0;
 ``resolve_vickrey_score`` resolves; the engine books and logs. somd,
 vickrey_1d and noncooperative are momd at K = 1. vickrey_1d resolves with
 ``ScoreFunction.zero()``, the others with the auctioneer's efficient score
@@ -219,10 +219,6 @@ class _UserSim:
         # a baseline policy's rate -> the profile on a ladder of it alone
         self.one_rate_profiles: Dict[float, UserProfile] = {}
 
-    @property
-    def remaining_to_assign(self) -> int:
-        return self.total_segments - self.next_seq
-
     def capacity_estimate(self) -> float:
         return lsum(self.capacity_window) / len(self.capacity_window)
 
@@ -232,6 +228,8 @@ class _UserSim:
                            / ladder.segment_length_s + 1e-9) - self.pending)
 
     def state(self) -> UserState:
+        # a fresh snapshot, not self: a bid keeps the state it was built
+        # from, and a recorder of the engine's bids replays them with it
         return UserState(buffer_s=self.buffer_s,
                          prev_bitrate=self.prev_bitrate)
 
@@ -333,7 +331,7 @@ class _Simulation:
         # of the users with segments still to assign
         self._members = list(self.users.items())
         self._place = {uid: k for k, uid in enumerate(self.users)}
-        self._open = bytearray(u.remaining_to_assign > 0
+        self._open = bytearray(u.total_segments > 0
                                for u in self.users.values())
         self.horizon_guard = horizon_guard(cfg.video_length_s)
         # a noncooperative user bids alone, over a self-only neighbourhood;
@@ -403,28 +401,29 @@ class _Simulation:
 
     # -- auctions ----------------------------------------------------------
 
-    def _candidate_bidders(self, auctioneer: str, t: float) -> List[str]:
+    def _candidate_bidders(self, auctioneer: str, t: float) -> Dict[str, int]:
         """The users that bid in an auction the auctioneer runs at t, in
-        user order: those it encounters that have segments to assign and
-        room to buffer one, and that pass the participation filter when
-        it is on."""
+        user order, each to its cap: its segments to assign or its room to
+        buffer, the fewer. A user bids if it is encountered, its cap is
+        above 0 and it passes the participation filter when that is on."""
         held = self._held
         held.seek(t)
         nearby = compress(self._members, map(
             operator.and_, held.nbrs[auctioneer], self._open))
         if self._filtering:
             h_n = held.caps[auctioneer]
-        out = []
+        out = {}
         for uid, u in nearby:
             self._advance(uid, t)
-            if u.headroom_segments() <= 0:
+            room = u.headroom_segments()
+            if room <= 0:
                 continue
             if self._filtering and not participates(
                     u.profile.ladder.segment_length_s, u.buffer_s,
                     u.prev_bitrate, h_n, held.share_sum(uid),
                     self.cfg.participation):
                 continue
-            out.append(uid)
+            out[uid] = min(u.total_segments - u.next_seq, room)
         return out
 
     def _ready(self, t: float, auctioneer: str) -> None:
@@ -470,11 +469,11 @@ class _Simulation:
                       receiver=uid, bitrate=bitrate, seq=seq_no)
         self._push(cursor, "ready", (auctioneer,))
 
-    def _resolve(self, t: float, auctioneer: str, bidders: List[str],
+    def _resolve(self, t: float, auctioneer: str, bidders: Dict[str, int],
                  sf: ScoreFunction, h_est: float,
                  ) -> List[Tuple[str, float]]:
-        """Run one auction; returns the download order as (receiver, bitrate)
-        pairs and books utilities and payments."""
+        """Run one auction among bidder -> cap; returns the download order
+        as (receiver, bitrate) pairs and books utilities and payments."""
         cfg = self.cfg
         auc = self.users[auctioneer]
         cooperative = self._cooperative
@@ -483,7 +482,8 @@ class _Simulation:
         self._log(t, "auction_start", auctioneer=auctioneer,
                   mechanism=cfg.mechanism,
                   **({"bidders": sorted(bidders)} if cooperative else {}))
-        bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
+        bids = [self._bid(self.users[uid], cap, sf, h_est)
+                for uid, cap in bidders.items()]
         score = ScoreFunction.zero() if cfg.mechanism == "vickrey_1d" else sf
         outcome = resolve_vickrey_score(
             bids, score, min(self._bid_k, sum(b.max_segments for b in bids)))
@@ -495,38 +495,35 @@ class _Simulation:
                  for uid in outcome.per_segment_winners]
         # a lone auctioneer of a single-segment mechanism downloads over its
         # own link and pays nothing
-        free = not self._momd and bidders == [auctioneer]
-        # won: winner -> (rates, payment, utility of the rates). A bid's
-        # price is its true utility, bit for bit, unless it was floored to
-        # 0; only then is the utility computed again
-        won = {}
+        free = not self._momd and list(bidders) == [auctioneer]
+        # book in bidder order, which the float sum into payments_received
+        # depends on. A bid's price is its true utility, bit for bit, unless
+        # it was floored to 0; only then is the utility computed again
+        winners, payments = {}, {}
         for uid, bid in zip(bidders, bids):
             kappa = outcome.revised_allocation[uid]
-            if kappa:
-                rates = outcome.winning_bitrates[uid]
-                price = bid.price_vector[kappa - 1]
-                if not price > 0.0:
-                    u = self.users[uid]
-                    price = utility_total(u.profile, u.state(), rates)
-                won[uid] = (rates, 0.0 if free else outcome.payments[uid],
-                            price)
-
-        # bidder order: the float sum into payments_received depends on it
-        for uid, (_, payment, utility) in won.items():
+            if not kappa:
+                continue
             u = self.users[uid]
+            rates = outcome.winning_bitrates[uid]
+            utility = bid.price_vector[kappa - 1]
+            if not utility > 0.0:
+                utility = utility_total(u.profile, u.state(), rates)
+            payment = 0.0 if free else outcome.payments[uid]
             u.utility += utility
             u.payments_made += payment
             auc.payments_received += payment
-        resolved = {"winners": {uid: len(rates)
-                                for uid, (rates, _, _) in won.items()}}
+            winners[uid], payments[uid] = len(rates), payment
+        resolved = {"winners": winners}
         if cooperative:
-            resolved["payments"] = {uid: p for uid, (_, p, _) in won.items()}
+            resolved["payments"] = payments
         self._log(t, "auction_resolved", auctioneer=auctioneer, **resolved)
         return order
 
-    def _bid(self, u: _UserSim, sf: ScoreFunction, h_est: float) -> MomdBid:
+    def _bid(self, u: _UserSim, cap: int, sf: ScoreFunction,
+             h_est: float) -> MomdBid:
         """u's optimal bid: a bitrate matrix of K rows for momd and of one
-        row for the other mechanisms, capped at u's headroom. Under a
+        row for the other mechanisms, with no row past cap segments. Under a
         baseline policy u bids on a ladder that holds only the rate the
         policy picks at the auctioneer's capacity estimate h_est."""
         profile, state = u.profile, u.state()
@@ -537,7 +534,6 @@ class _Simulation:
             if profile is None:  # built once per user and rate in a run
                 profile = u.one_rate_profiles[rate] = replace(
                     u.profile, ladder=replace(u.profile.ladder, rates=(rate,)))
-        cap = min(u.remaining_to_assign, u.headroom_segments())
         return build_momd_bid(profile, state, sf, self._bid_k,
                               max_segments=cap)
 
@@ -663,10 +659,8 @@ def run_comparison(
         for label, cfg in cells:
             res = run_simulation(cfg, capacity, encounters)
             row = res.aggregate_row()
-            rates = [r.average_bitrate_mbps for r in res.per_user.values()
-                     if r.average_bitrate_mbps > 0]
-            row["average_bitrate_mbps"] = (lsum(rates) / len(rates)
-                                           if rates else 0.0)
+            rates = [r.average_bitrate_mbps for r in res.per_user.values()]
+            row["average_bitrate_mbps"] = lsum(rates) / len(rates)
             s = sums[label]
             for k in metrics:
                 s[k] += row[k]

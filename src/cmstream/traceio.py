@@ -381,8 +381,9 @@ def generate_synthetic_traces(
 
 
 def degradation_volume(bitrates: Sequence[float]) -> float:
-    """The sum of the bitrate drops between consecutive segments."""
-    return lsum(max(a - b, 0.0) for a, b in zip(bitrates, bitrates[1:]))
+    """The sum of the bitrate drops between consecutive segments, a float."""
+    return float(lsum(max(a - b, 0.0)
+                      for a, b in zip(bitrates, bitrates[1:])))
 
 
 # Stable column order for the per-user metrics table.

@@ -220,7 +220,8 @@ def frozen_baseline_bid(cfg, u, h_est):
     profile, state = u.profile, u.state()
     rate = baseline_bitrate(cfg.adaptation, state, h_est, profile.ladder)
     K = cfg.K if cfg.mechanism == "momd" else 1
-    cap = max(0, min(u.remaining_to_assign, u.headroom_segments(), K))
+    cap = max(0, min(u.total_segments - u.next_seq, u.headroom_segments(),
+                     K))
     rows = tuple((rate,) * kappa + (0.0,) * (K - kappa)
                  if kappa <= cap else (0.0,) * K
                  for kappa in range(1, K + 1))
@@ -253,7 +254,8 @@ def test_baseline_bid_matches_frozen_construction(bidder, sf, h_est, kind,
     u.buffer_s, u.prev_bitrate = state.buffer_s, state.prev_bitrate
     u.next_seq = data.draw(st.integers(0, total))
     u.pending = data.draw(st.integers(0, u.next_seq))
-    got = sim._bid(u, sf, h_est)
+    got = sim._bid(u, min(u.total_segments - u.next_seq,
+                          u.headroom_segments()), sf, h_est)
     want = frozen_baseline_bid(cfg, u, h_est)
     assert type(got) is type(want)
     assert float_bits(vars(got)) == float_bits(vars(want))
@@ -284,7 +286,8 @@ def test_baseline_profile_built_once_per_rate(monkeypatch, mechanism, K,
         for buffer_s in (0.0, 15.0, 25.0, 39.0):
             u.buffer_s = buffer_s
             for h_est in (0.3, 1.0, 5.0):
-                got = sim._bid(u, sf, h_est)
+                got = sim._bid(u, min(u.total_segments - u.next_seq,
+                                      u.headroom_segments()), sf, h_est)
                 want = frozen_baseline_bid(cfg, u, h_est)
                 assert float_bits(vars(got)) == float_bits(vars(want))
                 rates.add(baseline_bitrate(cfg.adaptation, u.state(), h_est,
@@ -468,6 +471,34 @@ def test_horizon_guard_raises_typed_error():
     assert cmstream.SimulationHorizonError is SimulationHorizonError
 
 
+@pytest.mark.parametrize("filtering", [False, True])
+@pytest.mark.parametrize("mechanism", ["somd", "momd", "vickrey_1d",
+                                       "noncooperative"])
+def test_zero_length_video_runs_no_auction(monkeypatch, mechanism,
+                                           filtering):
+    """A 0-s video has no segment to assign: the run logs no event, holds
+    no auction and leaves every per-user figure at 0. A wrapped _ready
+    fails the test after 100 polls instead of letting a regression spin at
+    t = 0 until the horizon guard."""
+    cfg, gen = heterogeneous_scenario(mechanism)
+    cfg = replace(cfg, video_length_s=0.0, participation_enabled=filtering)
+    ready, polls = _Simulation._ready, []
+
+    def guarded(self, t, auctioneer):
+        polls.append(t)
+        assert len(polls) <= 100, f"still polling at t={t}"
+        ready(self, t, auctioneer)
+
+    monkeypatch.setattr(_Simulation, "_ready", guarded)
+    result = run_simulation(cfg, *gen(0))
+    assert result.events == ()
+    assert result.auction_count == 0
+    assert polls == [0.0] * 3
+    for row in result.per_user_rows():
+        assert row.pop("user_id") in "ABC"
+        assert all(type(v) is float and v == 0.0 for v in row.values()), row
+
+
 def parent_resolve(self, t, auctioneer, bidders, sf, h_est):
     """_Simulation._resolve as it was when it booked every winner's utility
     as utility_total of its rates, not from its bid; frozen here, with
@@ -480,7 +511,8 @@ def parent_resolve(self, t, auctioneer, bidders, sf, h_est):
     self._log(t, "auction_start", auctioneer=auctioneer,
               mechanism=cfg.mechanism,
               **({"bidders": sorted(bidders)} if cooperative else {}))
-    bids = [self._bid(self.users[uid], sf, h_est) for uid in bidders]
+    bids = [self._bid(self.users[uid], cap, sf, h_est)
+            for uid, cap in bidders.items()]
 
     K = cfg.K if cfg.mechanism == "momd" else 1
     k_eff = min(K, sum(b.max_segments for b in bids))
@@ -493,7 +525,7 @@ def parent_resolve(self, t, auctioneer, bidders, sf, h_est):
                   for uid, rates in outcome.winning_bitrates.items()}
     order = [(uid, next(rates_iter[uid]))
              for uid in outcome.per_segment_winners]
-    free = cfg.mechanism != "momd" and bidders == [auctioneer]
+    free = cfg.mechanism != "momd" and list(bidders) == [auctioneer]
     won = {uid: (outcome.winning_bitrates[uid],
                  0.0 if free else outcome.payments[uid])
            for uid, kappa in outcome.revised_allocation.items()

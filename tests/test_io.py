@@ -497,6 +497,13 @@ def test_emit_results_csv_and_jsonl(tmp_path):
     summary = json.loads(line)
     assert summary["auction_count"] == 0
 
+    # one segment: no bitrate can drop, and the volume is still a float
+    cfg = SimConfig(users=(user,), mechanism="noncooperative",
+                    video_length_s=10.0)
+    emit_results(run_simulation(cfg, trace), "json-lines", tmp_path / "one")
+    text = (tmp_path / "one" / "metrics.jsonl").read_text()
+    assert '"degradation_volume_mbps": 0.0,' in text
+
 
 # -- the parsers against a frozen copy of them ---------------------------------
 #

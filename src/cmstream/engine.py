@@ -23,6 +23,11 @@ A winner's utility is booked from its bid: a row's price above 0 is
 was floored to 0 is computed again. Each auction makes its own score
 function, so the bid rows that ``build_momd_bid`` shares between bidders
 of one key live for one auction.
+
+An auction's candidate scan advances a user only while it has something to
+play, and at most once per instant: a user with nothing received yet, or
+one already brought to that instant that cannot finish its video there, is
+left as it is, because advancing it would change no figure and log nothing.
 """
 
 from __future__ import annotations
@@ -61,9 +66,23 @@ CAPACITY_WINDOW = 3  # completed downloads feeding the capacity estimate
 IDLE_RETRY_S = 1.0  # an auctioneer with no bidder polls again after this
 
 
-# json.dumps(payload, sort_keys=True) without a JSONEncoder.__init__ per
-# event; encode still builds a C encoder on every call, in iterencode
-_encode_payload = json.JSONEncoder(sort_keys=True).encode
+def _payload_encoder() -> Callable[[Dict[str, object]], str]:
+    """json.dumps(payload, sort_keys=True) with its C encoder built once,
+    as JSONEncoder.iterencode builds it on every call. A payload is an
+    acyclic dict that _log builds, so leaving out the cycle check
+    (markers=None) changes no byte. Without the C accelerator this is
+    JSONEncoder.encode."""
+    enc = json.JSONEncoder(sort_keys=True)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return enc.encode
+    chunks = make(None, enc.default, json.encoder.encode_basestring_ascii,
+                  None, enc.key_separator, enc.item_separator, enc.sort_keys,
+                  enc.skipkeys, enc.allow_nan)
+    return lambda payload: "".join(chunks(payload, 0))
+
+
+_encode_payload = _payload_encoder()
 
 
 class SimulationHorizonError(TraceUnderrunError):
@@ -199,6 +218,8 @@ class _UserSim:
     def __init__(self, profile: UserProfile, total_segments: int,
                  initial_capacity: float):
         self.profile = profile
+        self.segment_length_s = profile.ladder.segment_length_s
+        self.max_buffer_s = profile.ladder.max_buffer_s
         self.total_segments = total_segments
         self.buffer_s = 0.0
         self.prev_bitrate = 0.0
@@ -223,9 +244,8 @@ class _UserSim:
         return lsum(self.capacity_window) / len(self.capacity_window)
 
     def headroom_segments(self) -> int:
-        ladder = self.profile.ladder
-        return (math.floor((ladder.max_buffer_s - self.buffer_s)
-                           / ladder.segment_length_s + 1e-9) - self.pending)
+        return (math.floor((self.max_buffer_s - self.buffer_s)
+                           / self.segment_length_s + 1e-9) - self.pending)
 
     def state(self) -> UserState:
         # a fresh snapshot, not self: a bid keeps the state it was built
@@ -388,8 +408,7 @@ class _Simulation:
                  downloader: str) -> None:
         self._advance(uid, t)
         u = self.users[uid]
-        beta = u.profile.ladder.segment_length_s
-        u.buffer_s += beta
+        u.buffer_s += u.segment_length_s
         u.prev_bitrate = bitrate
         u.pending -= 1
         u.received.append((seq_no, bitrate))
@@ -405,23 +424,37 @@ class _Simulation:
         """The users that bid in an auction the auctioneer runs at t, in
         user order, each to its cap: its segments to assign or its room to
         buffer, the fewer. A user bids if it is encountered, its cap is
-        above 0 and it passes the participation filter when that is on."""
+        above 0 and it passes the participation filter when that is on.
+
+        A candidate is brought to t first, but only where ``_advance``
+        could change its state or the log; each skip is exact:
+        - with nothing received, the advance only sets ``last_update``,
+          which nothing reads before the first delivery, and ``_deliver``
+          advances the user itself;
+        - already at t and stalling, it would add 0.0 to ``stall_s``;
+        - already at t with more than 1e-12 s of video left to play, the
+          drain is 0.0, so the completion test, which that margin fails,
+          is the one thing it could act on.
+        The other advances run in user order, so events keep their
+        places in the log."""
         held = self._held
         held.seek(t)
         nearby = compress(self._members, map(
             operator.and_, held.nbrs[auctioneer], self._open))
         if self._filtering:
             h_n = held.caps[auctioneer]
+        video_s = self.cfg.video_length_s
         out = {}
         for uid, u in nearby:
-            self._advance(uid, t)
+            if u.received and (u.last_update != t or (
+                    not u.stalling and video_s - u.played_s <= 1e-12)):
+                self._advance(uid, t)
             room = u.headroom_segments()
             if room <= 0:
                 continue
             if self._filtering and not participates(
-                    u.profile.ladder.segment_length_s, u.buffer_s,
-                    u.prev_bitrate, h_n, held.share_sum(uid),
-                    self.cfg.participation):
+                    u.segment_length_s, u.buffer_s, u.prev_bitrate, h_n,
+                    held.share_sum(uid), self.cfg.participation):
                 continue
             out[uid] = min(u.total_segments - u.next_seq, room)
         return out
@@ -447,7 +480,7 @@ class _Simulation:
         cursor = t
         for uid, bitrate in allocation:
             receiver = self.users[uid]
-            beta = receiver.profile.ladder.segment_length_s
+            beta = receiver.segment_length_s
             start, volume = cursor, bitrate * beta
             cursor = self.capacity.finish_time(auctioneer, start, volume)
             if cursor == start:

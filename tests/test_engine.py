@@ -1,7 +1,9 @@
 """Unit tests for the trace-driven simulation engine."""
 
 import math
+import operator
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from cmstream.engine import (
 from cmstream.model import BitrateLadder, UserProfile, utility_total
 from cmstream.momd import resolve_vickrey_score
 from cmstream.somd import ScoreFunction
-from cmstream.strategy import AdaptationPolicy, baseline_bitrate
+from cmstream.strategy import AdaptationPolicy, baseline_bitrate, participates
 from cmstream.config import load_config
 from cmstream.experiments import (
     heterogeneous_scenario,
@@ -620,3 +622,110 @@ def test_somd_is_momd_at_k1_in_the_engine(policy):
                            ("utility", "cost", "average_bitrate_mbps",
                             "rebuffer_s")] for r in runs)
             assert float_bits(one) == float_bits(other)
+
+
+def parent_candidate_bidders(self, auctioneer, t):
+    """_Simulation._candidate_bidders as it was when it advanced every
+    nearby candidate with segments to assign to t before reading its
+    headroom; frozen here as the reference for the scan that skips the
+    advances that can change nothing."""
+    held = self._held
+    held.seek(t)
+    nearby = compress(self._members, map(
+        operator.and_, held.nbrs[auctioneer], self._open))
+    if self._filtering:
+        h_n = held.caps[auctioneer]
+    out = {}
+    for uid, u in nearby:
+        self._advance(uid, t)
+        room = u.headroom_segments()
+        if room <= 0:
+            continue
+        if self._filtering and not participates(
+                u.profile.ladder.segment_length_s, u.buffer_s,
+                u.prev_bitrate, h_n, held.share_sum(uid),
+                self.cfg.participation):
+            continue
+        out[uid] = min(u.total_segments - u.next_seq, room)
+    return out
+
+
+@st.composite
+def scan_groups(draw):
+    """A small group on a 0-60-s video: segment lengths of 0.5-10 s (each
+    user's a multiple of a base, the video a multiple of every one),
+    stepped capacities from weak to strong, and a full mesh or toggling
+    encounters."""
+    n = draw(st.integers(2, 6))
+    ids = [f"u{i}" for i in range(n)]
+    base = draw(st.floats(0.5, 5.0))
+    video_s = 2 * base * draw(st.integers(0, int(30 // base)))
+    users = []
+    for uid in ids:
+        beta = base * draw(st.sampled_from([1, 2]))
+        ladder = BitrateLadder(segment_length_s=beta, max_buffer_s=beta
+                               * draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])))
+        users.append(make_profile(
+            uid, ladder=ladder, theta=draw(st.floats(0.0, 2.0)),
+            cost_per_mbit=draw(st.floats(0.0, 0.4)),
+            link_cost_per_s=draw(st.sampled_from([0.0, 0.45]))))
+    steps = st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4)
+    capacity = CapacityTrace({
+        uid: tuple((7.0 * k, c) for k, c in enumerate(draw(steps)))
+        for uid in ids})
+    encounters = EncounterTrace()
+    if draw(st.booleans()):
+        toggles = {}
+        for k, a in enumerate(ids):
+            for b in ids[k + 1:]:
+                gaps = draw(st.lists(st.floats(0.5, 30.0), max_size=4))
+                t, state = 0.0, draw(st.integers(0, 1))
+                events = [(t, state)]
+                for gap in gaps:
+                    t, state = t + gap, 1 - state
+                    events.append((t, state))
+                toggles[(a, b)] = tuple(events)
+        encounters = EncounterTrace(toggles)
+    mechanism, K = draw(st.one_of(
+        st.tuples(st.sampled_from(["somd", "vickrey_1d"]), st.just(1)),
+        st.tuples(st.sampled_from(["momd", "noncooperative"]),
+                  st.integers(1, 4))))
+    cfg = SimConfig(users=tuple(users), K=K, mechanism=mechanism,
+                    adaptation=AdaptationPolicy(
+                        draw(st.sampled_from(AdaptationPolicy.KINDS))),
+                    participation_enabled=draw(st.booleans()),
+                    video_length_s=video_s)
+    return cfg, capacity, encounters
+
+
+def _counted_run(cfg, capacity, encounters):
+    """The run's rows, floats as bits, and the number of ready events it
+    handled."""
+    polls = []
+    ready = _Simulation._ready
+
+    def counted(self, t, auctioneer):
+        polls.append(t)
+        ready(self, t, auctioneer)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Simulation, "_ready", counted)
+        result = run_simulation(cfg, capacity, encounters)
+    return (float_bits(result.aggregate_row()),
+            float_bits(result.per_user_rows()),
+            [float_bits(e.as_row()) for e in result.events]), len(polls)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scan_groups())
+def test_candidate_scan_equals_the_advance_every_candidate_scan(group):
+    """Skipping the candidate advances that can change nothing leaves the
+    aggregate row, every per-user row and every event row as the scan
+    that advanced each candidate had them, bit for bit, and handles as
+    many ready events."""
+    got = _counted_run(*group)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Simulation, "_candidate_bidders",
+                   parent_candidate_bidders)
+        want = _counted_run(*group)
+    assert got == want

@@ -345,6 +345,9 @@ def cli_outputs(tmp_path_factory):
              "--out", "traces", "--seed", "11"],
             ["simulate", "--config", str(CONFIGS / "two_user.yaml"),
              "--traces", "traces", "--out", "run", "--events"],
+            ["simulate", "--config", str(CONFIGS / "two_user.yaml"),
+             "--traces", "traces", "--out", "jsonl", "--events",
+             "--format", "json-lines"],
             ["compare", "--config", str(CONFIGS / "three_user.yaml"),
              "--out", "cmp", "--replications", "2", "--k-values", "1,2"],
         ):
@@ -359,6 +362,9 @@ CLI_GOLDEN = {
     "run/summary.csv": "c7d94cc426c114a028a154fad189545ffbfc25d61d2f8a7f6f77401946ff8f3a",
     "run/events.csv": "9ac9b2669c28915c09ddb03bbf25c9f64b721e12cf41e1cea2893780a05119de",
     "run/config_snapshot.yaml": "225c5258a7484b8a41cd84dcc8877176ed792dd99735c08a6209516eeb2d9a76",
+    "jsonl/events.jsonl": "9adb678caf474d93ab3f71bc454e0b3274ccaccff97a2eaba3de5df883ac57cb",
+    "jsonl/metrics.jsonl": "3d90b8686fe284670453fd9033d2b8f1317238b24e0adf937ad0716df6597939",
+    "jsonl/summary.jsonl": "8dae2886f172ea947e0516d0ec2b101cdc649cfe7ba9424abb4120e5f841470c",
     "cmp/comparison.csv": "2912852e55e1cf5ca0a145c57f1db78b1a3230b3175d93a7178814597f079e70",
     "cmp/config_snapshot.yaml": "82a650ec4b860f305d9bd56b27fc4a95e1e0dd67191f7c83e5dc7afcf28d5c80",
 }

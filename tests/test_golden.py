@@ -17,7 +17,8 @@ noncooperative became momd at K = 1 in the engine.
 
 The command-line digests hash the files that ``gen-traces``, ``simulate``
 and ``compare`` write from the shipped configs; they were recorded before
-config loading moved into one module. The two ``config_snapshot.yaml``
+config loading moved into one module, and the three json-lines ones before
+the event payload encoder was built once. The two ``config_snapshot.yaml``
 digests were re-recorded when ``idle_retry_s``, ``d2d_delay_s``,
 ``overhead_time_per_auction_s`` and each user's ``helper`` stopped being
 settings: those keys left the snapshots, and nothing else in them moved.

@@ -3,14 +3,13 @@
 Exit codes: 0 success, 2 config error, 3 trace error, 4 oracle size guard.
 Subcommands raise; :func:`main` alone maps their errors to exit codes.
 Every run writes its full effective config next to its outputs so it can be
-reproduced exactly. CMSTREAM_VERBOSE=1 enables progress chatter.
+reproduced exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -43,11 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_SIZE_GUARD = 4
-
-
-def _note(msg: str) -> None:
-    if os.environ.get("CMSTREAM_VERBOSE", "") not in ("", "0"):
-        print(msg, file=sys.stderr)
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -98,7 +92,6 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, K=args.K)
     capacity, encounters = _read_traces(args.traces)
     with _out_dir(args.out) as out_dir:
-        _note(f"simulating {cfg.mechanism} K={cfg.K}")
         result = run_simulation(cfg, capacity, encounters)
         emit_results(result, args.format, out_dir, include_events=args.events)
         write_snapshot(out_dir, cfg, traces_dir=str(args.traces))

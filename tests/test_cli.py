@@ -132,11 +132,13 @@ def test_simulate_mechanism_and_k_flags(tmp_path, config_path, traces_dir):
 
 def test_simulate_adaptation_key(tmp_path, traces_dir, capsys):
     """``adaptation: hybrid`` is shorthand for ``adaptation: {kind:
-    hybrid}``; a baseline policy changes the results; an unknown one is a
-    config error."""
+    hybrid}``; each baseline policy runs and changes the results; an
+    unknown one is a config error."""
     outputs = {}
     for name, adaptation in (("optimal", None), ("long", {"kind": "hybrid"}),
-                             ("short", "hybrid"), ("bogus", "bogus")):
+                             ("short", "hybrid"), ("bogus", "bogus"),
+                             ("buffer", "buffer_based"),
+                             ("bandwidth", "bandwidth_based")):
         path = tmp_path / f"{name}.yaml"
         path.write_text(yaml.safe_dump(
             dict(SIM_CONFIG, **({"adaptation": adaptation}
@@ -153,8 +155,9 @@ def test_simulate_adaptation_key(tmp_path, traces_dir, capsys):
         outputs[name] = [(out / f).read_bytes()
                          for f in ("metrics.csv", "summary.csv")]
     assert outputs["long"] == outputs["short"]
-    for optimal, hybrid in zip(outputs["optimal"], outputs["long"]):
-        assert optimal != hybrid
+    for name in ("long", "buffer", "bandwidth"):
+        for optimal, baseline in zip(outputs["optimal"], outputs[name]):
+            assert optimal != baseline
 
 
 def test_simulate_bad_config(tmp_path, traces_dir):
@@ -193,6 +196,8 @@ def test_config_key_given_twice(tmp_path, capsys):
     ("overhead_energy_per_auction", float("nan")),
     ("overhead_energy_per_auction", float("inf")),
     ("video_length_s", float("nan")),
+    # finite, but the run's horizon guard past it overflows
+    ("video_length_s", 1.0e308),
 ])
 def test_simulate_non_finite_config(tmp_path, traces_dir, capsys, key, value):
     bad = tmp_path / "bad.yaml"
@@ -205,6 +210,7 @@ def test_simulate_non_finite_config(tmp_path, traces_dir, capsys, key, value):
     line = json.loads(err.splitlines()[-1])
     assert line["error"] == "config"
     assert key in line["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["idle_retry_s", "d2d_delay_s",
@@ -279,6 +285,16 @@ def test_compare_grid(tmp_path, config_path, capsys):
     assert lines[0].startswith("cell,social_welfare")
     assert len(lines) == 3  # header + two cells
     assert "mechanism=momd" in capsys.readouterr().out
+    # the single-segment mechanisms, run as momd at K = 1
+    single = tmp_path / "single"
+    assert main(["compare", "--config", str(CONFIGS / "three_user.yaml"),
+                 "--out", str(single), "--replications", "2",
+                 "--mechanisms", "somd,vickrey_1d,noncooperative",
+                 "--k-values", "1", "--overheads", "0"]) == EXIT_OK
+    with open(single / "comparison.csv", newline="") as f:
+        cells = [row[0] for row in csv.reader(f)][1:]
+    assert cells == [f"mechanism={m},K=1,overhead=0"
+                     for m in ("somd", "vickrey_1d", "noncooperative")]
 
 
 def test_csv_outputs_read_back_through_csv_reader(tmp_path, capsys):
@@ -527,7 +543,7 @@ def test_oracle_momd_profiles(tmp_path, capsys, offset, verdict):
     assert out[-1].endswith(f": {verdict}")
 
 
-def test_oracle_size_guard(tmp_path):
+def test_oracle_size_guard(tmp_path, capsys):
     inst = tmp_path / "big.yaml"
     inst.write_text(yaml.safe_dump({
         "K": 2,
@@ -536,6 +552,7 @@ def test_oracle_size_guard(tmp_path):
     }))
     assert main(["oracle", "--instance", str(inst),
                  "--kind", "momd"]) == EXIT_SIZE_GUARD
+    assert _trace_error(capsys)["error"] == "size-guard"
     inst.write_text(yaml.safe_dump({
         "K": 5,
         "downloader": {"user_id": "d"},
@@ -543,6 +560,7 @@ def test_oracle_size_guard(tmp_path):
     }))
     assert main(["oracle", "--instance", str(inst),
                  "--kind", "matrix"]) == EXIT_SIZE_GUARD
+    assert _trace_error(capsys)["error"] == "size-guard"
 
 
 def test_oracle_matrix_kind(tmp_path, capsys):
@@ -619,53 +637,72 @@ MISSPELT = {
 }
 
 
-# (kind, instance) pairs that are malformed in other ways
-MALFORMED = [
-    ("momd", {"K": 2, "marginal_scores": [1, 2]}),
-    ("somd", {"downloader": {"user_id": "d"}, "bidders": [5]}),
-    ("matrix", {"K": 2, "downloader": {"user_id": "d"}, "bidders": []}),
-    ("momd", {"K": 2.5, "downloader": {"user_id": "d"},
-              "bidders": [{"profile": {"user_id": "u"}}]}),
-    ("momd", {"K": True, "downloader": {"user_id": "d"},
-              "bidders": [{"profile": {"user_id": "u"}}]}),
-    ("momd", {"K": 2.5, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}),
-    ("momd", {"K": True, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}),
-    ("momd", {"K": 1, "marginal_scores": {"1": [True], "2": [4]}}),
-    ("matrix", {"downloader": {"user_id": "d"},
-                "bidders": [{"profile": {"user_id": "u"},
-                             "state": {"buffer_s": True}}]}),
-    ("somd", {"downloader": {"user_id": "d"},
-              "bidders": [{"profile": {"user_id": "u"}}],
-              "mechanism_welfare": True}),
-    ("momd", {"K": 1, "marginal_scores": {"1": [math.nan], "2": [3]}}),
-    ("momd", {"K": 1, "marginal_scores": {"1": [math.inf], "2": [3]}}),
-    ("somd", {"downloader": {"user_id": "d"},
-              "bidders": [{"profile": {"user_id": "u"}}],
-              "mechanism_welfare": math.nan}),
-    ("somd", {"downloader": {"user_id": "d"},
-              "bidders": [{"profile": {"user_id": "u"},
-                           "state": {"buffer_s": math.nan}}]}),
-    ("matrix", {"downloader": {"user_id": "d"},
-                "bidders": [{"profile": {"user_id": "u"},
-                             "state": {"prev_bitrate": math.inf}}]}),
-    ("momd", {"K": 2, "downloader": {"user_id": "d"},
-              "bidders": [{"profile": {"user_id": "u"}},
-                          {"profile": {"user_id": "u"}}]}),
-    ("momd", {"K": 1, "marginal_scores": {"1": [5], "2": "34"}}),
-    ("momd", {"K": 1, "marginal_scores": {"1": {5: None}, "2": [3]}}),
-]
+# id: (kind, instance malformed in other ways, what the error names)
+MALFORMED = {
+    "marginal-scores-list": ("momd", {"K": 2, "marginal_scores": [1, 2]},
+                             None),
+    "bidder-not-mapping": ("somd", {"downloader": {"user_id": "d"},
+                                    "bidders": [5]}, "bidders[0]"),
+    "matrix-no-bidder": ("matrix", {"K": 2, "downloader": {"user_id": "d"},
+                                    "bidders": []}, "needs a bidder"),
+    "bidders-fractional-k": ("momd", {
+        "K": 2.5, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}]}, None),
+    "bidders-boolean-k": ("momd", {
+        "K": True, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}]}, None),
+    "scores-fractional-k": ("momd", {
+        "K": 2.5, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}, None),
+    "scores-boolean-k": ("momd", {
+        "K": True, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}, None),
+    "scores-boolean-entry": ("momd", {
+        "K": 1, "marginal_scores": {"1": [True], "2": [4]}},
+        "marginal_scores.1"),
+    "state-boolean-buffer": ("matrix", {
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"},
+                     "state": {"buffer_s": True}}]},
+        "bidders[0].state.buffer_s"),
+    "welfare-boolean": ("somd", {
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}],
+        "mechanism_welfare": True}, "mechanism_welfare"),
+    "scores-nan": ("momd", {
+        "K": 1, "marginal_scores": {"1": [math.nan], "2": [3]}},
+        "marginal_scores.1"),
+    "scores-inf": ("momd", {
+        "K": 1, "marginal_scores": {"1": [math.inf], "2": [3]}},
+        "marginal_scores.1"),
+    "welfare-nan": ("somd", {
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}}],
+        "mechanism_welfare": math.nan}, "mechanism_welfare"),
+    "state-nan-buffer": ("somd", {
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"},
+                     "state": {"buffer_s": math.nan}}]},
+        "bidders[0].state: buffer_s"),
+    "state-inf-prev-bitrate": ("matrix", {
+        "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"},
+                     "state": {"prev_bitrate": math.inf}}]},
+        "bidders[0].state: prev_bitrate"),
+    "repeated-bidder": ("momd", {
+        "K": 2, "downloader": {"user_id": "d"},
+        "bidders": [{"profile": {"user_id": "u"}},
+                    {"profile": {"user_id": "u"}}]}, "bidder 'u' is repeated"),
+    "scores-string-entry": ("momd", {
+        "K": 1, "marginal_scores": {"1": [5], "2": "34"}},
+        "marginal_scores.2"),
+    "scores-mapping-entry": ("momd", {
+        "K": 1, "marginal_scores": {"1": {5: None}, "2": [3]}},
+        "marginal_scores.1"),
+}
 
 
-@pytest.mark.parametrize(
-    "kind,instance,named",
-    [(kind, instance, None) for kind, instance in MALFORMED]
-    + list(MISSPELT.values()),
-    ids=["marginal-scores-list", "bidder-not-mapping", "matrix-no-bidder",
-         "bidders-fractional-k", "bidders-boolean-k", "scores-fractional-k",
-         "scores-boolean-k", "scores-boolean-entry", "state-boolean-buffer",
-         "welfare-boolean", "scores-nan", "scores-inf", "welfare-nan",
-         "state-nan-buffer", "state-inf-prev-bitrate", "repeated-bidder",
-         "scores-string-entry", "scores-mapping-entry", *MISSPELT])
+@pytest.mark.parametrize("kind,instance,named",
+                         [*MALFORMED.values(), *MISSPELT.values()],
+                         ids=[*MALFORMED, *MISSPELT])
 def test_oracle_malformed_instance(tmp_path, capsys, kind, instance, named):
     inst = tmp_path / "bad.yaml"
     inst.write_text(yaml.safe_dump(instance))
@@ -856,6 +893,7 @@ def test_simulate_over_long_cell(tmp_path, config_path, capsys):
     err = _trace_error(capsys)
     assert err["error"] == "trace"
     assert err["message"].startswith("line 2: field larger than field limit")
+    assert not (tmp_path / "o").exists()
 
 
 def _two_user_renaming_a(tmp_path, uid):
@@ -1021,58 +1059,69 @@ def test_compare_mean_overflow(tmp_path, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
-def test_verbose_is_read_at_call_time(monkeypatch, tmp_path, config_path,
-                                      traces_dir, capsys):
-    args = ["simulate", "--config", str(config_path),
-            "--traces", str(traces_dir), "--out", str(tmp_path / "o")]
-    monkeypatch.delenv("CMSTREAM_VERBOSE", raising=False)
-    assert main(args) == EXIT_OK
-    assert "simulating" not in capsys.readouterr().err
-    monkeypatch.setenv("CMSTREAM_VERBOSE", "1")
-    assert main(args) == EXIT_OK
-    assert "simulating momd K=1" in capsys.readouterr().err
-
-
-# (command, key path into configs/two_user.yaml, value written there)
+# (command, {key path into configs/two_user.yaml: value written there},
+#  what the error names)
 HOSTILE = [
-    ("gen-traces", ("trace_stats", "A", "mean"), float("nan")),
-    ("gen-traces", ("trace_stats", "A", "mean"), -1),
-    ("gen-traces", ("trace", "step_s"), 0),
-    ("gen-traces", ("trace", "step_s"), float("nan")),
-    ("gen-traces", ("trace", "horizon_s"), float("inf")),
-    ("gen-traces", ("trace",), [1, 2]),
-    ("verify", ("trace",), {"horizon_s": 1.0e308, "step_s": 1.0e-10}),
-    ("compare", ("trace_stats", "A", "mean"), -1),
-    ("compare", ("trace", "step_s"), 0),
-    ("compare", ("mechansim",), "somd"),
-    ("gen-traces", ("mechansim",), "somd"),
-    ("compare", ("trace", "horizon"), 1600),
-    ("gen-traces", ("trace", "horizon"), 1600),
-    ("verify", ("trace", "horizon"), 1600),
-    ("compare", ("seed",), -1),
-    ("gen-traces", ("trace_stats", "A", "mean"), True),
-    ("compare", ("trace_stats", "B", "std"), False),
-    ("verify", ("overhead_energy_per_auction",), True),
-    ("verify", ("users", 0, "ladder", "rates"), "123"),
-    ("verify", ("users", 0, "ladder", "rates"), {0.2: 1, 0.4: 2}),
+    ("gen-traces", {("trace_stats", "A", "mean"): float("nan")},
+     "trace_stats.A.mean"),
+    ("gen-traces", {("trace_stats", "A", "mean"): -1}, "trace_stats.A.mean"),
+    ("gen-traces", {("trace", "step_s"): 0}, "trace.step_s"),
+    ("gen-traces", {("trace", "step_s"): float("nan")}, "trace.step_s"),
+    ("gen-traces", {("trace", "horizon_s"): float("inf")}, "trace.horizon_s"),
+    ("gen-traces", {("trace",): [1, 2]}, "trace: expected a mapping"),
+    # a synthetic-trace step count past the largest float
+    ("verify", {("trace",): {"horizon_s": 1.0e308, "step_s": 1.0e-10}},
+     "makes inf steps"),
+    ("gen-traces", {("trace",): {"horizon_s": 1.0e308, "step_s": 1.0e-10}},
+     "makes inf steps"),
+    ("compare", {("trace_stats", "A", "mean"): -1}, "trace_stats.A.mean"),
+    ("compare", {("trace", "step_s"): 0}, "trace.step_s"),
+    ("compare", {("mechansim",): "somd"}, "unknown keys ['mechansim']"),
+    ("gen-traces", {("mechansim",): "somd"}, "unknown keys ['mechansim']"),
+    ("compare", {("trace", "horizon"): 1600}, "unknown keys ['horizon']"),
+    ("gen-traces", {("trace", "horizon"): 1600}, "unknown keys ['horizon']"),
+    ("verify", {("trace", "horizon"): 1600}, "unknown keys ['horizon']"),
+    ("compare", {("seed",): -1}, "seed must be >= 0"),
+    ("gen-traces", {("trace_stats", "A", "mean"): True},
+     "trace_stats.A.mean"),
+    ("compare", {("trace_stats", "B", "std"): False}, "trace_stats.B.std"),
+    ("verify", {("overhead_energy_per_auction",): True},
+     "overhead_energy_per_auction"),
+    ("verify", {("users", 0, "ladder", "rates"): "123"}, "ladder.rates"),
+    ("verify", {("users", 0, "ladder", "rates"): {0.2: 1, 0.4: 2}},
+     "ladder.rates"),
+    # a segment count past the largest float
+    ("verify", {("video_length_s",): 1.0e10,
+                ("users", 0, "ladder", "segment_length_s"): 1.0e-300},
+     "user A: video_length_s 10000000000.0 over segment_length_s 1e-300"),
+    ("gen-traces", {("video_length_s",): 1.0e10,
+                    ("users", 0, "ladder", "segment_length_s"): 1.0e-300},
+     "user A: video_length_s 10000000000.0 over segment_length_s 1e-300"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,path,value", HOSTILE,
-    ids=[f"{c}-{'.'.join(map(str, p))}={v}" for c, p, v in HOSTILE])
-def test_hostile_config(tmp_path, capsys, command, path, value):
+    "command,edits,named", HOSTILE,
+    ids=[f"{c}-" + ",".join(f"{'.'.join(map(str, p))}={v}"
+                            for p, v in edits.items())
+         for c, edits, _ in HOSTILE])
+def test_hostile_config(tmp_path, capsys, command, edits, named):
     data = copy.deepcopy(TWO_USER)
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    for path, value in edits.items():
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     cfg = tmp_path / "hostile.yaml"
     cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
     argv = [command, "--config", str(cfg)]
     if command != "verify":
-        argv += ["--out", str(tmp_path / "out")]
+        argv += ["--out", str(out)]
     if command == "compare":
         argv += ["--replications", "1"]
     assert main(argv) == EXIT_CONFIG
-    assert _trace_error(capsys)["error"] == "config"
+    err = _trace_error(capsys)
+    assert err["error"] == "config"
+    assert named in err["message"]
+    assert not out.exists()

@@ -362,6 +362,41 @@ def test_stall_and_recovery_events():
     assert a.rebuffer_ratio == pytest.approx(a.rebuffer_s / 100.0)
 
 
+def test_buffer_emptied_at_the_advance_starts_no_stall():
+    """A buffer that runs dry exactly at the instant a user is advanced to
+    has played on without a gap: no stall starts, and a segment delivered
+    then ends none."""
+    cfg = SimConfig(users=(make_profile("A"),), mechanism="noncooperative",
+                    video_length_s=100.0)
+    sim = _Simulation(cfg, CapacityTrace({"A": ((0.0, 1.0),)}),
+                      EncounterTrace())
+    u = sim.users["A"]
+    u.received.append((0, 1.3))
+    u.buffer_s, u.next_seq, u.pending = 10.0, 2, 1
+    sim._advance("A", 10.0)
+    assert (u.buffer_s, u.played_s, u.stalling) == (0.0, 10.0, False)
+    sim._deliver(10.0, "A", 1.3, 1, "A")
+    assert [e.kind for e in sim.events] == ["segment_delivered"]
+
+
+def test_candidate_scan_completes_a_user_at_t():
+    """A candidate already at t, playing and not yet completed, with at
+    most 1e-12 s of video left, is advanced by the scan and logs its
+    video_complete."""
+    cfg = SimConfig(users=(make_profile("A"), make_profile("B")),
+                    video_length_s=100.0)
+    sim = _Simulation(cfg, CapacityTrace({"A": ((0.0, 1.0),),
+                                          "B": ((0.0, 1.0),)}),
+                      EncounterTrace())
+    b = sim.users["B"]
+    b.received.append((0, 1.3))
+    b.buffer_s, b.played_s, b.last_update = 10.0, 100.0 - 2.0 ** -43, 5.0
+    sim._candidate_bidders("A", 5.0)
+    assert b.completed
+    assert [(e.time_s, e.kind, e.payload) for e in sim.events] == [
+        (5.0, "video_complete", {"user": "B"})]
+
+
 def test_two_user_unmodified_degrades_user_a():
     cfg, gen = two_user_scenario(0.3, modified=False)
     cap, enc = gen(1)

@@ -497,12 +497,18 @@ def test_emit_results_csv_and_jsonl(tmp_path):
     summary = json.loads(line)
     assert summary["auction_count"] == 0
 
-    # one segment: no bitrate can drop, and the volume is still a float
+    # one segment: no bitrate can drop, and the volume is still a float;
+    # every events line, and the payload it holds, parses as JSON
     cfg = SimConfig(users=(user,), mechanism="noncooperative",
                     video_length_s=10.0)
-    emit_results(run_simulation(cfg, trace), "json-lines", tmp_path / "one")
+    emit_results(run_simulation(cfg, trace), "json-lines", tmp_path / "one",
+                 include_events=True)
     text = (tmp_path / "one" / "metrics.jsonl").read_text()
     assert '"degradation_volume_mbps": 0.0,' in text
+    with open(tmp_path / "one" / "events.jsonl") as f:
+        rows = [json.loads(line) for line in f]
+    assert rows and all(isinstance(json.loads(row["payload"]), dict)
+                        for row in rows)
 
 
 # -- the parsers against a frozen copy of them ---------------------------------

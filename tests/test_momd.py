@@ -353,6 +353,9 @@ def test_sufficient_conditions_trivial():
     assert report.nonnegative_ok
     assert report.nonincreasing_lhs == pytest.approx(0.0)
     assert report.all_ok
+    # no quality gain: gain equals the free download's cost at every rate
+    flat = make_profile("u", theta=0.0)
+    assert check_sufficient_conditions(dl, flat, 4).nonnegative_ok
 
 
 def test_sufficient_conditions_values():
@@ -369,6 +372,37 @@ def test_sufficient_conditions_values():
     assert report.delta_bound == pytest.approx(0.078125)
     assert not report.nonincreasing_ok  # lhs 2*4*6.9 + 2.3 far exceeds it
     assert not report.all_ok
+
+
+def test_sufficient_conditions_by_hand():
+    """Condition (b) on an instance whose floats are exact. A segment at
+    the top rate costs 1/64 * 2.0 * 10 = 0.3125, so the lhs
+    2K * 0.3125 + 0.375 * 2.0 is 1.375 at K = 1, 2.0 at K = 2 and 2.625 at
+    K = 3; the bound 64 * (1 - 0.5) * 0.5 ** (40 / 10 + K - 2) is 2.0 at
+    K = 2 and 1.0 at K = 3. A lhs on the bound passes."""
+    dl = make_profile("d", cost_per_mbit=1 / 64)
+    bidder = make_profile(
+        "u", ladder=BitrateLadder(rates=(0.5, 1.0, 2.0),
+                                  segment_length_s=10.0, max_buffer_s=40.0),
+        buffer_gain_scale=64.0, buffer_gain_decay=0.5,
+        degradation_slope=0.375)
+    got = {K: check_sufficient_conditions(dl, bidder, K) for K in (1, 2, 3)}
+    assert {K: (r.nonincreasing_lhs, r.delta_bound, r.nonincreasing_ok)
+            for K, r in got.items()} == {1: (1.375, float("inf"), True),
+                                         2: (2.0, 2.0, True),
+                                         3: (2.625, 1.0, False)}
+
+
+def test_brute_force_ties_go_to_the_first():
+    """Bidders with no quality gain, no cost and nothing to drop from tie
+    on every vector, and two such bidders tie on every split of one
+    segment: the first best vector per count and the first best split
+    win."""
+    flat = [(make_profile(uid, theta=0.0), UserState()) for uid in "ab"]
+    alloc, vectors, _ = brute_force_momd_optimum(
+        flat, make_profile("d", cost_per_mbit=0.0), 1)
+    assert alloc == (0, 1)
+    assert vectors == {"a": (), "b": (0.2,)}
 
 
 def test_truthfulness_smoke_suite():

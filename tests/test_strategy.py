@@ -15,6 +15,7 @@ from cmstream.model import (
     quality_gain_single,
     utility_total,
 )
+from cmstream import strategy
 from cmstream.somd import ScoreFunction, SomdBid, optimal_somd_bid
 from cmstream.strategy import (
     AdaptationPolicy,
@@ -126,6 +127,14 @@ def test_reduced_solver_matches_brute_force_random():
             got = row_objective(p, state, sf, fast[kappa - 1][:kappa])
             want = row_objective(p, state, sf, brute[kappa - 1])
             assert got == pytest.approx(want)
+
+
+def test_brute_force_rows_take_the_smallest_tied_vector():
+    """With no quality gain, no cost and nothing to drop from, every
+    vector scores 0, and each row is the lexicographically smallest."""
+    rows = brute_force_bitrate_rows(make_profile(theta=0.0), UserState(),
+                                    lambda r: 0.0, 2)
+    assert rows == ((0.2,), (0.2, 0.2))
 
 
 def test_truthful_prices():
@@ -283,6 +292,19 @@ def test_rows_never_cross_score_functions():
     assert rows[1][0][0] < 2.3
 
 
+def test_row_table_starts_over_past_max_keys():
+    """Under one score function for good, the table fills to MAX keys, and
+    the next new key empties it first."""
+    sf = ScoreFunction.efficient(make_profile("d"))
+    p = make_profile()
+    sizes = []
+    table = strategy._table
+    for k in range(table.MAX + 1):
+        build_momd_bid(p, UserState(prev_bitrate=0.01 * k), sf, 1)
+        sizes.append(len(table.rows))
+    assert sizes[-2:] == [table.MAX, 1]
+
+
 def ref_optimal_somd_bid(profile, state, sf):
     best = None
     for r in profile.ladder.rates:
@@ -344,6 +366,17 @@ def test_participation_empty_buffer():
     # when better shared capacity is around, and accepted otherwise
     assert not should_participate(p, state, 0.2, (1.0, 2.0), cfg)
     assert should_participate(p, state, 2.0, (1.0, 2.0), cfg)
+
+
+def test_participation_at_each_threshold():
+    """A capacity equal to a threshold is not below it: the bidder takes
+    part at the buffer threshold on a weak link, and at the link
+    threshold on an empty buffer."""
+    cfg = ParticipationConfig(alpha_buf=1.0, alpha_link=0.5)
+    # buffer threshold 1.0 * 2.0 * 10 / 10 = 2.0, below the link's 0.5 * 8
+    assert participates(10.0, 10.0, 2.0, 2.0, 8.0, cfg)
+    # link threshold 0.5 * 4.0 = 2.0
+    assert participates(10.0, 0.0, 2.0, 2.0, 4.0, cfg)
 
 
 def test_participation_rejects_negative_capacity():
@@ -422,6 +455,7 @@ def test_adaptation_policy_validation():
 def test_baseline_bandwidth_based():
     policy = AdaptationPolicy("bandwidth_based")
     assert baseline_bitrate(policy, UserState(), 1.5, LADDER) == 1.3
+    assert baseline_bitrate(policy, UserState(), 1.3, LADDER) == 1.3
     assert baseline_bitrate(policy, UserState(), 0.05, LADDER) == 0.2
     assert baseline_bitrate(policy, UserState(), 10.0, LADDER) == 2.3
 

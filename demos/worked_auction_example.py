@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Walk through the two auction rules on small hand-checkable inputs.
 
-First a single-object second-score auction, then the multi-object
-Vickrey-score auction on the three-bidder marginal-score instance whose
-allocation and payments can be verified by hand.
+First a single-object second-score auction, run as the multi-object
+Vickrey-score auction at K = 1, then that auction on the three-bidder
+marginal-score instance whose allocation and payments can be verified by
+hand.
 """
 
-from cmstream.momd import resolve_from_marginal_scores
-from cmstream.somd import ScoreFunction, SomdBid, resolve_second_score
+from cmstream import (
+    MomdBid,
+    ScoreFunction,
+    resolve_from_marginal_scores,
+    resolve_vickrey_score,
+)
 
 print("=== Second-score auction ===")
 print()
@@ -16,17 +21,20 @@ print("(bitrate, price) pair; with a zero score penalty the score is")
 print("just the price, so this reduces to a second-price auction.")
 print()
 
+# one-row bids: a bitrate matrix of one segment and its price
 bids = [
-    SomdBid(bidder_id="alice", bitrate=1.3, price=5.0),
-    SomdBid(bidder_id="bob", bitrate=2.3, price=3.0),
-    SomdBid(bidder_id="carol", bitrate=0.7, price=2.0),
+    MomdBid(bidder_id="alice", bitrate_matrix=((1.3,),), price_vector=(5.0,)),
+    MomdBid(bidder_id="bob", bitrate_matrix=((2.3,),), price_vector=(3.0,)),
+    MomdBid(bidder_id="carol", bitrate_matrix=((0.7,),), price_vector=(2.0,)),
 ]
-outcome = resolve_second_score(bids, ScoreFunction.zero())
+outcome = resolve_vickrey_score(bids, ScoreFunction.zero(), 1)
 for bid in bids:
-    print(f"  {bid.bidder_id:>5}: bitrate {bid.bitrate} Mbps, price {bid.price}")
+    print(f"  {bid.bidder_id:>5}: bitrate {bid.row(1)[0]} Mbps, "
+          f"price {bid.price_vector[0]}")
 print()
-print(f"Winner: {outcome.winner_id} at {outcome.winning_bitrate} Mbps, "
-      f"paying {outcome.payment} (the second-highest score).")
+winner = outcome.per_segment_winners[0]
+print(f"Winner: {winner} at {outcome.winning_bitrates[winner][0]} Mbps, "
+      f"paying {outcome.payments[winner]} (the second-highest score).")
 print()
 
 print("=== Vickrey-score auction, K = 4 segments ===")

@@ -260,21 +260,22 @@ def _oracle_inputs(data: Mapping, kind: str) -> dict:
     if kind == "momd" and "marginal_scores" in data:
         _reject_unknown(data, {"K", "marginal_scores"}, "instance")
         scores = {}
-        for k, v in data["marginal_scores"].items():
+        for k, v in _mapping(data["marginal_scores"],
+                             "marginal_scores").items():
             if str(k) in scores:
                 raise ConfigError(f"marginal_scores key {k!r} names bidder "
                                   f"{str(k)!r} twice")
             where = f"marginal_scores.{k}"
             scores[str(k)] = [_finite(x, where) for x in
                               coerce("Tuple[float, ...]", v, where)]
-        return {"scores": scores, "K": lossless_int(data["K"])}
+        return {"scores": scores, "K": coerce("int", data["K"], "K")}
     # the matrix oracle compares no welfare, so a claimed one is unknown
     _reject_unknown(data, {"K", "downloader", "bidders"} if kind == "matrix"
                     else {"K", "downloader", "bidders", "mechanism_welfare"},
                     "instance")
     inputs = {"downloader": user_from_dict(data["downloader"]),
               "bidders": _instance_bidders(data),
-              "K": lossless_int(data.get("K", 1))}
+              "K": coerce("int", data.get("K", 1), "K")}
     if kind == "matrix" and not inputs["bidders"]:
         raise ConfigError("the matrix oracle needs a bidder")
     if "mechanism_welfare" in data:

@@ -26,8 +26,8 @@ of one key live for one auction.
 
 An auction's candidate scan advances a user only while it has something to
 play, and at most once per instant: a user with nothing received yet, or
-one already brought to that instant that cannot finish its video there, is
-left as it is, because advancing it would change no figure and log nothing.
+one already brought to that instant, is left as it is, because advancing
+it would change no figure and log nothing.
 """
 
 from __future__ import annotations
@@ -257,14 +257,14 @@ class _UserSim:
 class _HeldTrace:
     """The traces as they stand at the instant of the last seek: every
     user's neighbourhood (the users it encounters, itself included) as a
-    mask over the users in user order, and every user's capacity when
-    built with a capacity trace. A heap of cursors holds the changes still
-    to come, one per pair over its toggles and one per user over its
-    breakpoints. No seek goes back: the engine's events are pushed at or
-    after the current time, and its heap pops them in time order."""
+    mask over the users in user order, and every user's capacity. A heap
+    of cursors holds the changes still to come, one per pair over its
+    toggles and one per user over its breakpoints. No seek goes back: the
+    engine's events are pushed at or after the current time, and its heap
+    pops them in time order."""
 
     def __init__(self, place: Dict[str, int], encounters: EncounterTrace,
-                 capacity: Optional[CapacityTrace] = None):
+                 capacity: CapacityTrace):
         if encounters.default_connected:
             nbrs = {i: bytearray(b"\1") * len(place) for i in place}
         else:
@@ -279,15 +279,13 @@ class _HeldTrace:
             nbrs[a][place[b]] = nbrs[b][place[a]] = 0
             if events:
                 cursors.append((events[0][0], len(cursors), events, 0, a, b))
-        self.caps = None
-        if capacity is not None:
-            self.caps = {}
-            for i in place:
-                points = capacity.breakpoints[i]
-                self.caps[i] = points[0][1]
-                if len(points) > 1:
-                    cursors.append((points[1][0], len(cursors), points, 1,
-                                    i, None))
+        self.caps = {}
+        for i in place:
+            points = capacity.breakpoints[i]
+            self.caps[i] = points[0][1]
+            if len(points) > 1:
+                cursors.append((points[1][0], len(cursors), points, 1, i,
+                                None))
         heapq.heapify(cursors)
         self.nbrs, self._cursors, self._place = nbrs, cursors, place
         # the epoch's shares, one per user in user order, and its rows
@@ -322,9 +320,6 @@ class _HeldTrace:
         row = self._sums.get(uid)
         if row is None:
             if self._shares is None:
-                if self.caps is None:
-                    raise RuntimeError(f"share sum of user {uid} read from "
-                                       f"a trace held without capacities")
                 self._shares = [h / mask.count(1) for h, mask in
                                 zip(self.caps.values(), self.nbrs.values())]
             row = self._sums[uid] = lsum(compress(self._shares,
@@ -354,8 +349,7 @@ class _Simulation:
         self._open = bytearray(u.total_segments > 0
                                for u in self.users.values())
         self.horizon_guard = horizon_guard(cfg.video_length_s)
-        # a noncooperative user bids alone, over a self-only neighbourhood;
-        # only the participation filter reads capacities
+        # a noncooperative user bids alone, over a self-only neighbourhood
         self._cooperative = cfg.mechanism != "noncooperative"
         self._momd = cfg.mechanism == "momd"
         self._bid_k = cfg.K if self._momd else 1
@@ -363,8 +357,7 @@ class _Simulation:
         self._held = _HeldTrace(
             self._place,
             encounters if self._cooperative
-            else EncounterTrace(default_connected=False),
-            capacity if self._filtering else None)
+            else EncounterTrace(default_connected=False), capacity)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -431,10 +424,9 @@ class _Simulation:
         - with nothing received, the advance only sets ``last_update``,
           which nothing reads before the first delivery, and ``_deliver``
           advances the user itself;
-        - already at t and stalling, it would add 0.0 to ``stall_s``;
-        - already at t with more than 1e-12 s of video left to play, the
-          drain is 0.0, so the completion test, which that margin fails,
-          is the one thing it could act on.
+        - already at t, it would add 0.0 to ``stall_s`` or drain 0.0 with
+          more than a segment of video left to play, since a candidate
+          still has a segment to assign.
         The other advances run in user order, so events keep their
         places in the log."""
         held = self._held
@@ -443,11 +435,9 @@ class _Simulation:
             operator.and_, held.nbrs[auctioneer], self._open))
         if self._filtering:
             h_n = held.caps[auctioneer]
-        video_s = self.cfg.video_length_s
         out = {}
         for uid, u in nearby:
-            if u.received and (u.last_update != t or (
-                    not u.stalling and video_s - u.played_s <= 1e-12)):
+            if u.received and u.last_update != t:
                 self._advance(uid, t)
             room = u.headroom_segments()
             if room <= 0:

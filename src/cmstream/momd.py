@@ -216,8 +216,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
             continue
         others = list(itertools.islice(
             (-s for s, b, _ in entries if b != bidder_id), K))
-        others += [0.0] * (K - len(others))  # absent competitors do no damage
-        damage = lsum(others[K - kappa:])
+        damage = lsum(others[K - kappa:])  # absent competitors do no damage
         bitrates[bidder_id] = bid.bitrate_matrix[kappa - 1][:kappa]
         payments[bidder_id] = penalties[kappa - 1] + damage
 

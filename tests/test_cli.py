@@ -640,21 +640,23 @@ MISSPELT = {
 # id: (kind, instance malformed in other ways, what the error names)
 MALFORMED = {
     "marginal-scores-list": ("momd", {"K": 2, "marginal_scores": [1, 2]},
-                             None),
+                             "marginal_scores: expected a mapping"),
     "bidder-not-mapping": ("somd", {"downloader": {"user_id": "d"},
                                     "bidders": [5]}, "bidders[0]"),
     "matrix-no-bidder": ("matrix", {"K": 2, "downloader": {"user_id": "d"},
                                     "bidders": []}, "needs a bidder"),
     "bidders-fractional-k": ("momd", {
         "K": 2.5, "downloader": {"user_id": "d"},
-        "bidders": [{"profile": {"user_id": "u"}}]}, None),
+        "bidders": [{"profile": {"user_id": "u"}}]}, "K: expected an integer"),
     "bidders-boolean-k": ("momd", {
         "K": True, "downloader": {"user_id": "d"},
-        "bidders": [{"profile": {"user_id": "u"}}]}, None),
+        "bidders": [{"profile": {"user_id": "u"}}]}, "K: expected an integer"),
     "scores-fractional-k": ("momd", {
-        "K": 2.5, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}, None),
+        "K": 2.5, "marginal_scores": {"1": [3, 2], "2": [4, 1]}},
+        "K: expected an integer"),
     "scores-boolean-k": ("momd", {
-        "K": True, "marginal_scores": {"1": [3, 2], "2": [4, 1]}}, None),
+        "K": True, "marginal_scores": {"1": [3, 2], "2": [4, 1]}},
+        "K: expected an integer"),
     "scores-boolean-entry": ("momd", {
         "K": 1, "marginal_scores": {"1": [True], "2": [4]}},
         "marginal_scores.1"),
@@ -710,7 +712,7 @@ def test_oracle_malformed_instance(tmp_path, capsys, kind, instance, named):
                  "--kind", kind]) == EXIT_CONFIG
     err = _trace_error(capsys)
     assert err["error"] == "config"
-    assert named is None or named in err["message"]
+    assert named in err["message"]
 
 
 @pytest.mark.parametrize("bidders", [1, 2])

@@ -20,7 +20,7 @@ from cmstream.engine import (
     run_simulation,
 )
 from cmstream.model import BitrateLadder, UserProfile, utility_total
-from cmstream.momd import resolve_vickrey_score
+from cmstream.momd import _best_split, momd_score, resolve_vickrey_score
 from cmstream.somd import ScoreFunction
 from cmstream.strategy import AdaptationPolicy, baseline_bitrate, participates
 from cmstream.config import load_config
@@ -379,24 +379,6 @@ def test_buffer_emptied_at_the_advance_starts_no_stall():
     assert [e.kind for e in sim.events] == ["segment_delivered"]
 
 
-def test_candidate_scan_completes_a_user_at_t():
-    """A candidate already at t, playing and not yet completed, with at
-    most 1e-12 s of video left, is advanced by the scan and logs its
-    video_complete."""
-    cfg = SimConfig(users=(make_profile("A"), make_profile("B")),
-                    video_length_s=100.0)
-    sim = _Simulation(cfg, CapacityTrace({"A": ((0.0, 1.0),),
-                                          "B": ((0.0, 1.0),)}),
-                      EncounterTrace())
-    b = sim.users["B"]
-    b.received.append((0, 1.3))
-    b.buffer_s, b.played_s, b.last_update = 10.0, 100.0 - 2.0 ** -43, 5.0
-    sim._candidate_bidders("A", 5.0)
-    assert b.completed
-    assert [(e.time_s, e.kind, e.payload) for e in sim.events] == [
-        (5.0, "video_complete", {"user": "B"})]
-
-
 def test_two_user_unmodified_degrades_user_a():
     cfg, gen = two_user_scenario(0.3, modified=False)
     cap, enc = gen(1)
@@ -685,13 +667,19 @@ def parent_candidate_bidders(self, auctioneer, t):
     return out
 
 
+# (mechanism, K): any mechanism, at the K each allows
+ANY_MECHANISM = st.one_of(
+    st.tuples(st.sampled_from(["somd", "vickrey_1d"]), st.just(1)),
+    st.tuples(st.sampled_from(["momd", "noncooperative"]), st.integers(1, 4)))
+
+
 @st.composite
-def scan_groups(draw):
-    """A small group on a 0-60-s video: segment lengths of 0.5-10 s (each
-    user's a multiple of a base, the video a multiple of every one),
-    stepped capacities from weak to strong, and a full mesh or toggling
-    encounters."""
-    n = draw(st.integers(2, 6))
+def scan_groups(draw, max_users=6, mechanisms=ANY_MECHANISM):
+    """A group of 2 to max_users users on a 0-60-s video: segment lengths
+    of 0.5-10 s (each user's a multiple of a base, the video a multiple of
+    every one), stepped capacities from weak to strong, a full mesh or
+    toggling encounters, and a (mechanism, K) drawn from mechanisms."""
+    n = draw(st.integers(2, max_users))
     ids = [f"u{i}" for i in range(n)]
     base = draw(st.floats(0.5, 5.0))
     video_s = 2 * base * draw(st.integers(0, int(30 // base)))
@@ -721,10 +709,7 @@ def scan_groups(draw):
                     events.append((t, state))
                 toggles[(a, b)] = tuple(events)
         encounters = EncounterTrace(toggles)
-    mechanism, K = draw(st.one_of(
-        st.tuples(st.sampled_from(["somd", "vickrey_1d"]), st.just(1)),
-        st.tuples(st.sampled_from(["momd", "noncooperative"]),
-                  st.integers(1, 4))))
+    mechanism, K = draw(mechanisms)
     cfg = SimConfig(users=tuple(users), K=K, mechanism=mechanism,
                     adaptation=AdaptationPolicy(
                         draw(st.sampled_from(AdaptationPolicy.KINDS))),
@@ -764,3 +749,50 @@ def test_candidate_scan_equals_the_advance_every_candidate_scan(group):
                    parent_candidate_bidders)
         want = _counted_run(*group)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scan_groups(max_users=4, mechanisms=st.sampled_from(
+    ["momd", "somd", "noncooperative"]).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, 4 if m == "momd" else 1)))))
+def test_engine_auctions_meet_the_paper_claims(group):
+    """Every auction a run resolves whose marginal scores meet Assumption 1
+    allocates min(K, the bidders' caps) segments in the best split of the
+    submitted rows under its score function, and charges each winner at
+    least 0 and its won rates' score penalty, and at most its row's price.
+    vickrey_1d is left out: its zero score function is not welfare."""
+    cfg, capacity, encounters = group
+    auctions = []
+
+    def recording_resolve(bids, sf, K):
+        outcome = resolve_vickrey_score(bids, sf, K)
+        auctions.append((bids, sf, outcome))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmstream.engine, "resolve_vickrey_score",
+                   recording_resolve)
+        run_simulation(cfg, capacity, encounters)
+    bid_k = cfg.K if cfg.mechanism == "momd" else 1
+    for bids, sf, outcome in auctions:
+        if outcome.assumption_violations:
+            continue
+        won = outcome.revised_allocation
+        K = min(bid_k, sum(b.max_segments for b in bids))
+        assert sum(won.values()) == len(outcome.per_segment_winners) == K
+        rows = [[0.0] + [momd_score(b.row(k), b.price_vector[k - 1], sf)
+                         if k <= b.max_segments else None
+                         for k in range(1, K + 1)] for b in bids]
+        total = 0.0
+        for b in bids:
+            kappa = won[b.bidder_id]
+            if not kappa:
+                continue
+            rates = outcome.winning_bitrates[b.bidder_id]
+            price = b.price_vector[kappa - 1]
+            pay = outcome.payments[b.bidder_id]
+            total += momd_score(rates, price, sf)
+            assert pay >= 0.0
+            assert pay >= sf.of_vector(rates) - 1e-9
+            assert pay <= price + 1e-9
+        assert abs(total - _best_split(rows, K)[1]) <= 1e-9

@@ -163,12 +163,11 @@ def test_connected_matches_linear_scan(events, default, data):
 
 # -- engine held trace state ---------------------------------------------------
 
-def held_trace(capacity, encounters, with_capacities=True):
+def held_trace(capacity, encounters):
     """The engine's held state over the capacity trace's users, in its
     order."""
     place = {uid: k for k, uid in enumerate(capacity.users)}
-    return _HeldTrace(place, encounters,
-                      capacity if with_capacities else None)
+    return _HeldTrace(place, encounters, capacity)
 
 
 def held_at_each(build, instants):
@@ -321,11 +320,10 @@ def held_state_group(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(held_state_group(), st.booleans(), st.data())
-def test_held_state_matches_point_queries(group, with_capacities, data):
-    """The masks, and the capacities when held, answer as the point
-    queries do after every seek; held without capacities, the state has no
-    share sum to give."""
+@given(held_state_group(), st.data())
+def test_held_state_matches_point_queries(group, data):
+    """The masks and the capacities answer as the point queries do after
+    every seek."""
     capacity, encounters = group
     users = capacity.users
     grid = data.draw(st.lists(half_seconds, min_size=1, max_size=8))
@@ -333,16 +331,9 @@ def test_held_state_matches_point_queries(group, with_capacities, data):
     monotone = sorted(grid + edges)
     revisits = data.draw(st.permutations(monotone))
     for t, held in held_at_each(
-            lambda: held_trace(capacity, encounters, with_capacities),
-            monotone + revisits):
+            lambda: held_trace(capacity, encounters), monotone + revisits):
         for i in users:
             # a mask over the users in user order
             assert list(held.nbrs[i]) == [encounters.connected(i, j, t)
                                           for j in users]
-        if with_capacities:
-            assert held.caps == {i: capacity.capacity_at(i, t)
-                                 for i in users}
-        else:
-            assert held.caps is None
-            with pytest.raises(RuntimeError, match="without capacities"):
-                held.share_sum(users[0])
+        assert held.caps == {i: capacity.capacity_at(i, t) for i in users}

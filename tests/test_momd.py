@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import runpy
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -749,3 +751,51 @@ def test_marginal_scores_match_frozen_copy(auction, scores):
         assert float_bits(got) == float_bits(want)
         assert validate_assumption1(got) == ref_validate_assumption1(want)
     assert validate_assumption1(scores) == ref_validate_assumption1(scores)
+
+
+# the worked-example demo's stdout, as printed when it ran the second-score
+# auction through somd's own bid and resolver
+WORKED_EXAMPLE = """\
+=== Second-score auction ===
+
+Three bidders compete for one segment slot. Each bid is a
+(bitrate, price) pair; with a zero score penalty the score is
+just the price, so this reduces to a second-price auction.
+
+  alice: bitrate 1.3 Mbps, price 5.0
+    bob: bitrate 2.3 Mbps, price 3.0
+  carol: bitrate 0.7 Mbps, price 2.0
+
+Winner: alice at 1.3 Mbps, paying 3.0 (the second-highest score).
+
+=== Vickrey-score auction, K = 4 segments ===
+
+Each bidder reports a marginal-score sequence: the score increase
+from winning one more segment. The four globally highest marginal
+scores win; each winner pays the score damage it causes the others.
+
+  bidder 1: marginal scores (8.0, 7.0, 5.0, 2.0)
+  bidder 2: marginal scores (9.0, 6.0, 3.0, 2.0)
+  bidder 3: marginal scores (4.0, 4.0, 3.0, 1.0)
+
+Sorted marginals: 9, 8, 7, 6 | 5, 4, 4, ... -- the top four come
+from bidders 1 and 2 (two each); bidder 3 wins nothing.
+
+Allocation: {'1': 2, '2': 2, '3': 0}
+  bidder 1 pays 8 (score damage to the others)
+  bidder 2 pays 9 (score damage to the others)
+
+Without bidder 1, bidder 3's marginals 4 and 4 would have won:
+damage 4 + 4 = 8. Without bidder 2, bidder 1's 5 and bidder 3's 4
+move up: damage 5 + 4 = 9.
+"""
+
+
+def test_worked_example_demo_prints_its_walk_through(capsys):
+    """The demo's second-score walk-through runs as the Vickrey-score
+    auction at K = 1 under the zero score, and prints what it printed when
+    somd's own resolver ran it."""
+    demo = (Path(__file__).resolve().parent.parent / "demos"
+            / "worked_auction_example.py")
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out == WORKED_EXAMPLE

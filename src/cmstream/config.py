@@ -296,7 +296,8 @@ def load_instance(path, kind: str) -> dict:
     try:
         return _oracle_inputs(data, kind)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ConfigError(f"bad instance: {exc!r}") from exc
+        what = exc if isinstance(exc, ConfigError) else repr(exc)
+        raise ConfigError(f"bad instance: {what}") from exc
 
 
 def write_snapshot(out_dir: Path, cfg: SimConfig,

@@ -21,8 +21,7 @@ only momd charges a lone auctioneer for its own download.
 A winner's utility is booked from its bid: a row's price above 0 is
 ``utility_total`` of the won rates bit for bit, so only a row whose price
 was floored to 0 is computed again. Each auction makes its own score
-function, so the bid rows that ``build_momd_bid`` shares between bidders
-of one key live for one auction.
+function, which keeps the bid rows its bidders share as long as it lives.
 
 An auction's candidate scan advances a user only while it has something to
 play, and at most once per instant: a user with nothing received yet, or

@@ -148,8 +148,8 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
     once per distinct rate, and a row's penalty adds its entries left to
     right, as ``lsum`` does. A row object is summed once per call, however
     many bids hold it and at whichever kappa: ``strategy.build_momd_bid``
-    gives bidders of one auction that share a ladder, theta * beta, slope
-    and previous bitrate the same row tuples. The sum depends only on the
+    gives bidders of one score function that share a ladder, theta * beta,
+    slope and previous bitrate the same row tuples. The sum depends only on the
     row's entries and sf, so the bids that share it get its bits.
     """
     if K < 0:

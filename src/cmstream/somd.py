@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .model import UserProfile, UserState, lsum, welfare
@@ -31,6 +31,8 @@ class ScoreFunction:
     """
 
     s_of_r: Callable[[float], float]
+    bid_rows: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)  # strategy.build_momd_bid's rows
 
     def __call__(self, rate: float) -> float:
         return 0.0 if rate == 0 else self.s_of_r(rate)

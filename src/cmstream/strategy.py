@@ -8,7 +8,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .model import (
     BitrateLadder,
@@ -81,28 +81,9 @@ def brute_force_bitrate_rows(profile: UserProfile, state: UserState,
     return tuple(rows)
 
 
-class _RowTable:
-    """The bid rows of the auction in progress.
-
-    Rows depend on the score function and on (ladder rates, theta * beta,
-    degradation slope, previous bitrate, K), never on the buffer. While one
-    ScoreFunction object keeps arriving, bidders that share that key share
-    the rows, built once; another score function empties the table, so it
-    lasts one auction: the engine makes a score function per auction.
-    ``rows`` maps a key to its per-rate terms, the row tuples built so far
-    and each one's (quality gain, degradation loss). A caller that keeps
-    one score function for good fills at most MAX entries before the
-    table starts over. An entry also keeps the bid matrix of each cap.
-    """
-
-    MAX = 256
-
-    def __init__(self):
-        self.sf: ScoreFunction | None = None
-        self.rows: Dict[tuple, Tuple[list, list, list, dict]] = {}
-
-
-_table = _RowTable()
+# a score function's row table starts over past this many keys, since a
+# caller may keep one score function for good over unbounded previous bitrates
+MAX_ROW_KEYS = 256
 
 
 def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
@@ -117,29 +98,26 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     gain prefix add left to right, as ``lsum`` does.
 
     The rows, their quality gains and losses, and each cap's matrix come
-    from a table shared by the bids of one score function object (see
-    ``_RowTable``); a bid adds only its buffer gains and prices. Sharing is
-    exact: every float in a row's terms is a function of the table's key
-    alone. A key may hold 0.0 where an equal key holds -0.0 (theta * beta,
-    slope or previous bitrate); that flips only the sign of a zero per-rate
-    gain or loss, which the argmax's comparisons, the quality sum from 0
-    and the price's floor at 0 do not see. Rows are built no further than
-    a bid's cap asks.
+    from ``sf.bid_rows``, shared by the bids under that score function for
+    as long as it lives and keyed by (ladder rates, theta * beta, slope,
+    previous bitrate, K); a bid adds only its buffer gains and prices.
+    Sharing is exact: every float in an entry is a function of the score
+    function and the key alone. A key may hold 0.0 where an equal key holds
+    -0.0; that flips only the sign of a zero per-rate gain or loss, which
+    the argmax's comparisons, the quality sum from 0 and the price's floor
+    at 0 do not see. Rows are built no further than a bid's cap asks.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     cap = K if max_segments is None else max(0, min(max_segments, K))
-    table = _table.rows
-    if sf is not _table.sf:
-        table.clear()
-        _table.sf = sf
+    table = sf.bid_rows
     rates = profile.ladder.rates
     gain = profile.theta * profile.ladder.segment_length_s
     prev = state.prev_bitrate
     key = (rates, gain, profile.degradation_slope, prev, K)
     entry = table.get(key)
     if entry is None:
-        if len(table) >= _table.MAX:
+        if len(table) >= MAX_ROW_KEYS:
             table.clear()
         # quality_gain_single, sf and degradation_single of each rate, with
         # the profile's constants bound once; ladder rates are > 0, so

@@ -713,6 +713,7 @@ def test_oracle_malformed_instance(tmp_path, capsys, kind, instance, named):
     err = _trace_error(capsys)
     assert err["error"] == "config"
     assert named in err["message"]
+    assert "Error(" not in err["message"]
 
 
 @pytest.mark.parametrize("bidders", [1, 2])

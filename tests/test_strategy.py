@@ -243,11 +243,14 @@ def bid_sequences(draw):
 @given(bid_sequences())
 def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
     """Every bid of a sequence that shares the row table equals the plain
-    reference bit for bit, and bidders of one score function with one key
-    share their row tuples, whatever their caps."""
+    reference bit for bit, and bidders of one score function object with
+    one key share their row tuples, whatever their caps and whichever
+    score function came between them, until that object's table starts
+    over."""
     K, bids = sequence
-    last_sf = seen = None
+    seen_by_sf = {}
     for profile, state, sf, cap in bids:
+        size = len(sf.bid_rows)
         fast = build_momd_bid(profile, state, sf, K, max_segments=cap)
         ref = _priced_bid(profile, state, optimal_bitrate_matrix(
             profile, state, sf, K, max_segments=cap))
@@ -256,8 +259,9 @@ def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
             ref.bitrate_matrix)
         assert float_bits(fast.price_vector) == float_bits(ref.price_vector)
         assert fast.max_segments == ref.max_segments
-        if sf is not last_sf:
-            last_sf, seen = sf, {}
+        if len(sf.bid_rows) < size:
+            seen_by_sf.pop(id(sf), None)
+        seen = seen_by_sf.setdefault(id(sf), {})
         key = (profile.ladder.rates, profile.theta, profile.degradation_slope,
                state.prev_bitrate)
         rows = fast.bitrate_matrix[:fast.max_segments]
@@ -268,15 +272,17 @@ def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
 
 
 def test_rows_never_cross_score_functions():
-    """A score function's rows are never handed out under another, even
-    one equal to it, and bids of one score function share rows across
-    caps."""
+    """A return to an earlier score function object hands back that
+    object's own rows, another object, equal to it or not, never does, and
+    bids of one score function share rows across caps."""
     p = make_profile(degradation_slope=0.0)
     state = UserState(buffer_s=10.0, prev_bitrate=1.3)
     free = ScoreFunction.zero()
     dear = ScoreFunction.efficient(make_profile("d", cost_per_mbit=1.0))
+    twin = ScoreFunction(free.s_of_r)
+    assert twin == free
     rows = {}
-    for sf in (free, dear, free, ScoreFunction.zero(), dear):
+    for sf in (free, dear, free, twin, dear):
         bid = build_momd_bid(p, state, sf, 3)
         capped = build_momd_bid(replace(p, user_id="v"), state, sf, 3,
                                 max_segments=2)
@@ -284,25 +290,41 @@ def test_rows_never_cross_score_functions():
         assert all(a is b for a, b in zip(capped.bitrate_matrix[:2],
                                           bid.bitrate_matrix))
         assert bid.bitrate_matrix == optimal_bitrate_matrix(p, state, sf, 3)
-        for earlier in rows.values():
-            assert not any(map(operator.is_, bid.bitrate_matrix, earlier))
-        rows[len(rows)] = bid.bitrate_matrix
+        own = rows.setdefault(id(sf), bid.bitrate_matrix)
+        assert all(map(operator.is_, bid.bitrate_matrix, own))
+        for other, earlier in rows.items():
+            if other != id(sf):
+                assert not any(map(operator.is_, bid.bitrate_matrix, earlier))
     # the free score function takes the top rate, the dear one less
-    assert rows[0][0] == (2.3, 0.0, 0.0)
-    assert rows[1][0][0] < 2.3
+    assert rows[id(free)][0] == (2.3, 0.0, 0.0)
+    assert rows[id(dear)][0][0] < 2.3
 
 
 def test_row_table_starts_over_past_max_keys():
-    """Under one score function for good, the table fills to MAX keys, and
-    the next new key empties it first."""
+    """Under one score function for good, the table fills to
+    MAX_ROW_KEYS keys, and the next new key empties it first."""
     sf = ScoreFunction.efficient(make_profile("d"))
     p = make_profile()
     sizes = []
-    table = strategy._table
-    for k in range(table.MAX + 1):
+    for k in range(strategy.MAX_ROW_KEYS + 1):
         build_momd_bid(p, UserState(prev_bitrate=0.01 * k), sf, 1)
-        sizes.append(len(table.rows))
-    assert sizes[-2:] == [table.MAX, 1]
+        sizes.append(len(sf.bid_rows))
+    assert sizes[-2:] == [strategy.MAX_ROW_KEYS, 1]
+
+
+def test_row_table_is_no_part_of_a_score_function():
+    """A score function's row table is no constructor argument and is left
+    out of its equality, hash and repr."""
+    def s_of_r(r):
+        return 0.5 * r
+    sf, other = ScoreFunction(s_of_r), ScoreFunction(s_of_r)
+    build_momd_bid(make_profile(), UserState(buffer_s=10.0, prev_bitrate=1.3),
+                   sf, 2)
+    assert sf.bid_rows and not other.bid_rows
+    assert sf == other and hash(sf) == hash(other)
+    assert repr(sf) == repr(other) == f"ScoreFunction(s_of_r={s_of_r!r})"
+    with pytest.raises(TypeError):
+        ScoreFunction(s_of_r, {})
 
 
 def ref_optimal_somd_bid(profile, state, sf):

@@ -107,15 +107,13 @@ def cmd_compare(args) -> int:
     if spec is None:
         raise ConfigError("compare needs a trace_stats section")
     mechanisms = args.mechanisms.split(",")
-    ks = [int(x) for x in args.k_values.split(",")]
-    overheads = [float(x) for x in args.overheads.split(",")]
     cells, skipped = [], []
     for mech in mechanisms:
-        for k in ks:
+        for k in args.k_values:
             if mech in SINGLE_SEGMENT and k != 1:
                 skipped.append(f"{mech}/K={k}")
                 continue
-            for oh in overheads:
+            for oh in args.overheads:
                 label = f"mechanism={mech},K={k},overhead={oh:g}"
                 cells.append((label, replace(
                     cfg, mechanism=mech, K=k,
@@ -134,8 +132,8 @@ def cmd_compare(args) -> int:
                                base_seed=cfg.seed)
         emit_results(table, args.format, out_dir)
         write_snapshot(out_dir, cfg, spec, compare={
-            "mechanisms": mechanisms, "k_values": ks, "overheads": overheads,
-            "replications": args.replications})
+            "mechanisms": mechanisms, "k_values": args.k_values,
+            "overheads": args.overheads, "replications": args.replications})
     for row in table.rows:
         print(f"{row['cell']}: social_welfare={row['social_welfare']:.6g} "
               f"rebuffer_ratio={row['rebuffer_ratio']:.6g}")
@@ -230,8 +228,24 @@ def cmd_gen_traces(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise a ConfigError, which
+    :func:`main` reports as one JSON line with exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _comma_list(convert):
+    """An argparse type: a comma-separated list of convert's values."""
+    def parse(text):
+        return [convert(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {convert.__name__} list"  # for errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmstream",
         description="Auction-based cooperative video streaming simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -252,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--replications", type=int, default=50)
     p.add_argument("--mechanisms", default="momd,noncooperative")
-    p.add_argument("--k-values", default="1")
-    p.add_argument("--overheads", default="0")
+    p.add_argument("--k-values", type=_comma_list(int), default="1")
+    p.add_argument("--overheads", type=_comma_list(float), default="0")
     p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
     p.set_defaults(func=cmd_compare)
 
@@ -277,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     # TraceParseError and InstanceTooLargeError are ValueErrors: map them first
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TraceParseError, TraceUnderrunError) as exc:
         return _fail(EXIT_TRACE, "trace", str(exc))

@@ -544,8 +544,8 @@ class _Simulation:
 
     def _bid(self, u: _UserSim, cap: int, sf: ScoreFunction,
              h_est: float) -> MomdBid:
-        """u's optimal bid: a bitrate matrix of K rows for momd and of one
-        row for the other mechanisms, with no row past cap segments. Under a
+        """u's optimal bid: a bitrate matrix of at most K rows for momd and
+        one row for the other mechanisms, with no row past cap. Under a
         baseline policy u bids on a ladder that holds only the rate the
         policy picks at the auctioneer's capacity estimate h_est."""
         profile, state = u.profile, u.state()

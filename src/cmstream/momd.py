@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
@@ -36,58 +36,51 @@ MAX_ORACLE_RATES = 5
 
 @dataclass(frozen=True)
 class MomdBid:
-    """A lower-triangular bitrate matrix plus a per-row total price.
+    """The paper's lower-triangular bitrate matrix, held as its rows, plus a
+    per-row total price.
 
-    Row kappa (1-based) holds the bitrates the bidder wants if allocated
-    kappa segments; entries beyond the row index are zero. Trailing all-zero
-    rows (with zero price) cap the bidder at fewer than K segments. The
-    matrix and prices are tuples of floats; they are checked, not converted.
+    Row kappa (1-based), ``bitrate_matrix[kappa - 1]``, holds exactly the
+    kappa bitrates the bidder wants if allocated kappa segments: row kappa
+    of the paper's K x K matrix without its zeros beyond column kappa. A bid
+    of n rows caps its bidder at n segments; the paper's matrix holds zero
+    rows, priced 0, past row n. The rows and prices are tuples of floats;
+    they are checked, not converted.
     """
 
     bidder_id: str
     bitrate_matrix: Tuple[Tuple[float, ...], ...]
     price_vector: Tuple[float, ...]
 
-    # leading rows with actual bitrates (the bidder's cap), set on creation
-    max_segments: int = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
         matrix, prices = self.bitrate_matrix, self.price_vector
-        k = len(matrix)
-        if len(prices) != k:
-            raise ValueError("price vector length must match matrix size")
-        n = 0
-        capped = False
-        # a truthy entry is one != 0; a NaN is not negative
+        if len(prices) != len(matrix):
+            raise ValueError("price vector length must match the row count")
+        # a NaN is not negative
         for kappa, row in enumerate(matrix, start=1):
-            if len(row) != k:
-                raise ValueError("bitrate matrix must be square")
-            if any(row[kappa:]):
-                raise ValueError(f"row {kappa} must be zero beyond column {kappa}")
-            if not any(row[:kappa]):
-                capped = True
-            elif capped:
-                raise ValueError("non-empty row after an all-zero row")
-            else:
-                n = kappa
+            if len(row) != kappa:
+                raise ValueError(f"row {kappa} must hold {kappa} bitrates")
             if any(x < 0 for x in row):
                 raise ValueError("bitrates must be >= 0")
         if any(p < 0 for p in prices):
             raise ValueError("prices must be >= 0")
-        object.__setattr__(self, "max_segments", n)
+
+    @property
+    def max_segments(self) -> int:
+        """The bidder's cap: its row count."""
+        return len(self.bitrate_matrix)
 
     @classmethod
-    def _built(cls, bidder_id, matrix, prices, max_segments) -> "MomdBid":
+    def _built(cls, bidder_id, matrix, prices) -> "MomdBid":
         """The bid of ``strategy.build_momd_bid``, which builds it to pass
-        ``__post_init__``'s checks with the given cap; they are not run."""
+        ``__post_init__``'s checks; they are not run."""
         bid = object.__new__(cls)
         bid.__dict__.update(bidder_id=bidder_id, bitrate_matrix=matrix,
-                            price_vector=prices, max_segments=max_segments)
+                            price_vector=prices)
         return bid
 
     def row(self, kappa: int) -> Tuple[float, ...]:
-        """Non-zero bitrates of row kappa (1-based)."""
-        return self.bitrate_matrix[kappa - 1][:kappa]
+        """The bitrates of row kappa (1-based)."""
+        return self.bitrate_matrix[kappa - 1]
 
 
 @dataclass(frozen=True)
@@ -147,10 +140,10 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
     payment's penalty equals ``sf.of_vector(row)`` bit for bit: sf is called
     once per distinct rate, and a row's penalty adds its entries left to
     right, as ``lsum`` does. A row object is summed once per call, however
-    many bids hold it and at whichever kappa: ``strategy.build_momd_bid``
-    gives bidders of one score function that share a ladder, theta * beta,
-    slope and previous bitrate the same row tuples. The sum depends only on the
-    row's entries and sf, so the bids that share it get its bits.
+    many bids hold it: ``strategy.build_momd_bid`` gives bidders of one
+    score function that share a ladder, theta * beta, slope and previous
+    bitrate the same row tuples. The sum depends only on the row's entries
+    and sf, so the bids that share it get its bits.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -159,10 +152,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
             "insufficient marginal scores: no bids")
     s_of: Dict[float, float] = {}
     # id of a row -> the row's penalty. Every bid, and so every row, lives
-    # until the call returns, so an id names one row. A row held at kappa
-    # and at a larger kappa' differs only by the zeros in row[kappa:kappa'],
-    # each adding sf(0) = 0.0 to a sum that starts at 0.0 and so is never
-    # -0.0: the row's penalty has the same bits at every kappa it sits at
+    # until the call returns, so an id names one row
     penalty_of: Dict[int, float] = {}
     # bidder_id -> (bid, marginal scores, score penalty of each row, whether
     # the scores meet Assumption 1); a repeated bidder_id keeps its last
@@ -173,18 +163,17 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         prev = 0.0
         # validate_assumption1(scores)[0], checked as the scores are made
         ok, above = True, math.inf
-        for kappa, row in enumerate(bid.bitrate_matrix[:bid.max_segments],
-                                    start=1):
+        for row, price in zip(bid.bitrate_matrix, bid.price_vector):
             penalty = penalty_of.get(id(row))
             if penalty is None:
                 penalty = 0.0
-                for r in row[:kappa]:
+                for r in row:
                     s = s_of.get(r)
                     if s is None:
                         s = s_of[r] = sf(r)
                     penalty += s
                 penalty_of[id(row)] = penalty
-            phi = bid.price_vector[kappa - 1] - penalty
+            phi = price - penalty
             marginal = phi - prev
             if marginal < 0 or above < marginal:
                 ok = False
@@ -217,7 +206,7 @@ def resolve_vickrey_score(bids: Sequence[MomdBid], sf: ScoreFunction,
         others = list(itertools.islice(
             (-s for s, b, _ in entries if b != bidder_id), K))
         damage = lsum(others[K - kappa:])  # absent competitors do no damage
-        bitrates[bidder_id] = bid.bitrate_matrix[kappa - 1][:kappa]
+        bitrates[bidder_id] = bid.bitrate_matrix[kappa - 1]
         payments[bidder_id] = penalties[kappa - 1] + damage
 
     violations = tuple(sorted([b for b, seq in seqs.items() if not seq[3]]))
@@ -246,12 +235,10 @@ def resolve_from_marginal_scores(seqs: Mapping[str, Sequence[float]],
                 raise ValueError(
                     f"marginal scores of bidder {bidder_id}: the running sum "
                     f"falls below 0 at entry {entry}, to {total!r}")
-    bids = []
-    for bidder_id, prices in price_vectors.items():
-        n = len(prices)
-        rows = tuple((1.0,) * kappa + (0.0,) * (n - kappa)
-                     for kappa in range(1, n + 1))
-        bids.append(MomdBid(bidder_id, rows, prices))
+    bids = [MomdBid(bidder_id, tuple((1.0,) * kappa
+                                     for kappa in range(1, len(prices) + 1)),
+                    prices)
+            for bidder_id, prices in price_vectors.items()]
     sf = ScoreFunction.zero()
     return resolve_vickrey_score(bids, sf, K)
 

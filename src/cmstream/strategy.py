@@ -88,7 +88,8 @@ MAX_ROW_KEYS = 256
 
 def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
                    K: int, max_segments: int | None = None) -> MomdBid:
-    """Optimal bitrate matrix plus truthful prices, packaged as a bid.
+    """The optimal bitrate matrix's rows up to the cap min(max_segments, K),
+    plus truthful prices, packaged as a bid.
 
     Equals the plain reference in ``tests/conftest.py``,
     ``_priced_bid(profile, state, optimal_bitrate_matrix(...))``, bit for
@@ -97,10 +98,10 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     ``degradation_single(prev, r)``, and its quality gain and the buffer
     gain prefix add left to right, as ``lsum`` does.
 
-    The rows, their quality gains and losses, and each cap's matrix come
-    from ``sf.bid_rows``, shared by the bids under that score function for
-    as long as it lives and keyed by (ladder rates, theta * beta, slope,
-    previous bitrate, K); a bid adds only its buffer gains and prices.
+    The rows and their quality gains and losses come from ``sf.bid_rows``,
+    shared by the bids under that score function for as long as it lives
+    and keyed by (ladder rates, theta * beta, slope, previous bitrate); a
+    bid adds only its buffer gains and prices.
     Sharing is exact: every float in an entry is a function of the score
     function and the key alone. A key may hold 0.0 where an equal key holds
     -0.0; that flips only the sign of a zero per-rate gain or loss, which
@@ -114,7 +115,7 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
     rates = profile.ladder.rates
     gain = profile.theta * profile.ladder.segment_length_s
     prev = state.prev_bitrate
-    key = (rates, gain, profile.degradation_slope, prev, K)
+    key = (rates, gain, profile.degradation_slope, prev)
     entry = table.get(key)
     if entry is None:
         if len(table) >= MAX_ROW_KEYS:
@@ -130,8 +131,8 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
             q = gain * log1p(r)
             per_rate.append((r, q, q - penalty(r),
                              0.0 if prev <= r else slope * (prev - r)))
-        entry = table[key] = (per_rate, [], [], {})
-    per_rate, rows, terms, matrices = entry
+        entry = table[key] = (per_rate, [], [])
+    per_rate, rows, terms = entry
     gamma = profile.buffer_gain_scale
     rho = profile.buffer_gain_decay
     base = state.buffer_s / profile.ladder.segment_length_s
@@ -151,16 +152,12 @@ def build_momd_bid(profile: UserProfile, state: UserState, sf: ScoreFunction,
                     best, best_obj = term, obj
             rate, q, _, loss = best
             quality = lsum([q] * kappa)
-            rows.append((rate,) * kappa + (0.0,) * (K - kappa))
+            rows.append((rate,) * kappa)
             terms.append((quality, loss))
         buffer_sum += rho ** (base + (kappa - 1))
         price = (quality + gamma * buffer_sum) - loss
         prices.append(price if price > 0.0 else 0.0)
-    prices += [0.0] * (K - cap)
-    matrix = matrices.get(cap)
-    if matrix is None:
-        matrix = matrices[cap] = tuple(rows[:cap]) + ((0.0,) * K,) * (K - cap)
-    return MomdBid._built(profile.user_id, matrix, tuple(prices), cap)
+    return MomdBid._built(profile.user_id, tuple(rows[:cap]), tuple(prices))
 
 
 def should_participate(profile: UserProfile, state: UserState,

@@ -121,19 +121,18 @@ def optimal_bitrate_matrix(profile: UserProfile, state: UserState,
                            cost_of_rate: CostOfRate, K: int,
                            max_segments: int | None = None,
                            ) -> Tuple[Tuple[float, ...], ...]:
-    """Optimal K x K lower-triangular bitrate matrix for a bidder.
+    """Rows of the optimal lower-triangular bitrate matrix for a bidder,
+    row kappa holding kappa rates.
 
     Every row uses one common rate (the per-row optimum), and rates are
-    non-increasing down the rows. max_segments caps the non-empty rows,
-    e.g. to the bidder's remaining buffer headroom.
+    non-increasing down the rows. max_segments caps the rows at
+    min(max_segments, K), e.g. to the bidder's remaining buffer headroom.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     cap = K if max_segments is None else max(0, min(max_segments, K))
     return tuple((optimal_row_rate(profile, state, cost_of_rate, kappa),)
-                 * kappa + (0.0,) * (K - kappa)
-                 if kappa <= cap else (0.0,) * K
-                 for kappa in range(1, K + 1))
+                 * kappa for kappa in range(1, cap + 1))
 
 
 def truthful_price_vector(profile: UserProfile, state: UserState,
@@ -141,8 +140,8 @@ def truthful_price_vector(profile: UserProfile, state: UserState,
                           ) -> Tuple[float, ...]:
     """Per-row true utility: the dominant-strategy price for each segment count."""
     prices = []
-    for kappa, row in enumerate(matrix, start=1):
-        rates = tuple(r for r in row[:kappa] if r != 0)
+    for row in matrix:
+        rates = tuple(r for r in row if r != 0)
         prices.append(utility_total(profile, state, rates) if rates else 0.0)
     return tuple(prices)
 

@@ -333,8 +333,7 @@ def _restricted_instance(rng):
             s = random_state(rng)
             rates = sorted((rng.choice(LADDER.rates) for _ in range(k)),
                            reverse=True)
-            rows = tuple((rates[i],) * (i + 1) + (0.0,) * (k - i - 1)
-                         for i in range(k))
+            rows = tuple((rates[i],) * (i + 1) for i in range(k))
             prices = tuple(max(0.0, x)
                            for x in truthful_price_vector(p, s, rows))
             bidders.append((p, s))
@@ -360,7 +359,7 @@ def test_criterion_4_matrix_structure():
         if any(b > a for a, b in zip(first, first[1:])):
             lemma2_bad += 1
         for kappa in range(1, 4):
-            got = _row_objective(profile, state, sf, fast[kappa - 1][:kappa])
+            got = _row_objective(profile, state, sf, fast[kappa - 1])
             want = _row_objective(profile, state, sf, brute[kappa - 1])
             if got != want:
                 objective_bad += 1

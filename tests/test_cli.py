@@ -354,6 +354,36 @@ def test_compare_bad_grid(tmp_path, config_path, capsys, flag, value):
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--K", "x"),
+    ("simulate", "--mechanism", "bogus"),
+    ("compare", "--k-values", "x"),
+    ("compare", "--k-values", "1,,2"),
+    ("compare", "--overheads", "0,x"),
+    ("compare", "--replications", "1.5"),
+])
+def test_flag_error_is_one_json_line_naming_the_flag(
+        tmp_path, config_path, capsys, command, flag, value):
+    """A flag argparse cannot read exits 2 as a config error, with one
+    JSON line on stderr that names the flag and no usage text."""
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--traces", str(tmp_path)]
+    assert main(argv + [flag, value]) == EXIT_CONFIG
+    err = _trace_error(capsys)
+    assert err["error"] == "config"
+    assert f"argument {flag}: " in err["message"]
+    assert not out.exists()
+
+
+def test_missing_flag_is_one_json_line(tmp_path, config_path, capsys):
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = _trace_error(capsys)
+    assert err["error"] == "config" and "--traces" in err["message"]
+
+
 def test_compare_needs_trace_stats(tmp_path, capsys):
     path = tmp_path / "bare.yaml"
     path.write_text(yaml.safe_dump({"users": [{"user_id": "A"}]}))
@@ -587,8 +617,8 @@ def test_oracle_matrix_compares_rows(tmp_path, capsys, monkeypatch, solver):
         def lowest_rate_bid(profile, state, sf, K):
             low = profile.ladder.rates[0]
             return MomdBid(profile.user_id,
-                           tuple((low,) * k + (0.0,) * (K - k)
-                                 for k in range(1, K + 1)), (0.0,) * K)
+                           tuple((low,) * k for k in range(1, K + 1)),
+                           (0.0,) * K)
         monkeypatch.setattr(cli, "build_momd_bid", lowest_rate_bid)
     inst = tmp_path / "m.yaml"
     inst.write_text(yaml.safe_dump({

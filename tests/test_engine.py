@@ -2,6 +2,7 @@
 
 import math
 import operator
+import tracemalloc
 from dataclasses import replace
 from itertools import compress
 from pathlib import Path
@@ -217,16 +218,14 @@ def test_auction_score_equals_efficient_of_the_effective_profile(profile,
 def frozen_baseline_bid(cfg, u, h_est):
     """A baseline policy's bid as the engine built it beside the optimal
     bidders: the policy's rate on every row up to the segment cap, at
-    floored truthful prices, on K rows for momd and on one row for the
-    other mechanisms."""
+    floored truthful prices, on at most K rows for momd and at most one
+    row for the other mechanisms."""
     profile, state = u.profile, u.state()
     rate = baseline_bitrate(cfg.adaptation, state, h_est, profile.ladder)
     K = cfg.K if cfg.mechanism == "momd" else 1
     cap = max(0, min(u.total_segments - u.next_seq, u.headroom_segments(),
                      K))
-    rows = tuple((rate,) * kappa + (0.0,) * (K - kappa)
-                 if kappa <= cap else (0.0,) * K
-                 for kappa in range(1, K + 1))
+    rows = tuple((rate,) * kappa for kappa in range(1, cap + 1))
     return _priced_bid(profile, state, rows)
 
 
@@ -295,6 +294,34 @@ def test_baseline_profile_built_once_per_rate(monkeypatch, mechanism, K,
                 rates.add(baseline_bitrate(cfg.adaptation, u.state(), h_est,
                                            u.profile.ladder))
     assert len(built) == 2 * len(rates) == 2 * len(u.one_rate_profiles)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_k_past_every_cap_sizes_nothing(seed):
+    """Three users hold at most 4 segments of buffer each, so no auction of
+    the three-user scenario allocates more than 12 segments, and K =
+    100_000 runs it as K = 12 does, bit for bit, each run under 1 MB of
+    traced memory: a bid holds no row past its cap, whatever K is."""
+    results = {}
+    for K in (12, 100_000):
+        cfg, gen = heterogeneous_scenario("momd", K=K)
+        traces = gen(seed)
+        tracemalloc.start()
+        try:
+            results[K] = run_simulation(cfg, *traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+    small, large = results[12], results[100_000]
+    assert max(sum(e.payload["winners"].values()) for e in small.events
+               if e.kind == "auction_resolved") <= 12
+    assert float_bits(large.aggregate_row()) == float_bits(
+        small.aggregate_row())
+    assert float_bits(large.per_user_rows()) == float_bits(
+        small.per_user_rows())
+    assert float_bits([e.as_row() for e in large.events]) == float_bits(
+        [e.as_row() for e in small.events])
 
 
 def test_determinism():

@@ -55,18 +55,22 @@ from conftest import (
 
 
 def unit_bid(bidder_id, prices):
-    n = len(prices)
-    rows = tuple((1.0,) * k + (0.0,) * (n - k) for k in range(1, n + 1))
+    rows = tuple((1.0,) * k for k in range(1, len(prices) + 1))
     return MomdBid(bidder_id, rows, tuple(prices))
 
 
 def test_bid_validation():
-    with pytest.raises(ValueError):
-        MomdBid("a", ((1.0, 1.0), (1.0, 1.0)), (1.0, 2.0))  # upper triangle
-    with pytest.raises(ValueError):
-        MomdBid("a", ((1.0,),), (1.0, 2.0))  # price length mismatch
-    with pytest.raises(ValueError):
-        MomdBid("a", ((0.0, 0.0), (1.0, 1.0)), (0.0, 2.0))  # gap row
+    with pytest.raises(ValueError, match="row 1 must hold 1 bitrates"):
+        MomdBid("a", ((1.0, 1.0), (1.0, 1.0)), (1.0, 2.0))  # row too long
+    with pytest.raises(ValueError, match="row 2 must hold 2 bitrates"):
+        MomdBid("a", ((1.0,), (1.0,)), (1.0, 2.0))  # row too short
+    with pytest.raises(ValueError, match="row 3 must hold 3 bitrates"):
+        MomdBid("a", ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0, 0.0)),
+                (1.0, 2.0, 3.0))  # a padded row
+    with pytest.raises(ValueError, match="match the row count"):
+        MomdBid("a", ((1.0,),), (1.0, 2.0))  # more prices than rows
+    with pytest.raises(ValueError, match="match the row count"):
+        MomdBid("a", ((1.0,), (1.0, 1.0)), (1.0,))  # fewer prices than rows
     with pytest.raises(ValueError):
         MomdBid("a", ((1.0,),), (-1.0,))  # negative price
     with pytest.raises(ValueError):
@@ -76,37 +80,26 @@ def test_bid_validation():
 def test_bid_validation_sees_negatives_past_nan():
     nan = float("nan")
     with pytest.raises(ValueError, match="bitrates"):
-        MomdBid("a", ((1.0, 0.0), (nan, -1.0)), (1.0, 2.0))
+        MomdBid("a", ((1.0,), (nan, -1.0)), (1.0, 2.0))
     with pytest.raises(ValueError, match="prices"):
-        MomdBid("a", ((1.0, 0.0), (1.0, 1.0)), (nan, -1.0))
-    # a NaN is neither zero nor negative: it fills a row and passes
-    assert MomdBid("a", ((nan, 0.0), (1.0, nan)), (nan, nan)).max_segments == 2
+        MomdBid("a", ((1.0,), (1.0, 1.0)), (nan, -1.0))
+    # a NaN is not negative: it passes
+    assert MomdBid("a", ((nan,), (1.0, nan)), (nan, nan)).max_segments == 2
 
 
 def ref_bid_check(matrix, prices):
-    """MomdBid's checks as first written, one scan of every row per bid:
-    the bid's max_segments, or the ValueError it raises."""
-    k = len(matrix)
-    if len(prices) != k:
-        raise ValueError("price vector length must match matrix size")
-    n = 0
-    capped = False
+    """MomdBid's checks in plain form, one scan of every row per bid: the
+    bid's max_segments, its row count, or the ValueError it raises."""
+    if len(prices) != len(matrix):
+        raise ValueError("price vector length must match the row count")
     for kappa, row in enumerate(matrix, start=1):
-        if len(row) != k:
-            raise ValueError("bitrate matrix must be square")
-        if any(row[kappa:]):
-            raise ValueError(f"row {kappa} must be zero beyond column {kappa}")
-        if not any(row[:kappa]):
-            capped = True
-        elif capped:
-            raise ValueError("non-empty row after an all-zero row")
-        else:
-            n = kappa
+        if len(row) != kappa:
+            raise ValueError(f"row {kappa} must hold {kappa} bitrates")
         if any(x < 0 for x in row):
             raise ValueError("bitrates must be >= 0")
     if any(p < 0 for p in prices):
         raise ValueError("prices must be >= 0")
-    return n
+    return len(matrix)
 
 
 NAN = float("nan")  # one object, so that equal matrices can hold a NaN
@@ -118,27 +111,22 @@ hostile_entries = st.one_of(
 
 @st.composite
 def hostile_matrices(draw):
-    """Square-ish bitrate matrices, as tuples or lists, whose entries may
-    be NaN, -0.0, negative or ints, with ragged rows, entries above the
-    diagonal and all-zero rows before non-empty ones."""
-    k = draw(st.integers(0, 4))
+    """Bitrate matrices of up to 4 rows, as tuples or lists, whose entries
+    may be NaN, -0.0, negative or ints, and whose row kappa mostly holds
+    kappa entries but may hold one fewer or one more."""
     rows = []
-    for kappa in range(1, k + 1):
-        width = draw(st.sampled_from((k,) * 12 + (k - 1, k + 1)))
-        row = [0.0] * max(width, 0)
-        # most rows hold rates, some are empty and cap the bid
+    for kappa in range(1, draw(st.integers(0, 4)) + 1):
+        width = draw(st.sampled_from((kappa,) * 12 + (kappa - 1, kappa + 1)))
+        # most rows hold rates, some hold only zeros
         entries = draw(st.sampled_from((rates,) * 4 + (hostile_entries,
                                                        st.just(0.0))))
-        for j in range(min(kappa, len(row))):
-            row[j] = draw(entries)
-        if draw(st.integers(0, 9)) == 0 and kappa < len(row):
-            row[draw(st.integers(kappa, len(row) - 1))] = draw(hostile_entries)
+        row = [draw(entries) for _ in range(width)]
         rows.append(tuple(row) if draw(st.integers(0, 3)) else row)
     return tuple(rows) if draw(st.integers(0, 3)) else rows
 
 
 def hostile_prices(k):
-    """Price vectors, mostly of the matrix's length, that may be
+    """Price vectors, mostly of the matrix's row count, that may be
     negative or NaN."""
     return st.one_of(
         st.lists(st.sampled_from((0.0, -0.0, 2.5, 40.0)), min_size=k,
@@ -169,7 +157,7 @@ def outcome(check, matrix, prices):
 @settings(max_examples=800, deadline=None)
 @given(st.data())
 def test_bid_check_equals_the_first_scan(data):
-    """Every bid gets the first scan's max_segments or its error: a
+    """Every bid gets the plain scan's max_segments or its error: a
     hostile matrix with two price vectors, then an equal matrix with its
     zeros' signs flipped, with each of them."""
     matrix = data.draw(hostile_matrices())
@@ -182,12 +170,13 @@ def test_bid_check_equals_the_first_scan(data):
 
 
 def test_bid_rows_and_cap():
-    bid = MomdBid("a", ((1.3, 0.0, 0.0), (0.7, 0.7, 0.0), (0.0, 0.0, 0.0)),
-                  (5.0, 8.0, 0.0))
-    assert len(bid.bitrate_matrix) == 3
+    bid = MomdBid("a", ((1.3,), (0.7, 0.7)), (5.0, 8.0))
     assert bid.max_segments == 2
     assert bid.row(1) == (1.3,)
     assert bid.row(2) == (0.7, 0.7)
+    with pytest.raises(AttributeError):
+        bid.max_segments = 3  # the cap is the row count, not a field
+    assert MomdBid("a", (), ()).max_segments == 0
 
 
 def test_momd_score_values():
@@ -305,7 +294,7 @@ def test_resolve_flags_assumption_violations():
 def test_payment_includes_score_penalty():
     dl = make_profile("d", cost_per_mbit=0.1)
     sf = ScoreFunction.efficient(dl)
-    rows = ((1.3, 0.0), (1.3, 1.3))
+    rows = ((1.3,), (1.3, 1.3))
     winner = MomdBid("a", rows, (20.0, 30.0))
     loser = MomdBid("b", rows, (3.0, 4.0))
     out = resolve_vickrey_score([winner, loser], sf, 2)
@@ -340,8 +329,8 @@ def test_restricted_oracle_respects_caps():
     dl = make_profile("d")
     bidders = [(make_profile("a"), UserState()),
                (make_profile("b"), UserState())]
-    bids = [MomdBid("a", ((1.3, 0.0), (0.0, 0.0)), (5.0, 0.0)),
-            MomdBid("b", ((1.3, 0.0), (0.0, 0.0)), (5.0, 0.0))]
+    bids = [MomdBid("a", ((1.3,),), (5.0,)),
+            MomdBid("b", ((1.3,),), (5.0,))]
     alloc, w = brute_force_restricted_optimum(bids, bidders, dl, 2)
     assert alloc == (1, 1)  # each bidder caps at one segment
     with pytest.raises(InsufficientMarginalScoresError):
@@ -564,7 +553,8 @@ def ref_resolve_vickrey_score(bids, sf, K):
 
     bitrates = {}
     payments = {}
-    for bid in bids:
+    # a repeated bidder_id keeps its last bid, whose rows alone it offers
+    for bid in {bid.bidder_id: bid for bid in bids}.values():
         kappa = counts[bid.bidder_id]
         if kappa == 0:
             bitrates[bid.bidder_id] = ()
@@ -590,18 +580,13 @@ def ref_resolve_vickrey_score(bids, sf, K):
 
 @st.composite
 def free_bids(draw, bidder_id, K):
-    """A valid K x K bid whose rows mix rates, hold zeros inside and may
-    end in all-zero rows; rates repeat across rows and bids."""
+    """A valid bid of up to K rows that mix rates and may hold zeros;
+    rates repeat across rows and bids."""
     cap = draw(st.integers(0, K))
     rates = st.sampled_from((0.0, 0.2, 0.7, 1.3, 2.3))
-    rows = []
-    for kappa in range(1, K + 1):
-        row = [0.0] * K
-        if kappa <= cap:
-            row[:kappa] = draw(st.lists(rates, min_size=kappa, max_size=kappa)
-                               .filter(any))
-        rows.append(tuple(row))
-    prices = draw(st.lists(st.floats(0.0, 50.0), min_size=K, max_size=K))
+    rows = [tuple(draw(st.lists(rates, min_size=kappa, max_size=kappa)))
+            for kappa in range(1, cap + 1)]
+    prices = draw(st.lists(st.floats(0.0, 50.0), min_size=cap, max_size=cap))
     return MomdBid(bidder_id, tuple(rows), tuple(prices))
 
 
@@ -656,25 +641,19 @@ def _signed_zero_twin(row):
 
 @st.composite
 def shared_row_auctions(draw):
-    """Bids whose matrices are built from one pool of row objects: a row
-    sits at every kappa its support allows, so one object (and an equal
-    row with zeros inside row[:kappa]) serves at two kappa, and across
-    bids; each row has a twin whose zeros carry the other sign, and prices
-    include 0.0 and -0.0."""
+    """Bids whose rows come from one pool of row objects per kappa, so one
+    object serves several bids; each row has a twin whose zeros carry the
+    other sign, and prices include 0.0 and -0.0."""
     K = draw(st.integers(1, 5))
     sf = draw(score_functions())
     rates = st.sampled_from((0.0, -0.0, 0.2, 0.7, 1.3, 2.3))
-    pool = []  # (support, row): zeros beyond the support
-    for _ in range(draw(st.integers(1, 6))):
-        support = draw(st.integers(1, K))
-        head = draw(st.lists(rates, min_size=support, max_size=support)
-                    .filter(any))
-        tail = draw(st.lists(st.sampled_from((0.0, -0.0)),
-                             min_size=K - support, max_size=K - support))
-        row = tuple(head + tail)
-        pool += [(support, row), (support, _signed_zero_twin(row))]
-    pool.append((1, (draw(st.sampled_from((0.2, 2.3))),) + (0.0,) * (K - 1)))
-    zero_rows = [(0.0,) * K, (-0.0,) * K]
+    pools = []  # pools[kappa - 1]: rows of kappa rates
+    for kappa in range(1, K + 1):
+        pool = []
+        for _ in range(draw(st.integers(1, 3))):
+            row = tuple(draw(st.lists(rates, min_size=kappa, max_size=kappa)))
+            pool += [row, _signed_zero_twin(row)]
+        pools.append(pool)
     prices = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 50.0))
     matrices = []
     bids = []
@@ -682,16 +661,12 @@ def shared_row_auctions(draw):
         if matrices and draw(st.booleans()):
             matrix = draw(st.sampled_from(matrices))
         else:
-            cap = draw(st.integers(0, K))
-            matrix = tuple(
-                draw(st.sampled_from([row for support, row in pool
-                                      if support <= kappa]))
-                if kappa <= cap else draw(st.sampled_from(zero_rows))
-                for kappa in range(1, K + 1))
+            matrix = tuple(draw(st.sampled_from(pools[kappa - 1]))
+                           for kappa in range(1, draw(st.integers(0, K)) + 1))
             matrices.append(matrix)
         bidder_id = draw(st.sampled_from(("a", "b", f"u{i}")))
-        bids.append(MomdBid(bidder_id, matrix, tuple(
-            draw(st.lists(prices, min_size=K, max_size=K)))))
+        bids.append(MomdBid(bidder_id, matrix, tuple(draw(st.lists(
+            prices, min_size=len(matrix), max_size=len(matrix))))))
     offered = sum(b.max_segments
                   for b in {b.bidder_id: b for b in bids}.values())
     return bids, sf, draw(st.one_of(st.just(min(K, offered)),
@@ -701,8 +676,8 @@ def shared_row_auctions(draw):
 @settings(max_examples=200, deadline=None)
 @given(shared_row_auctions())
 def test_vickrey_score_on_shared_rows_equals_reference(auction):
-    """Rows shared between bids and between kappas, and rows equal but for
-    the sign of a zero, resolve as the reference does, bit for bit."""
+    """Rows shared between bids, and rows equal but for the sign of a
+    zero, resolve as the reference does, bit for bit."""
     bids, sf, K = auction
     try:
         want = ref_resolve_vickrey_score(bids, sf, K)

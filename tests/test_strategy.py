@@ -2,6 +2,7 @@
 
 import operator
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -74,9 +75,7 @@ def test_matrix_no_degradation_pressure():
     sf = ScoreFunction.efficient(dl)
     state = UserState(prev_bitrate=0.4)
     matrix = optimal_bitrate_matrix(p, state, sf, 3)
-    for kappa, row in enumerate(matrix, start=1):
-        assert row[:kappa] == (1.3,) * kappa
-        assert row[kappa:] == (0.0,) * (3 - kappa)
+    assert matrix == ((1.3,), (1.3,) * 2, (1.3,) * 3)
 
 
 def test_matrix_zero_slope_all_rows_identical():
@@ -100,7 +99,7 @@ def test_matrix_rows_nonincreasing_under_degradation():
     # reduced solver matches brute force on the objective, row by row
     brute = brute_force_bitrate_rows(p, state, sf, 3)
     for kappa in range(1, 4):
-        got = row_objective(p, state, sf, matrix[kappa - 1][:kappa])
+        got = row_objective(p, state, sf, matrix[kappa - 1])
         want = row_objective(p, state, sf, brute[kappa - 1])
         assert got == pytest.approx(want)
 
@@ -109,9 +108,9 @@ def test_matrix_max_segments_cap():
     p = make_profile()
     sf = ScoreFunction.zero()
     matrix = optimal_bitrate_matrix(p, UserState(), sf, 3, max_segments=1)
-    assert all(x == 0.0 for x in matrix[1])
-    assert all(x == 0.0 for x in matrix[2])
-    assert matrix[0][0] in LADDER.rates
+    assert len(matrix) == 1
+    (rate,) = matrix[0]
+    assert rate in LADDER.rates
 
 
 def test_reduced_solver_matches_brute_force_random():
@@ -124,7 +123,7 @@ def test_reduced_solver_matches_brute_force_random():
         fast = optimal_bitrate_matrix(p, state, sf, 3)
         brute = brute_force_bitrate_rows(p, state, sf, 3)
         for kappa in range(1, 4):
-            got = row_objective(p, state, sf, fast[kappa - 1][:kappa])
+            got = row_objective(p, state, sf, fast[kappa - 1])
             want = row_objective(p, state, sf, brute[kappa - 1])
             assert got == pytest.approx(want)
 
@@ -140,7 +139,7 @@ def test_brute_force_rows_take_the_smallest_tied_vector():
 def test_truthful_prices():
     p = make_profile(theta=0.0, buffer_gain_scale=0.0, degradation_slope=0.0)
     state = UserState()
-    matrix = ((1.3, 0.0), (1.3, 1.3))
+    matrix = ((1.3,), (1.3, 1.3))
     assert truthful_price_vector(p, state, matrix) == (0.0, 0.0)
 
     p = make_profile(theta=1.0, buffer_gain_scale=5.0)
@@ -172,8 +171,23 @@ def test_build_momd_bid_consistency():
         matrix = optimal_bitrate_matrix(p, state, sf, 3)
         assert bid.bitrate_matrix == matrix
         for kappa in range(1, 4):
-            want = max(0.0, utility_total(p, state, matrix[kappa - 1][:kappa]))
+            want = max(0.0, utility_total(p, state, matrix[kappa - 1]))
             assert bid.price_vector[kappa - 1] == pytest.approx(want)
+
+
+def test_build_momd_bid_holds_rows_up_to_its_cap_only():
+    """A bid's size is its cap's, never K's: K = 100_000 under a cap of 2
+    builds two rows of 1 and 2 rates and two prices in a few kB."""
+    tracemalloc.start()
+    try:
+        bid = build_momd_bid(make_profile(), UserState(buffer_s=10.0),
+                             ScoreFunction.zero(), 100_000, max_segments=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(row) for row in bid.bitrate_matrix] == [1, 2]
+    assert len(bid.price_vector) == bid.max_segments == 2
+    assert peak < 100_000
 
 
 def segment_caps(K):
@@ -264,7 +278,7 @@ def test_shared_bid_rows_equal_priced_optimal_matrix(sequence):
         seen = seen_by_sf.setdefault(id(sf), {})
         key = (profile.ladder.rates, profile.theta, profile.degradation_slope,
                state.prev_bitrate)
-        rows = fast.bitrate_matrix[:fast.max_segments]
+        rows = fast.bitrate_matrix
         shared = seen.setdefault(key, rows)
         assert all(map(operator.is_, rows, shared))
         if len(rows) > len(shared):
@@ -286,9 +300,12 @@ def test_rows_never_cross_score_functions():
         bid = build_momd_bid(p, state, sf, 3)
         capped = build_momd_bid(replace(p, user_id="v"), state, sf, 3,
                                 max_segments=2)
-        assert capped.bitrate_matrix[:2] == bid.bitrate_matrix[:2]
-        assert all(a is b for a, b in zip(capped.bitrate_matrix[:2],
-                                          bid.bitrate_matrix))
+        assert capped.bitrate_matrix == bid.bitrate_matrix[:2]
+        assert all(map(operator.is_, capped.bitrate_matrix,
+                       bid.bitrate_matrix))
+        # rows never depend on K, so a bid at another K shares them too
+        assert all(map(operator.is_, build_momd_bid(p, state, sf, 2)
+                       .bitrate_matrix, bid.bitrate_matrix))
         assert bid.bitrate_matrix == optimal_bitrate_matrix(p, state, sf, 3)
         own = rows.setdefault(id(sf), bid.bitrate_matrix)
         assert all(map(operator.is_, bid.bitrate_matrix, own))
@@ -296,7 +313,7 @@ def test_rows_never_cross_score_functions():
             if other != id(sf):
                 assert not any(map(operator.is_, bid.bitrate_matrix, earlier))
     # the free score function takes the top rate, the dear one less
-    assert rows[id(free)][0] == (2.3, 0.0, 0.0)
+    assert rows[id(free)][0] == (2.3,)
     assert rows[id(dear)][0][0] < 2.3
 
 
@@ -462,8 +479,7 @@ def test_baseline_momd_bid_rows_and_prices():
     one_rate = replace(p, ladder=replace(p.ladder, rates=(rate,)))
     bid = build_momd_bid(one_rate, state, ScoreFunction.zero(), 3,
                          max_segments=2)
-    assert bid.bitrate_matrix == ((rate, 0.0, 0.0), (rate, rate, 0.0),
-                                  (0.0, 0.0, 0.0))
+    assert bid.bitrate_matrix == ((rate,), (rate, rate))
     prices = truthful_price_vector(p, state, bid.bitrate_matrix)
     assert bid.price_vector == tuple(max(0.0, x) for x in prices)
     assert prices[0] < 0 < prices[1]  # one segment cannot pay for the drop
